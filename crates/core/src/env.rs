@@ -12,7 +12,7 @@ use crate::metrics::RunMetrics;
 use crate::workload::Workload;
 use chameleon_collections::factory::{CaptureConfig, CaptureMethod, CollectionFactory, Selection};
 use chameleon_collections::{CostModel, ListChoice, MapChoice, Runtime, SetChoice};
-use chameleon_heap::{GcConfig, Heap, HeapConfig, HeapProfConfig};
+use chameleon_heap::{Heap, HeapConfig, HeapProfConfig};
 use chameleon_profiler::{ProfileReport, Profiler};
 use chameleon_rules::{PolicyUpdate, Suggestion};
 use chameleon_telemetry::{Telemetry, TraceLane, Tracer};
@@ -31,8 +31,6 @@ pub struct EnvConfig {
     pub cost: CostModel,
     /// Whether to install a profiler (collect trace statistics).
     pub profiling: bool,
-    /// GC marking threads.
-    pub gc_threads: usize,
     /// Object layout model (the paper's 32-bit JVM by default).
     pub model: chameleon_heap::MemoryModel,
     /// Telemetry sink to attach to the heap and runtime (None = no
@@ -47,15 +45,9 @@ pub struct EnvConfig {
     /// Tracing never charges the simulated clock, so results are
     /// bit-identical with tracing absent, armed, or exporting.
     pub tracer: Option<Tracer>,
-    /// Build the heap in single-mutator shard mode (no per-op mutex; see
-    /// [`chameleon_heap::HeapConfig::shard_local`]). The parallel runner
-    /// sets this for its hermetic partition environments; sequential
-    /// environments keep the shared representation.
-    pub shard_heap: bool,
     /// Partition index forwarded to [`chameleon_heap::HeapConfig::shard_index`]
-    /// so a shard heap's concurrent-entry panic names its partition. Only
-    /// meaningful with [`EnvConfig::shard_heap`]; the parallel runner sets it
-    /// per partition.
+    /// so the heap's concurrent-entry panic names its partition. The
+    /// parallel runner sets it per partition, serve per tenant.
     pub shard_index: Option<usize>,
     /// Portable policy installed at construction ([`Env::apply_policy`]).
     /// Carrying the policy in the config — rather than applying it to a
@@ -74,12 +66,10 @@ impl Default for EnvConfig {
             capture: CaptureConfig::default(),
             cost: CostModel::calibrated(),
             profiling: true,
-            gc_threads: 1,
             model: chameleon_heap::MemoryModel::jvm32(),
             telemetry: None,
             heapprof: None,
             tracer: None,
-            shard_heap: false,
             shard_index: None,
             policy: Vec::new(),
         }
@@ -175,13 +165,9 @@ impl Env {
         let heap = Heap::with_config(HeapConfig {
             capacity: config.heap_capacity,
             gc_interval_bytes: config.gc_interval_bytes,
-            gc: GcConfig {
-                threads: config.gc_threads,
-                ..GcConfig::default()
-            },
             model: config.model,
-            shard_local: config.shard_heap,
             shard_index: config.shard_index,
+            ..HeapConfig::default()
         });
         heap.set_heap_profiling(config.heapprof);
         let rt = Runtime::with_cost(heap.clone(), config.cost);

@@ -102,7 +102,6 @@ pub fn run_experiment(
     let measured = EnvConfig {
         model: profile_config.model,
         cost: profile_config.cost,
-        gc_threads: profile_config.gc_threads,
         ..EnvConfig::measured(min_heap_before + min_heap_before / 8)
     };
     let before_env = Env::new(&measured);

@@ -43,9 +43,9 @@ pub fn completes_under(workload: &dyn Workload, policy: &[PortableUpdate], capac
     completes_under_with(workload, policy, capacity, &EnvConfig::default())
 }
 
-/// [`completes_under`] with an environment template (layout model, cost
-/// model and GC threads are taken from `template`; capacity, capture and
-/// profiling follow the measured-run protocol).
+/// [`completes_under`] with an environment template (layout model and
+/// cost model are taken from `template`; capacity, capture and profiling
+/// follow the measured-run protocol).
 pub fn completes_under_with(
     workload: &dyn Workload,
     policy: &[PortableUpdate],
@@ -56,7 +56,6 @@ pub fn completes_under_with(
     let env = Env::new(&EnvConfig {
         model: template.model,
         cost: template.cost,
-        gc_threads: template.gc_threads,
         ..EnvConfig::measured(capacity)
     });
     env.apply_policy(policy);

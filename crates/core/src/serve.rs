@@ -315,15 +315,14 @@ impl Server {
             .ok_or_else(|| format!("unknown workload {workload_name:?}"))?;
 
         // Hermetic tenant environment: same contract as a parallel
-        // partition env — own shard heap, no shared observability hooks.
-        // The server is single-threaded, so the single-mutator shard
-        // invariant holds trivially.
+        // partition env — own heap, no shared observability hooks. The
+        // server is single-threaded, so the heap's single-mutator
+        // contract holds trivially.
         let env = Env::new(&EnvConfig {
             telemetry: None,
             tracer: None,
             heapprof: None,
             profiling: true,
-            shard_heap: true,
             shard_index: Some(self.opened),
             ..self.config.env.clone()
         });

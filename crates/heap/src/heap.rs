@@ -1,6 +1,6 @@
 //! The simulated managed heap.
 //!
-//! [`Heap`] is a cheaply cloneable handle to a shared heap: an object table,
+//! [`Heap`] is a cheaply cloneable handle to one heap: an object table,
 //! a root set, a class registry, an allocation-context table, and a
 //! mark-sweep collector. Collection implementations mirror every internal
 //! allocation (wrappers, backing arrays, entry objects) into this heap so
@@ -24,15 +24,20 @@
 //! mutators, where per-object `Box` traffic from many threads serializes
 //! on `malloc` even when the heaps themselves are disjoint.
 //!
-//! # Sharing modes
+//! # Single-mutator contract
 //!
-//! A heap handle is either *shared* (the default: a `Mutex<HeapInner>`,
-//! any number of threads may call into it) or *shard-local*
-//! ([`HeapConfig::shard_local`]): a single-mutator cell guarded by one
-//! atomic flag, used by the parallel runtime for its hermetic partition
-//! heaps so the per-op mutex disappears from the hot path entirely.
-//! Entering a shard-local heap from two threads at once panics instead of
-//! blocking — the single-mutator contract made loud.
+//! Every heap has exactly one mutator at a time. Its state lives in a
+//! single-mutator cell guarded by one atomic entry flag, not a mutex:
+//! each operation wins the flag with an `Acquire` swap and clears it with
+//! a `Release` store on exit (unwinds included), so a handle may move to
+//! another thread and see everything the previous occupant wrote.
+//! Entering a heap while another thread is inside it panics instead of
+//! blocking — the contract made loud, naming the operation and (with
+//! [`HeapConfig::shard_index`]) the partition. Each environment owns its
+//! heap — sequential runs, minimal-heap trials, parallel partitions and
+//! serve tenants alike — so no workload ever enters one heap from two
+//! threads. Context interning never enters the cell (it goes through the
+//! striped intern table), so it is safe from any thread.
 
 use crate::clock::SimClock;
 use crate::context::{ContextExport, ContextId, FrameId, StripedContextTable};
@@ -42,7 +47,7 @@ use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRa
 use crate::semantic::{ClassRegistry, SemanticMap};
 use crate::snapshot::{HeapProfConfig, HeapProfState, HeapSnapshot};
 use crate::stats::CycleStats;
-use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, MutexGuard, Ordering, UnsafeCell};
+use crate::sync::{AtomicBool, AtomicU32, Ordering, UnsafeCell};
 use crate::telemetry::HeapTelemetry;
 use chameleon_telemetry::{Telemetry, TraceLane};
 use std::collections::{HashMap, VecDeque};
@@ -123,15 +128,10 @@ pub struct HeapConfig {
     pub gc_interval_bytes: Option<u64>,
     /// Collector configuration.
     pub gc: GcConfig,
-    /// Single-mutator shard mode: replaces the per-op mutex with one atomic
-    /// busy flag. Exactly one thread may use the heap at a time; violating
-    /// that panics. The parallel runtime builds its hermetic partition
-    /// heaps this way so the shard-local allocation path takes no lock.
-    pub shard_local: bool,
-    /// Partition index of a shard-local heap, named in the concurrent-entry
-    /// panic message so a contract violation reports *which* partition was
-    /// entered twice. Ignored for shared heaps; the parallel runner sets it
-    /// when building partition environments.
+    /// Partition index of this heap, named in the concurrent-entry panic
+    /// message so a single-mutator contract violation reports *which*
+    /// partition was entered twice. The parallel runner and the serve
+    /// tenants set it; `None` leaves the partition out of the message.
     pub shard_index: Option<usize>,
 }
 
@@ -194,70 +194,60 @@ pub(crate) struct HeapInner {
     pub(crate) heapprof: Option<HeapProfState>,
 }
 
-/// Single-mutator cell of a shard-local heap: entry wins the `busy` swap
+/// Single-mutator cell behind every [`Heap`]: entry wins the `busy` swap
 /// or panics, so at most one `&mut HeapInner` ever exists.
-struct ShardCell {
+struct HeapCell {
     busy: AtomicBool,
-    /// Partition index this shard heap belongs to (from
-    /// [`HeapConfig::shard_index`]); names the shard in the concurrent-entry
-    /// panic so the report points at a partition, not just "a heap".
+    /// Partition index this heap belongs to (from
+    /// [`HeapConfig::shard_index`]); names the partition in the
+    /// concurrent-entry panic so the report points at a partition, not
+    /// just "a heap".
     index: Option<usize>,
     inner: UnsafeCell<HeapInner>,
 }
 
-// SAFETY: all access to `inner` goes through `Heap::lock` /
-// `Heap::try_lock_inner`, which admit exactly one guard at a time via the
-// `busy` flag (acquire on entry, release on guard drop). `HeapInner` itself
-// is `Send`, as the shared representation's `Mutex<HeapInner>` requires.
-unsafe impl Send for ShardCell {}
-unsafe impl Sync for ShardCell {}
+// `busy` is an atomic and `index` immutable `Copy` data, both safe to share.
+// SAFETY: all access to `inner` goes through `Heap::try_lock_inner`, which
+// admits exactly one guard at a time via the `busy` flag (acquire on
+// entry, release on guard drop). `HeapInner` itself is `Send` (asserted
+// below), so handing it from one occupant thread to the next is sound.
+unsafe impl Send for HeapCell {}
+unsafe impl Sync for HeapCell {}
 
-/// Guard over a shard-local heap; clears the busy flag on drop (including
-/// the simulated-OOM unwind path).
-pub(crate) struct ShardGuard<'a> {
-    cell: &'a ShardCell,
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<HeapInner>();
+};
+
+/// The entry-flag guard: derefs to the heap state and clears the busy flag
+/// on drop (including the simulated-OOM unwind path).
+struct HeapGuard<'a> {
+    cell: &'a HeapCell,
 }
 
-impl Drop for ShardGuard<'_> {
+impl Drop for HeapGuard<'_> {
     fn drop(&mut self) {
         self.cell.busy.store(false, Ordering::Release);
     }
 }
 
-/// Uniform guard over both heap representations.
-pub(crate) enum HeapGuard<'a> {
-    Shared(MutexGuard<'a, HeapInner>),
-    Shard(ShardGuard<'a>),
-}
-
 impl Deref for HeapGuard<'_> {
     type Target = HeapInner;
     fn deref(&self) -> &HeapInner {
-        match self {
-            HeapGuard::Shared(g) => g,
-            // SAFETY: the busy flag guarantees this is the only guard.
-            HeapGuard::Shard(g) => g.cell.inner.with(|p| unsafe { &*p }),
-        }
+        // SAFETY: the busy flag guarantees this is the only guard.
+        self.cell.inner.with(|p| unsafe { &*p })
     }
 }
 
 impl DerefMut for HeapGuard<'_> {
     fn deref_mut(&mut self) -> &mut HeapInner {
-        match self {
-            HeapGuard::Shared(g) => g,
-            // SAFETY: the busy flag guarantees this is the only guard.
-            HeapGuard::Shard(g) => g.cell.inner.with_mut(|p| unsafe { &mut *p }),
-        }
+        // SAFETY: the busy flag guarantees this is the only guard.
+        self.cell.inner.with_mut(|p| unsafe { &mut *p })
     }
 }
 
-#[derive(Clone)]
-enum Repr {
-    Shared(Arc<Mutex<HeapInner>>),
-    Shard(Arc<ShardCell>),
-}
-
-/// Shared handle to a simulated heap.
+/// Cloneable handle to a simulated heap (see the module docs for the
+/// single-mutator contract).
 ///
 /// # Examples
 ///
@@ -276,26 +266,21 @@ enum Repr {
 /// ```
 #[derive(Clone)]
 pub struct Heap {
-    repr: Repr,
-    /// Context-intern table, reachable without the heap lock so warm
+    cell: Arc<HeapCell>,
+    /// Context-intern table, reachable without entering the heap so warm
     /// capture never serializes on the heap. Also held inside `HeapInner`
     /// for the collector's read-side accounting.
     contexts: Arc<StripedContextTable>,
     /// Capture-path telemetry handles, set once by the first
     /// [`Heap::attach_telemetry`] (lock-free to read thereafter).
     capture_tele: Arc<OnceLock<HeapTelemetry>>,
-    /// Times [`Heap::lock`] found the heap lock already held. Shared across
-    /// clones; feeds the `mutator.lock_contention` telemetry counter of the
-    /// parallel runner. Always zero for shard-local heaps: their entry
-    /// protocol has no lock to contend on.
-    contention: Arc<AtomicU64>,
 }
 
 impl fmt::Debug for Heap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `try_lock`, not `lock`: debug-printing a heap from a thread that
-        // already holds the lock (e.g. inside a panic hook mid-allocation)
-        // must not deadlock.
+        // `try_lock_inner`, not `lock`: debug-printing a heap that is
+        // already entered (e.g. from a panic hook mid-allocation) must not
+        // panic a second time.
         match self.try_lock_inner() {
             Some(inner) => f
                 .debug_struct("Heap")
@@ -352,88 +337,51 @@ impl Heap {
             pause_history: VecDeque::new(),
             heapprof: None,
         };
-        let repr = if config.shard_local {
-            Repr::Shard(Arc::new(ShardCell {
+        Heap {
+            cell: Arc::new(HeapCell {
                 busy: AtomicBool::new(false),
                 index: config.shard_index,
                 inner: UnsafeCell::new(inner),
-            }))
-        } else {
-            Repr::Shared(Arc::new(Mutex::new(inner)))
-        };
-        Heap {
-            repr,
+            }),
             contexts,
             capture_tele: Arc::new(OnceLock::new()),
-            contention: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Acquires the heap, counting a shared-mode acquisition as contended
-    /// when another thread already holds it. The uncontended fast path is
-    /// one `try_lock` — no extra atomic traffic for single-threaded runs.
-    /// Shard-local heaps flip one busy flag instead of locking.
+    /// Enters the heap by winning its entry flag.
     ///
     /// `op` names the heap operation being entered; it appears in the
-    /// shard-mode concurrent-entry panic so a violation report says which
-    /// operation collided on which partition.
+    /// concurrent-entry panic so a violation report says which operation
+    /// collided on which partition.
     ///
     /// # Panics
     ///
-    /// Panics if a shard-local heap is entered while another thread is
-    /// inside it (single-mutator contract).
+    /// Panics if the heap is entered while another thread (or an
+    /// enclosing operation on this thread) is inside it (single-mutator
+    /// contract).
     fn lock(&self, op: &'static str) -> HeapGuard<'_> {
-        match &self.repr {
-            Repr::Shared(m) => match m.try_lock() {
-                Some(guard) => HeapGuard::Shared(guard),
-                None => {
-                    self.contention.fetch_add(1, Ordering::Relaxed);
-                    HeapGuard::Shared(m.lock())
-                }
-            },
-            Repr::Shard(cell) => {
-                if cell.busy.swap(true, Ordering::Acquire) {
-                    match cell.index {
-                        Some(i) => panic!(
-                            "shard-local heap of partition {i} entered concurrently \
-                             during `{op}` (single-mutator contract)"
-                        ),
-                        None => panic!(
-                            "shard-local heap entered concurrently during `{op}` \
-                             (single-mutator contract)"
-                        ),
-                    }
-                }
-                HeapGuard::Shard(ShardGuard { cell })
-            }
+        if let Some(guard) = self.try_lock_inner() {
+            return guard;
+        }
+        match self.cell.index {
+            Some(i) => panic!(
+                "heap of partition {i} entered concurrently during `{op}` \
+                 (single-mutator contract)"
+            ),
+            None => panic!("heap entered concurrently during `{op}` (single-mutator contract)"),
         }
     }
 
-    /// Non-blocking acquisition; `None` when the heap is held (by any
-    /// thread, including the current one).
+    /// Non-panicking entry; `None` when the heap is already entered (by
+    /// any thread, including the current one).
     fn try_lock_inner(&self) -> Option<HeapGuard<'_>> {
-        match &self.repr {
-            Repr::Shared(m) => m.try_lock().map(HeapGuard::Shared),
-            Repr::Shard(cell) => {
-                if cell.busy.swap(true, Ordering::Acquire) {
-                    None
-                } else {
-                    Some(HeapGuard::Shard(ShardGuard { cell }))
-                }
-            }
+        let cell = &*self.cell;
+        // Build the guard only on a won swap: dropping one clears the flag.
+        if cell.busy.swap(true, Ordering::Acquire) {
+            None
+        } else {
+            Some(HeapGuard { cell })
         }
-    }
-
-    /// Whether this heap runs in single-mutator shard mode.
-    pub fn is_shard_local(&self) -> bool {
-        matches!(self.repr, Repr::Shard(_))
-    }
-
-    /// How many lock acquisitions found the heap lock contended, over the
-    /// lifetime of this heap (shared by all clones of the handle). Always
-    /// zero for shard-local heaps.
-    pub fn lock_contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
     }
 
     /// Creates a heap capped at `capacity` bytes (allocations GC on
@@ -1412,60 +1360,47 @@ mod tests {
         let (heap, class) = simple_heap();
         let _o = heap.alloc_scalar(class, 0, 0, None);
         assert!(format!("{heap:?}").contains("objects"), "unlocked form");
-        let _guard = heap.lock("debug_test");
-        // With the lock held (as a panic hook or tracing line inside an
-        // allocation would see it), Debug must not deadlock.
+        let guard = heap.lock("debug_test");
+        // With the heap entered (as a panic hook or tracing line inside an
+        // allocation would see it), Debug must not panic a second time.
         assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
-    }
-
-    #[test]
-    fn shard_local_heap_behaves_identically() {
-        let run = |shard_local: bool| {
-            let heap = Heap::with_config(HeapConfig {
-                gc_interval_bytes: Some(1024),
-                shard_local,
-                ..HeapConfig::default()
-            });
-            let class = heap.register_class("Obj", None);
-            let keep = heap.alloc_scalar(class, 1, 8, None);
-            heap.add_root(keep);
-            for i in 0..100 {
-                let o = heap.alloc_scalar(class, 2, 16, None);
-                if i % 2 == 0 {
-                    heap.set_ref(keep, 0, Some(o));
-                }
-            }
-            heap.gc();
-            (heap.cycles(), heap.total_allocated_bytes(), heap.gc_count())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn shard_local_heap_reports_mode_and_zero_contention() {
-        let heap = Heap::with_config(HeapConfig {
-            shard_local: true,
-            ..HeapConfig::default()
-        });
-        assert!(heap.is_shard_local());
-        let class = heap.register_class("Obj", None);
-        for _ in 0..100 {
-            let _ = heap.alloc_scalar(class, 1, 0, None);
-        }
-        heap.gc();
-        assert_eq!(heap.lock_contention(), 0);
-        assert!(!Heap::new().is_shard_local());
-    }
-
-    #[test]
-    fn shard_local_debug_shows_locked_while_entered() {
-        let heap = Heap::with_config(HeapConfig {
-            shard_local: true,
-            ..HeapConfig::default()
-        });
-        let _guard = heap.lock("debug_test");
-        assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
-        drop(_guard);
+        drop(guard);
         assert!(format!("{heap:?}").contains("objects"));
+    }
+
+    #[test]
+    fn oom_unwind_releases_the_entry_flag() {
+        let heap = Heap::with_capacity(256);
+        let class = heap.register_class("Obj", None);
+        let big = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            heap.alloc_scalar(class, 0, 1024, None)
+        }));
+        let err = big.expect_err("over-capacity allocation must OOM");
+        assert!(err.downcast_ref::<OutOfMemory>().is_some());
+        // The guard dropped during the unwind: the heap is enterable again.
+        assert_eq!(heap.gc().live_objects, 0);
+        assert!(format!("{heap:?}").contains("objects"), "unlocked form");
+        let small = heap.alloc_scalar(class, 0, 24, None);
+        assert!(heap.is_live(small));
+    }
+
+    #[test]
+    fn concurrent_entry_panics_naming_partition_and_op() {
+        let heap = Heap::with_config(HeapConfig {
+            shard_index: Some(7),
+            ..HeapConfig::default()
+        });
+        let guard = heap.lock("outer");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| heap.root_count()))
+            .expect_err("second entry must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("partition 7") && msg.contains("root_count"),
+            "{msg}"
+        );
+        // The losing entry must not clear the winner's flag.
+        assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
+        drop(guard);
+        assert_eq!(heap.root_count(), 0);
     }
 }
