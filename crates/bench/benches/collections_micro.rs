@@ -7,12 +7,16 @@
 //! * `ArraySet.contains` beats hash sets when tiny;
 //! * context capture dominates allocation cost (the §5.4 bottleneck);
 //! * parallel marking scales against sequential marking.
+//!
+//! The `construct` group times the allocation path itself at findbugs'
+//! per-class shape: wrapper + backing construction, entry inserts and the
+//! handle's death, with no GC pressure beyond the default interval.
 
 use chameleon_collections::factory::{CaptureConfig, CaptureMethod, CollectionFactory};
 use chameleon_collections::list::{ArrayListImpl, LinkedListImpl, ListImpl};
 use chameleon_collections::map::{ArrayMapImpl, HashMapImpl, MapImpl};
 use chameleon_collections::set::{ArraySetImpl, HashSetImpl, SetImpl};
-use chameleon_collections::Runtime;
+use chameleon_collections::{HeapVal, Runtime};
 use chameleon_heap::{GcConfig, Heap, HeapConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -157,6 +161,74 @@ fn bench_capture(c: &mut Criterion) {
     group.finish();
 }
 
+/// Collections built per `construct` iteration; they stay alive together
+/// and die together, as one findbugs class summary's maps and sets do.
+const CONSTRUCT_BATCH: usize = 64;
+
+fn bench_construct(c: &mut Criterion) {
+    let mut group = c.benchmark_group("construct");
+    group.sample_size(30);
+    let factory = || {
+        let heap = Heap::with_config(HeapConfig {
+            gc_interval_bytes: Some(256 * 1024),
+            ..HeapConfig::default()
+        });
+        CollectionFactory::new(Runtime::new(heap))
+    };
+    group.bench_function("new_map", |b| {
+        let f = factory();
+        let _g = f.enter("Bench.construct:1");
+        b.iter(|| {
+            let maps: Vec<_> = (0..CONSTRUCT_BATCH)
+                .map(|_| f.new_map::<i64, i64>(None))
+                .collect();
+            black_box(maps.len())
+        })
+    });
+    group.bench_function("new_set_5_adds", |b| {
+        let f = factory();
+        let _g = f.enter("Bench.construct:2");
+        b.iter(|| {
+            let sets: Vec<_> = (0..CONSTRUCT_BATCH)
+                .map(|i| {
+                    let mut s = f.new_set::<i64>(None);
+                    for k in 0..5 {
+                        s.add((i * 3 + k) as i64 % 97);
+                    }
+                    s
+                })
+                .collect();
+            black_box(sets.len())
+        })
+    });
+    group.bench_function("new_map_4_heapval_puts", |b| {
+        let f = factory();
+        let heap = f.runtime().heap();
+        let class = heap.register_class("Bench.Payload", None);
+        let payload: Vec<HeapVal> = (0..4)
+            .map(|_| {
+                let o = heap.alloc_scalar(class, 0, 8, None);
+                heap.add_root(o);
+                HeapVal(o)
+            })
+            .collect();
+        let _g = f.enter("Bench.construct:3");
+        b.iter(|| {
+            let maps: Vec<_> = (0..CONSTRUCT_BATCH)
+                .map(|_| {
+                    let mut m = f.new_map::<i64, HeapVal>(None);
+                    for (k, v) in payload.iter().enumerate() {
+                        m.put(k as i64, *v);
+                    }
+                    m
+                })
+                .collect();
+            black_box(maps.len())
+        })
+    });
+    group.finish();
+}
+
 fn bench_gc_marking(c: &mut Criterion) {
     let mut group = c.benchmark_group("gc_mark_sweep");
     group.sample_size(20);
@@ -195,6 +267,7 @@ criterion_group!(
     bench_list_get,
     bench_set_contains,
     bench_capture,
+    bench_construct,
     bench_gc_marking
 );
 criterion_main!(benches);

@@ -64,8 +64,8 @@ pub fn populate(threads: usize, collections: usize) -> (Heap, Vec<ObjId>) {
             let arr = heap.alloc_array(arr_class, ElemKind::Ref, 10, None);
             heap.set_ref(w, 0, Some(im));
             heap.set_ref(im, 0, Some(arr));
-            heap.set_meta(im, 0, (i % 10) as i64);
-            heap.set_meta(w, 0, (i % 10) as i64);
+            heap.set_meta(im, 0, &[(i % 10) as i64]);
+            heap.set_meta(w, 0, &[(i % 10) as i64]);
             w
         } else {
             let w = heap.alloc_scalar(wrap_map, 1, 0, ctx);
@@ -80,9 +80,8 @@ pub fn populate(threads: usize, collections: usize) -> (Heap, Vec<ObjId>) {
                 }
                 heap.set_elem(arr, e % 16, Some(entry));
             }
-            heap.set_meta(im, 0, (i % 6) as i64);
-            heap.set_meta(im, 1, (i % 6).min(16) as i64);
-            heap.set_meta(w, 0, (i % 6) as i64);
+            heap.set_meta(im, 0, &[(i % 6) as i64, (i % 6).min(16) as i64]);
+            heap.set_meta(w, 0, &[(i % 6) as i64]);
             w
         };
         heap.add_root(w);

@@ -12,7 +12,7 @@ use crate::elem::Elem;
 use crate::list::ListImpl;
 use crate::map::MapImpl;
 use crate::ops::{Op, OpCounts};
-use crate::runtime::{InstanceStats, Runtime};
+use crate::runtime::{InstanceStats, LiveKey, Runtime};
 use crate::set::SetImpl;
 use chameleon_heap::{ContextId, ObjId};
 use parking_lot::Mutex;
@@ -169,7 +169,7 @@ macro_rules! handle_common {
                     return;
                 }
                 self.finished = true;
-                self.rt.deregister_live(self.live_id);
+                self.rt.deregister_live(self.live_key);
                 let mut b = self.stats.lock();
                 let already_reported = std::mem::replace(&mut b.reported, true);
                 let stats = InstanceStats {
@@ -215,7 +215,7 @@ pub struct ListHandle<T: Elem> {
     backing: Box<dyn ListImpl<T>>,
     ctx: Option<ContextId>,
     stats: Arc<Mutex<StatsBuilder>>,
-    live_id: u64,
+    live_key: LiveKey,
     finished: bool,
 }
 
@@ -231,16 +231,21 @@ impl<T: Elem> ListHandle<T> {
     ) -> Self {
         let initial_capacity = backing.capacity() as u64;
         let stats = StatsBuilder::new(requested_type, initial_capacity, backing.impl_name());
-        let live_id = rt.register_live(ctx, Arc::clone(&stats));
+        let live_key = rt.register_live(ctx, Arc::clone(&stats));
         ListHandle {
             rt,
             wrapper,
             backing,
             ctx,
             stats,
-            live_id,
+            live_key,
             finished: false,
         }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn live_key(&self) -> LiveKey {
+        self.live_key
     }
 
     /// Appends `v`.
@@ -362,7 +367,7 @@ pub struct SetHandle<T: Elem> {
     backing: Box<dyn SetImpl<T>>,
     ctx: Option<ContextId>,
     stats: Arc<Mutex<StatsBuilder>>,
-    live_id: u64,
+    live_key: LiveKey,
     finished: bool,
 }
 
@@ -378,14 +383,14 @@ impl<T: Elem> SetHandle<T> {
     ) -> Self {
         let initial_capacity = backing.capacity() as u64;
         let stats = StatsBuilder::new(requested_type, initial_capacity, backing.impl_name());
-        let live_id = rt.register_live(ctx, Arc::clone(&stats));
+        let live_key = rt.register_live(ctx, Arc::clone(&stats));
         SetHandle {
             rt,
             wrapper,
             backing,
             ctx,
             stats,
-            live_id,
+            live_key,
             finished: false,
         }
     }
@@ -456,7 +461,7 @@ pub struct MapHandle<K: Elem, V: Elem> {
     backing: Box<dyn MapImpl<K, V>>,
     ctx: Option<ContextId>,
     stats: Arc<Mutex<StatsBuilder>>,
-    live_id: u64,
+    live_key: LiveKey,
     finished: bool,
 }
 
@@ -470,14 +475,14 @@ impl<K: Elem, V: Elem> MapHandle<K, V> {
     ) -> Self {
         let initial_capacity = backing.capacity() as u64;
         let stats = StatsBuilder::new(requested_type, initial_capacity, backing.impl_name());
-        let live_id = rt.register_live(ctx, Arc::clone(&stats));
+        let live_key = rt.register_live(ctx, Arc::clone(&stats));
         MapHandle {
             rt,
             wrapper,
             backing,
             ctx,
             stats,
-            live_id,
+            live_key,
             finished: false,
         }
     }
@@ -625,7 +630,7 @@ impl<K: Elem, V: Elem> MapHandle<K, V> {
             return;
         }
         self.finished = true;
-        self.rt.deregister_live(self.live_id);
+        self.rt.deregister_live(self.live_key);
         let mut b = self.stats.lock();
         let already_reported = std::mem::replace(&mut b.reported, true);
         let stats = InstanceStats {

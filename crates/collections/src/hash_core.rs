@@ -9,7 +9,7 @@
 
 use crate::elem::Elem;
 use crate::runtime::Runtime;
-use chameleon_heap::{ClassId, ContextId, ElemKind, ObjId};
+use chameleon_heap::{BatchAlloc, BatchRef, ClassId, ContextId, ElemKind, ObjId};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -75,25 +75,24 @@ impl<K: Elem, V: Elem> RawChainedHash<K, V> {
         capacity: Option<u32>,
         ctx: Option<ContextId>,
     ) -> Self {
-        let heap = rt.heap().clone();
         let cap = capacity.unwrap_or(DEFAULT_HASH_CAPACITY).max(1);
-        // Impl + bucket array under one heap lock, pre-linked and rooted.
-        let [obj, buckets_obj] = heap.alloc_batch(
+        // Impl + bucket array in one heap entry, pre-linked and rooted.
+        let [obj, buckets_obj] = rt.heap().alloc_batch(
             [
-                chameleon_heap::BatchAlloc::Scalar {
+                BatchAlloc::Scalar {
                     class: shape.impl_class,
                     ref_fields: 1,
                     prim_bytes: 16,
                     ctx,
                 },
-                chameleon_heap::BatchAlloc::Array {
+                BatchAlloc::Array {
                     class: rt.classes().object_array,
                     elem: ElemKind::Ref,
                     capacity: cap,
                     ctx: None,
                 },
             ],
-            &[(0, 0, 1)],
+            &[(BatchRef::New(0), 0, Some(BatchRef::New(1)))],
             &[0],
         );
         rt.charge(2 * rt.cost().alloc_object);
@@ -133,9 +132,9 @@ impl<K: Elem, V: Elem> RawChainedHash<K, V> {
     }
 
     fn sync_meta(&self) {
-        let heap = self.rt.heap();
-        heap.set_meta(self.obj, 0, self.size as i64);
-        heap.set_meta(self.obj, 1, self.used_buckets as i64);
+        self.rt
+            .heap()
+            .set_meta(self.obj, 0, &[self.size as i64, self.used_buckets as i64]);
     }
 
     /// Walks the chain at `b`, returning `(prev_idx, idx)` of the entry
@@ -178,9 +177,8 @@ impl<K: Elem, V: Elem> RawChainedHash<K, V> {
             let e = self.entries[i].as_mut().expect("found index valid");
             let old = std::mem::replace(&mut e.value, v);
             // Refresh the value payload slot.
-            let heap = self.rt.heap();
             if self.shape.entry_refs >= 3 {
-                heap.set_ref(e.obj, 2, e.value.heap_ref());
+                self.rt.heap().set_ref(e.obj, 2, e.value.heap_ref());
             }
             return Some(old);
         }
@@ -188,26 +186,30 @@ impl<K: Elem, V: Elem> RawChainedHash<K, V> {
             self.rehash(self.buckets.len() as u32 * 2);
         }
         let b = self.bucket_of(&k);
-        let heap = self.rt.heap().clone();
         let cost = self.rt.cost();
-        let entry_obj = heap.alloc_scalar(
-            self.shape.entry_class,
-            self.shape.entry_refs,
-            self.shape.entry_prim,
-            None,
-        );
-        // Link into the heap chain *before* any further allocation.
+        // Allocate the entry with its chain, key and value references and
+        // publish it as the bucket head, all in one heap entry.
         let head = self.buckets[b];
-        heap.set_ref(
-            entry_obj,
-            0,
-            head.map(|h| self.entries[h].as_ref().expect("head valid").obj),
+        let head_obj = head.map(|h| self.entries[h].as_ref().expect("head valid").obj);
+        let entry = BatchRef::New(0);
+        let links = [
+            (BatchRef::Obj(self.buckets_obj), b, Some(entry)),
+            (entry, 0, head_obj.map(BatchRef::Obj)),
+            (entry, 1, k.heap_ref().map(BatchRef::Obj)),
+            (entry, 2, v.heap_ref().map(BatchRef::Obj)),
+        ];
+        // Set entries have no value field (`entry_refs == 2`).
+        let links = &links[..1 + self.shape.entry_refs as usize];
+        let [entry_obj] = self.rt.heap().alloc_batch(
+            [BatchAlloc::Scalar {
+                class: self.shape.entry_class,
+                ref_fields: self.shape.entry_refs,
+                prim_bytes: self.shape.entry_prim,
+                ctx: None,
+            }],
+            links,
+            &[],
         );
-        heap.set_ref(entry_obj, 1, k.heap_ref());
-        if self.shape.entry_refs >= 3 {
-            heap.set_ref(entry_obj, 2, v.heap_ref());
-        }
-        heap.set_elem(self.buckets_obj, b, Some(entry_obj));
         self.rt.charge(cost.alloc_object + cost.link_hop);
 
         if head.is_none() {
@@ -277,7 +279,7 @@ impl<K: Elem, V: Elem> RawChainedHash<K, V> {
     }
 
     pub(crate) fn clear(&mut self) {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         for (b, head) in self.buckets.iter_mut().enumerate() {
             if head.take().is_some() {
                 heap.set_elem(self.buckets_obj, b, None);
@@ -311,11 +313,18 @@ impl<K: Elem, V: Elem> RawChainedHash<K, V> {
     }
 
     fn rehash(&mut self, new_cap: u32) {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         let cost = self.rt.cost();
-        let new_buckets_obj =
-            heap.alloc_array(self.rt.classes().object_array, ElemKind::Ref, new_cap, None);
-        heap.set_ref(self.obj, 0, Some(new_buckets_obj));
+        let [new_buckets_obj] = heap.alloc_batch(
+            [BatchAlloc::Array {
+                class: self.rt.classes().object_array,
+                elem: ElemKind::Ref,
+                capacity: new_cap,
+                ctx: None,
+            }],
+            &[(BatchRef::Obj(self.obj), 0, Some(BatchRef::New(0)))],
+            &[],
+        );
         self.buckets_obj = new_buckets_obj;
         self.buckets = vec![None; new_cap as usize];
         self.used_buckets = 0;

@@ -8,7 +8,7 @@
 use super::ListImpl;
 use crate::elem::Elem;
 use crate::runtime::Runtime;
-use chameleon_heap::{ContextId, ObjId};
+use chameleon_heap::{BatchAlloc, BatchRef, ContextId, ObjId};
 use std::collections::VecDeque;
 
 /// Doubly-linked list implementation.
@@ -40,26 +40,30 @@ pub struct LinkedListImpl<T: Elem> {
 impl<T: Elem> LinkedListImpl<T> {
     /// Creates an empty linked list (allocating the sentinel entry).
     pub fn new(rt: &Runtime, ctx: Option<ContextId>) -> Self {
-        let heap = rt.heap().clone();
         let c = rt.classes();
         // Impl + sentinel entry (3 refs = the paper's 24 bytes) allocated
         // in one batch; the sentinel's next/prev point back at itself.
-        let [obj, header] = heap.alloc_batch(
+        let (list, sentinel) = (BatchRef::New(0), BatchRef::New(1));
+        let [obj, header] = rt.heap().alloc_batch(
             [
-                chameleon_heap::BatchAlloc::Scalar {
+                BatchAlloc::Scalar {
                     class: c.linked_list,
                     ref_fields: 1,
                     prim_bytes: 8,
                     ctx,
                 },
-                chameleon_heap::BatchAlloc::Scalar {
+                BatchAlloc::Scalar {
                     class: c.linked_list_entry,
                     ref_fields: 3,
                     prim_bytes: 0,
                     ctx: None,
                 },
             ],
-            &[(0, 0, 1), (1, 0, 1), (1, 1, 1)],
+            &[
+                (list, 0, Some(sentinel)),
+                (sentinel, 0, Some(sentinel)),
+                (sentinel, 1, Some(sentinel)),
+            ],
             &[0],
         );
         let cost = rt.cost();
@@ -89,29 +93,42 @@ impl<T: Elem> LinkedListImpl<T> {
 
     /// Splices a freshly allocated entry for `v` before position `i`.
     fn link_at(&mut self, i: usize, v: T) {
-        let heap = self.rt.heap().clone();
-        let c = self.rt.classes();
-        let entry = heap.alloc_scalar(c.linked_list_entry, 3, 0, None);
         let next = self.entry_at(i);
         let prev = if i == 0 {
             self.header
         } else {
             self.entries[i - 1]
         };
-        heap.set_ref(entry, 0, Some(next));
-        heap.set_ref(entry, 1, Some(prev));
-        heap.set_ref(entry, 2, v.heap_ref());
-        heap.set_ref(prev, 0, Some(entry));
-        heap.set_ref(next, 1, Some(entry));
+        // The entry is allocated with its next/prev/value references and
+        // spliced between its neighbours in one heap entry.
+        let new = BatchRef::New(0);
+        let [entry] = self.rt.heap().alloc_batch(
+            [BatchAlloc::Scalar {
+                class: self.rt.classes().linked_list_entry,
+                ref_fields: 3,
+                prim_bytes: 0,
+                ctx: None,
+            }],
+            &[
+                (new, 0, Some(BatchRef::Obj(next))),
+                (new, 1, Some(BatchRef::Obj(prev))),
+                (new, 2, v.heap_ref().map(BatchRef::Obj)),
+                (BatchRef::Obj(prev), 0, Some(new)),
+                (BatchRef::Obj(next), 1, Some(new)),
+            ],
+            &[],
+        );
         self.entries.insert(i, entry);
         self.data.insert(i, v);
         let cost = self.rt.cost();
         self.rt.charge(cost.alloc_object + 4 * cost.link_hop);
-        heap.set_meta(self.obj, 0, self.data.len() as i64);
+        self.rt
+            .heap()
+            .set_meta(self.obj, 0, &[self.data.len() as i64]);
     }
 
     fn unlink_at(&mut self, i: usize) -> T {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         let entry = self.entries.remove(i).expect("index checked by caller");
         let v = self.data.remove(i).expect("data parallel to entries");
         let prev = if i == 0 {
@@ -127,7 +144,7 @@ impl<T: Elem> LinkedListImpl<T> {
         heap.set_ref(entry, 1, None);
         heap.set_ref(entry, 2, None);
         self.rt.charge(2 * self.rt.cost().link_hop);
-        heap.set_meta(self.obj, 0, self.data.len() as i64);
+        heap.set_meta(self.obj, 0, &[self.data.len() as i64]);
         v
     }
 }
@@ -210,7 +227,7 @@ impl<T: Elem> ListImpl<T> for LinkedListImpl<T> {
     }
 
     fn clear(&mut self) {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         for e in self.entries.drain(..) {
             heap.set_ref(e, 0, None);
             heap.set_ref(e, 1, None);
@@ -219,7 +236,7 @@ impl<T: Elem> ListImpl<T> for LinkedListImpl<T> {
         self.data.clear();
         heap.set_ref(self.header, 0, Some(self.header));
         heap.set_ref(self.header, 1, Some(self.header));
-        heap.set_meta(self.obj, 0, 0);
+        heap.set_meta(self.obj, 0, &[0]);
     }
 
     fn snapshot(&self) -> Vec<T> {

@@ -9,7 +9,7 @@
 
 use crate::elem::Elem;
 use crate::runtime::Runtime;
-use chameleon_heap::{BatchAlloc, ClassId, ContextId, ElemKind, ObjId};
+use chameleon_heap::{BatchAlloc, BatchRef, ClassId, ContextId, ElemKind, ObjId};
 
 /// Java's ArrayList growth function.
 pub(crate) fn grown_capacity(old: u32, needed: u32) -> u32 {
@@ -47,7 +47,7 @@ impl<T: Elem> RawArray<T> {
         lazy: bool,
         ctx: Option<ContextId>,
     ) -> Self {
-        let heap = rt.heap().clone();
+        let heap = rt.heap();
         let impl_req = BatchAlloc::Scalar {
             class: impl_class,
             ref_fields: 1,
@@ -82,7 +82,7 @@ impl<T: Elem> RawArray<T> {
                     ctx: None,
                 },
             ],
-            &[(0, 0, 1)],
+            &[(BatchRef::New(0), 0, Some(BatchRef::New(1)))],
             &[0],
         );
         rt.charge(2 * rt.cost().alloc_object);
@@ -217,24 +217,14 @@ impl<T: Elem> RawArray<T> {
     }
 
     fn allocate_array(&mut self, capacity: u32) {
-        let heap = self.rt.heap().clone();
-        let slots = capacity * self.slots_per_elem;
-        let arr = heap.alloc_array(self.array_class, self.elem_kind, slots, None);
-        // Link before any further allocation so a capacity-pressure GC
-        // cannot sweep the fresh array.
-        heap.set_ref(self.obj, 0, Some(arr));
-        self.arr = Some(arr);
+        self.arr = Some(self.alloc_linked_array(capacity));
         self.capacity = capacity;
         self.rt.charge(self.rt.cost().alloc_object);
         self.resync_slots_from(0);
     }
 
     fn reallocate(&mut self, new_cap: u32) {
-        let heap = self.rt.heap().clone();
-        let slots = new_cap * self.slots_per_elem;
-        let arr = heap.alloc_array(self.array_class, self.elem_kind, slots, None);
-        heap.set_ref(self.obj, 0, Some(arr));
-        self.arr = Some(arr);
+        self.arr = Some(self.alloc_linked_array(new_cap));
         self.capacity = new_cap;
         let cost = self.rt.cost();
         self.rt.charge(
@@ -242,6 +232,23 @@ impl<T: Elem> RawArray<T> {
                 + cost.elem_copy * self.data.len() as u64 * self.slots_per_elem as u64,
         );
         self.resync_slots_from(0);
+    }
+
+    /// Allocates a backing array for `capacity` elements and links it from
+    /// the impl object in the same heap entry, so a capacity-pressure GC
+    /// can never see it unreachable.
+    fn alloc_linked_array(&self, capacity: u32) -> ObjId {
+        let [arr] = self.rt.heap().alloc_batch(
+            [BatchAlloc::Array {
+                class: self.array_class,
+                elem: self.elem_kind,
+                capacity: capacity * self.slots_per_elem,
+                ctx: None,
+            }],
+            &[(BatchRef::Obj(self.obj), 0, Some(BatchRef::New(0)))],
+            &[],
+        );
+        arr
     }
 
     /// Rewrites the heap reference slots for elements `from..len`.
@@ -291,7 +298,9 @@ impl<T: Elem> RawArray<T> {
     }
 
     fn sync_size(&self) {
-        self.rt.heap().set_meta(self.obj, 0, self.data.len() as i64);
+        self.rt
+            .heap()
+            .set_meta(self.obj, 0, &[self.data.len() as i64]);
     }
 
     /// Unroots the impl object so the GC can reclaim the whole structure.

@@ -7,7 +7,7 @@
 use super::ListImpl;
 use crate::elem::Elem;
 use crate::runtime::Runtime;
-use chameleon_heap::{ContextId, ObjId};
+use chameleon_heap::{BatchAlloc, ContextId, ObjId};
 
 /// List holding at most one element.
 ///
@@ -35,9 +35,16 @@ pub struct SingletonListImpl<T: Elem> {
 impl<T: Elem> SingletonListImpl<T> {
     /// Creates an empty singleton list.
     pub fn new(rt: &Runtime, ctx: Option<ContextId>) -> Self {
-        let heap = rt.heap().clone();
-        let obj = heap.alloc_scalar(rt.classes().singleton_list, 1, 0, ctx);
-        heap.add_root(obj);
+        let [obj] = rt.heap().alloc_batch(
+            [BatchAlloc::Scalar {
+                class: rt.classes().singleton_list,
+                ref_fields: 1,
+                prim_bytes: 0,
+                ctx,
+            }],
+            &[],
+            &[0],
+        );
         rt.charge(rt.cost().alloc_object);
         SingletonListImpl {
             rt: rt.clone(),
@@ -50,7 +57,7 @@ impl<T: Elem> SingletonListImpl<T> {
     fn sync(&self) {
         let heap = self.rt.heap();
         heap.set_ref(self.obj, 0, self.value.as_ref().and_then(|v| v.heap_ref()));
-        heap.set_meta(self.obj, 0, i64::from(self.value.is_some()));
+        heap.set_meta(self.obj, 0, &[i64::from(self.value.is_some())]);
     }
 }
 

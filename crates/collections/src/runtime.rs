@@ -13,8 +13,7 @@ use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
 use chameleon_heap::{ClassId, ContextId, Heap, SimClock};
 use chameleon_telemetry::{Counter, Histogram, Telemetry};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Histogram bounds for logical collection sizes (`max_size` at death).
@@ -198,8 +197,68 @@ pub trait StatsSink: Send + Sync {
 
 /// A still-live collection instance tracked for the survivor flush.
 struct LiveInstance {
+    /// Registration id, increasing in allocation order.
+    id: u64,
     ctx: Option<ContextId>,
     stats: Arc<Mutex<StatsBuilder>>,
+}
+
+/// What a handle keeps to deregister itself: its registry slot plus the
+/// registration id that proves the slot is still its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LiveKey {
+    slot: u32,
+    id: u64,
+}
+
+/// Free-listed slot registry of live instances. Registering and
+/// deregistering index a vector: no hashing, no tree walk.
+#[derive(Default)]
+struct LiveRegistry {
+    slots: Vec<Option<LiveInstance>>,
+    free: Vec<u32>,
+    next_id: u64,
+}
+
+impl LiveRegistry {
+    fn register(&mut self, ctx: Option<ContextId>, stats: Arc<Mutex<StatsBuilder>>) -> LiveKey {
+        let id = self.next_id;
+        self.next_id += 1;
+        let inst = Some(LiveInstance { id, ctx, stats });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = inst;
+                slot
+            }
+            None => {
+                self.slots.push(inst);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        LiveKey { slot, id }
+    }
+
+    /// Frees `key`'s slot only while it still holds `key`'s instance: a
+    /// survivor flush drains the registry while handles live on, so a
+    /// flushed handle dropping later must not free a slot that a newer
+    /// instance has since taken.
+    fn deregister(&mut self, key: LiveKey) {
+        let Some(slot) = self.slots.get_mut(key.slot as usize) else {
+            return;
+        };
+        if slot.as_ref().is_some_and(|inst| inst.id == key.id) {
+            *slot = None;
+            self.free.push(key.slot);
+        }
+    }
+
+    /// Empties the registry, returning its instances in allocation order.
+    fn drain(&mut self) -> Vec<LiveInstance> {
+        self.free.clear();
+        let mut live: Vec<LiveInstance> = self.slots.drain(..).flatten().collect();
+        live.sort_unstable_by_key(|inst| inst.id);
+        live
+    }
 }
 
 struct RuntimeInner {
@@ -207,11 +266,9 @@ struct RuntimeInner {
     clock: SimClock,
     cost: CostModel,
     classes: ClassIds,
-    /// Live-instance registry, keyed by a monotonically increasing id so
-    /// the survivor flush walks instances in allocation order — a
-    /// deterministic order regardless of `HashMap`/drop vagaries.
-    live: Mutex<BTreeMap<u64, LiveInstance>>,
-    next_live_id: AtomicU64,
+    /// Live-instance registry; the survivor flush walks it in allocation
+    /// (registration id) order, whatever order slots were reused in.
+    live: Mutex<LiveRegistry>,
     sink: Mutex<Option<Arc<dyn StatsSink>>>,
     telemetry: Mutex<Option<CollTelemetry>>,
     // Fast-path guard: lets `report_death` skip the telemetry lock
@@ -267,8 +324,7 @@ impl Runtime {
                 clock,
                 cost,
                 classes,
-                live: Mutex::new(BTreeMap::new()),
-                next_live_id: AtomicU64::new(0),
+                live: Mutex::new(LiveRegistry::default()),
                 sink: Mutex::new(None),
                 telemetry: Mutex::new(None),
                 telemetry_attached: AtomicBool::new(false),
@@ -345,18 +401,14 @@ impl Runtime {
         &self,
         ctx: Option<ContextId>,
         stats: Arc<Mutex<StatsBuilder>>,
-    ) -> u64 {
-        let id = self.inner.next_live_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .live
-            .lock()
-            .insert(id, LiveInstance { ctx, stats });
-        id
+    ) -> LiveKey {
+        self.inner.live.lock().register(ctx, stats)
     }
 
-    /// Removes a dying instance from the live registry.
-    pub(crate) fn deregister_live(&self, id: u64) {
-        self.inner.live.lock().remove(&id);
+    /// Removes a dying instance from the live registry (a no-op when a
+    /// survivor flush already drained it).
+    pub(crate) fn deregister_live(&self, key: LiveKey) {
+        self.inner.live.lock().deregister(key);
     }
 
     /// Delivers the statistics of every still-live instance to the sink as
@@ -369,12 +421,12 @@ impl Runtime {
     /// drained here; handles deregister on death anyway). Returns the
     /// number of instances flushed.
     pub fn flush_survivors(&self) -> usize {
-        // Take the whole map first so no lock is held while builders are
-        // locked — a dying handle takes the same locks in the same order
-        // (registry, then builder) and can never deadlock against us.
-        let live = std::mem::take(&mut *self.inner.live.lock());
+        // Drain the whole registry first so no lock is held while builders
+        // are locked — a dying handle takes the same locks in the same
+        // order (registry, then builder) and can never deadlock against us.
+        let live = self.inner.live.lock().drain();
         let mut flushed = 0;
-        for inst in live.values() {
+        for inst in &live {
             let mut b = inst.stats.lock();
             if std::mem::replace(&mut b.reported, true) {
                 continue;
@@ -508,6 +560,63 @@ mod tests {
         drop(long_lived);
         assert_eq!(sink.0.lock().len(), 2);
         // And a repeated flush finds nothing.
+        assert_eq!(rt.flush_survivors(), 0);
+    }
+
+    #[test]
+    fn registry_slot_reuse_across_a_survivor_flush() {
+        use crate::factory::CollectionFactory;
+        use crate::handle::ListHandle;
+        /// Records each report's `(max_size, survivor)`; every list below
+        /// gets a distinct size so it can be told apart.
+        struct Collect(Mutex<Vec<(u64, bool)>>);
+        impl StatsSink for Collect {
+            fn on_death(&self, _ctx: Option<ContextId>, stats: &InstanceStats) {
+                self.0.lock().push((stats.max_size, stats.survivor));
+            }
+        }
+        let f = CollectionFactory::new(Runtime::new(Heap::new()));
+        let rt = f.runtime().clone();
+        let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+        rt.set_sink(sink.clone());
+        let list = |n: i64| -> ListHandle<i64> {
+            let mut l = f.new_list(None);
+            for i in 0..n {
+                l.add(i);
+            }
+            l
+        };
+        let slot_of = |l: &ListHandle<i64>| l.live_key().slot;
+        let take = || std::mem::take(&mut *sink.0.lock());
+
+        let a = list(1);
+        let b = list(2);
+        assert_eq!(rt.flush_survivors(), 2);
+        assert_eq!(take(), [(1, true), (2, true)]);
+
+        // C reuses A's slot; A's late drop must neither free C's slot nor
+        // report again.
+        let c = list(3);
+        assert_eq!(slot_of(&c), a.live_key().slot);
+        drop(a);
+        let d = list(4);
+        assert_ne!(slot_of(&d), slot_of(&c), "C's slot stayed taken");
+        assert!(take().is_empty());
+
+        // Interleaved deaths: E dies, G takes its slot, so slot order is
+        // no longer allocation order; the flush still delivers by age.
+        let e = list(5);
+        let g_slot = slot_of(&e);
+        let f6 = list(6);
+        drop(e);
+        let g = list(7);
+        assert_eq!(slot_of(&g), g_slot);
+        assert_eq!(take(), [(5, false)]);
+        assert_eq!(rt.flush_survivors(), 4);
+        assert_eq!(take(), [(3, true), (4, true), (6, true), (7, true)]);
+
+        drop((b, c, d, f6, g));
+        assert!(take().is_empty(), "flushed handles never report twice");
         assert_eq!(rt.flush_survivors(), 0);
     }
 }

@@ -9,7 +9,7 @@
 use super::{ArraySetImpl, HashSetImpl, SetImpl};
 use crate::elem::Elem;
 use crate::runtime::Runtime;
-use chameleon_heap::{ContextId, ObjId};
+use chameleon_heap::{BatchAlloc, ContextId, ObjId};
 
 /// Default conversion threshold (the paper's best TVLA value).
 pub const DEFAULT_ADAPT_THRESHOLD: usize = 16;
@@ -41,9 +41,17 @@ pub struct SizeAdaptingSetImpl<T: Elem> {
 impl<T: Elem> SizeAdaptingSetImpl<T> {
     /// Creates a hybrid set converting to hash at `threshold` elements.
     pub fn new(rt: &Runtime, threshold: usize, ctx: Option<ContextId>) -> Self {
-        let heap = rt.heap().clone();
-        let obj = heap.alloc_scalar(rt.classes().size_adapting_set, 1, 8, ctx);
-        heap.add_root(obj);
+        let heap = rt.heap();
+        let [obj] = heap.alloc_batch(
+            [BatchAlloc::Scalar {
+                class: rt.classes().size_adapting_set,
+                ref_fields: 1,
+                prim_bytes: 8,
+                ctx,
+            }],
+            &[],
+            &[0],
+        );
         rt.charge(rt.cost().alloc_object);
         let inner = Box::new(ArraySetImpl::new(rt, Some(threshold.max(1) as u32), None));
         heap.set_ref(obj, 0, Some(inner.obj()));

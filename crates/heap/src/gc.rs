@@ -215,11 +215,10 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
             }
         }
         let root_node = (n_contexts + 1) as u32;
-        for id in inner.roots.keys() {
-            if let Some(o) = resolve_opt(inner, *id) {
-                let tnode = o.ctx.map_or(n_contexts as u32, |c| c.0);
-                merged.edges.insert(snapshot::pack_edge(root_node, tnode));
-            }
+        for id in inner.root_ids() {
+            let o = &inner.slab[id.index as usize];
+            let tnode = o.ctx.map_or(n_contexts as u32, |c| c.0);
+            merged.edges.insert(snapshot::pack_edge(root_node, tnode));
         }
         snapshot::build_snapshot(
             inner.gc_count,
@@ -425,7 +424,7 @@ fn scan_chunk(
 
 /// Marks reachable objects by stamping `epoch` into the shared mark array.
 fn mark(inner: &HeapInner, marks: &[AtomicU32], epoch: u32) {
-    let roots: Vec<ObjId> = inner.roots.keys().copied().collect();
+    let roots: Vec<ObjId> = inner.root_ids().collect();
     let threads = inner.gc_config.threads.max(1);
     if threads == 1 || roots.len() < 2 {
         let mut stack: Vec<u32> = Vec::new();
@@ -667,8 +666,8 @@ mod tests {
         let arr = heap.alloc_array(arr_class, ElemKind::Ref, cap, None);
         heap.set_ref(w, 0, Some(im));
         heap.set_ref(im, 0, Some(arr));
-        heap.set_meta(im, 0, i64::from(size));
-        heap.set_meta(w, 0, i64::from(size));
+        heap.set_meta(im, 0, &[i64::from(size)]);
+        heap.set_meta(w, 0, &[i64::from(size)]);
         heap.add_root(w);
         w
     }
@@ -734,9 +733,8 @@ mod tests {
         heap.set_elem(buckets, 0, Some(e1));
         heap.set_ref(e1, 0, Some(e2));
         heap.set_elem(buckets, 5, Some(e3));
-        heap.set_meta(im, 0, 3); // size
-        heap.set_meta(im, 1, 2); // used buckets
-        heap.set_meta(w, 0, 3);
+        heap.set_meta(im, 0, &[3, 2]); // size, used buckets
+        heap.set_meta(w, 0, &[3]);
         heap.add_root(w);
 
         let stats = heap.gc();
@@ -776,8 +774,8 @@ mod tests {
         heap.set_ref(e1, 0, Some(header)); // circular back
         heap.set_ref(w, 0, Some(im));
         heap.set_ref(im, 0, Some(header));
-        heap.set_meta(im, 0, 1);
-        heap.set_meta(w, 0, 1);
+        heap.set_meta(im, 0, &[1]);
+        heap.set_meta(w, 0, &[1]);
         heap.add_root(w);
 
         let stats = heap.gc();

@@ -17,12 +17,21 @@
 //! swept slot keeps its (stale) object in place so reuse writes fields
 //! instead of constructing.
 //!
+//! Roots are a third parallel vector: a `u32` root count per slot.
+//! Rooting and unrooting index it directly — no hashing on the allocation
+//! path — and the collector enumerates roots in slot order. A handle
+//! whose generation no longer matches its slot is stale, and rooting or
+//! unrooting it is a no-op, so a reused slot is never rooted by its
+//! previous occupant's id. A rooted object is always marked, so a swept
+//! slot's count is zero by construction.
+//!
 //! Reference fields and array slots live in one shared *ref pool* arena
 //! per heap, handed out as [`RefRange`](crate::object::RefRange)s with
-//! exact-size free-list buckets. Allocating or sweeping an object touches
-//! no process allocator once the pool is warm — crucial for parallel
-//! mutators, where per-object `Box` traffic from many threads serializes
-//! on `malloc` even when the heaps themselves are disjoint.
+//! exact-size free-list buckets keyed by length under a multiplicative
+//! hash. Allocating or sweeping an object touches no process allocator
+//! once the pool is warm — crucial for parallel mutators, where
+//! per-object `Box` traffic from many threads serializes on `malloc` even
+//! when the heaps themselves are disjoint.
 //!
 //! # Single-mutator contract
 //!
@@ -52,6 +61,7 @@ use crate::telemetry::HeapTelemetry;
 use chameleon_telemetry::{Telemetry, TraceLane};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
@@ -157,14 +167,15 @@ pub(crate) struct HeapInner {
     pub(crate) ref_pool: Vec<Option<ObjId>>,
     /// Exact-size free-range buckets into `ref_pool`: `len → start offsets`
     /// (LIFO, so reuse is cache-warm).
-    free_ranges: HashMap<u32, Vec<u32>>,
+    free_ranges: HashMap<u32, Vec<u32>, BuildHasherDefault<LenHasher>>,
     pub(crate) generation: u32,
     /// Bytes currently occupied in the object table (live + garbage).
     pub(crate) heap_bytes: u64,
     pub(crate) capacity: Option<u64>,
     pub(crate) gc_interval_bytes: Option<u64>,
     pub(crate) bytes_since_gc: u64,
-    pub(crate) roots: HashMap<ObjId, usize>,
+    /// Root registrations per slot, parallel to `slab` (0 = not a root).
+    pub(crate) root_counts: Vec<u32>,
     pub(crate) classes: ClassRegistry,
     /// Shared with the owning [`Heap`] handle: context interning never
     /// takes the heap lock, only the table's internal stripes.
@@ -315,13 +326,13 @@ impl Heap {
             flags: Vec::new(),
             free: Vec::new(),
             ref_pool: Vec::new(),
-            free_ranges: HashMap::new(),
+            free_ranges: HashMap::default(),
             generation: 1,
             heap_bytes: 0,
             capacity: config.capacity,
             gc_interval_bytes: config.gc_interval_bytes,
             bytes_since_gc: 0,
-            roots: HashMap::new(),
+            root_counts: Vec::new(),
             classes: ClassRegistry::new(),
             contexts: Arc::clone(&contexts),
             cycles: Vec::new(),
@@ -677,21 +688,25 @@ impl Heap {
         inner.insert(class, size, ctx, body)
     }
 
-    /// Allocates `N` objects, wires `links` between them and registers
-    /// `roots`, all under a single heap acquisition and a single capacity
-    /// check.
+    /// Allocates `N` objects, wires `links` and registers `roots`, all
+    /// under a single heap entry and a single capacity check.
     ///
     /// Collection constructors allocate a wrapper, an implementation object
     /// and often a backing array together; doing that through three
-    /// `alloc_*` calls takes the lock three times and — worse — can run a
+    /// `alloc_*` calls enters the heap three times and — worse — can run a
     /// capacity-pressure GC between the allocations, sweeping the fresh,
     /// not-yet-linked objects. `alloc_batch` reserves room for the whole
-    /// group up front, so a mid-batch GC is impossible.
+    /// group up front, so a mid-batch GC is impossible. Collection updates
+    /// use it too: a hash entry is allocated with its initial references
+    /// and published into its bucket slot in one entry.
     ///
-    /// `links` entries are `(src, field, dst)` indices into the request
-    /// array: object `src` gets its reference field (or array slot) `field`
-    /// pointed at object `dst`. `roots` lists request indices to register as
-    /// GC roots.
+    /// `links` entries are `(src, field, dst)`: object `src` gets its
+    /// reference field (or array slot) `field` pointed at `dst`. Either end
+    /// may be a fresh object of this batch ([`BatchRef::New`]) or an
+    /// existing one ([`BatchRef::Obj`]); a `None` destination stores null.
+    /// Links are written after the capacity check, so any GC it runs sees
+    /// the heap exactly as before the call. `roots` lists request indices
+    /// to register as GC roots.
     ///
     /// # Panics
     ///
@@ -700,7 +715,7 @@ impl Heap {
     pub fn alloc_batch<const N: usize>(
         &self,
         reqs: [BatchAlloc; N],
-        links: &[(usize, usize, usize)],
+        links: &[(BatchRef, usize, Option<BatchRef>)],
         roots: &[usize],
     ) -> [ObjId; N] {
         let mut inner = self.lock("alloc_batch");
@@ -750,14 +765,16 @@ impl Heap {
             };
             ids[i] = inner.insert(class, sizes[i], ctx, body);
         }
+        let id = |r: BatchRef| match r {
+            BatchRef::New(i) => ids[i],
+            BatchRef::Obj(obj) => obj,
+        };
         for &(src, field, dst) in links {
-            let range = inner.resolve(ids[src]).body.ref_range();
-            inner.ref_pool[range.slot(field)] = Some(ids[dst]);
+            let range = inner.resolve(id(src)).body.ref_range();
+            inner.ref_pool[range.slot(field)] = dst.map(id);
         }
-        // hashmap-iter-ok: `roots` here is the `&[usize]` parameter of
-        // request indices, not the heap's root map.
         for &root in roots {
-            *inner.roots.entry(ids[root]).or_insert(0) += 1;
+            inner.root_counts[ids[root].index as usize] += 1;
         }
         ids
     }
@@ -808,14 +825,16 @@ impl Heap {
         inner.ref_pool[range.slot(idx)]
     }
 
-    /// Writes semantic-map metadata slot `idx` (grows the vector as needed).
-    pub fn set_meta(&self, obj: ObjId, idx: usize, value: i64) {
+    /// Writes `values` into consecutive semantic-map metadata slots
+    /// starting at `first` (grows the vector as needed), in one heap entry.
+    pub fn set_meta(&self, obj: ObjId, first: usize, values: &[i64]) {
         let mut inner = self.lock("set_meta");
         let meta = &mut inner.resolve_mut(obj).meta;
-        if meta.len() <= idx {
-            meta.resize(idx + 1, 0);
+        let end = first + values.len();
+        if meta.len() < end {
+            meta.resize(end, 0);
         }
-        meta[idx] = value;
+        meta[first..end].copy_from_slice(values);
     }
 
     /// Reads semantic-map metadata slot `idx` (0 if never written).
@@ -840,10 +859,7 @@ impl Heap {
 
     /// Whether `obj` still resolves (has not been swept).
     pub fn is_live(&self, obj: ObjId) -> bool {
-        let inner = self.lock("is_live");
-        let i = obj.index as usize;
-        inner.flags.get(i).is_some_and(|f| f & F_OCCUPIED != 0)
-            && inner.slab[i].generation == obj.generation
+        self.lock("is_live").live_slot(obj).is_some()
     }
 
     /// Aligned size of `obj` in bytes.
@@ -858,25 +874,29 @@ impl Heap {
 
     // ----- roots ----------------------------------------------------------------
 
-    /// Registers `obj` as a GC root (reference counted).
+    /// Registers `obj` as a GC root (reference counted). A stale `obj`
+    /// (swept, or its slot reused) is ignored.
     pub fn add_root(&self, obj: ObjId) {
-        *self.lock("add_root").roots.entry(obj).or_insert(0) += 1;
-    }
-
-    /// Releases one root registration of `obj`.
-    pub fn remove_root(&self, obj: ObjId) {
-        let mut inner = self.lock("remove_root");
-        if let Some(n) = inner.roots.get_mut(&obj) {
-            *n -= 1;
-            if *n == 0 {
-                inner.roots.remove(&obj);
-            }
+        let mut inner = self.lock("add_root");
+        if let Some(i) = inner.live_slot(obj) {
+            inner.root_counts[i] += 1;
         }
     }
 
-    /// Number of distinct roots.
+    /// Releases one root registration of `obj`. A stale or unrooted `obj`
+    /// is ignored.
+    pub fn remove_root(&self, obj: ObjId) {
+        let mut inner = self.lock("remove_root");
+        if let Some(i) = inner.live_slot(obj) {
+            let n = &mut inner.root_counts[i];
+            *n = n.saturating_sub(1);
+        }
+    }
+
+    /// Number of distinct live roots.
     pub fn root_count(&self) -> usize {
-        self.lock("root_count").roots.len()
+        let inner = self.lock("root_count");
+        inner.root_counts.iter().filter(|&&n| n > 0).count()
     }
 
     // ----- GC and statistics ----------------------------------------------------
@@ -1000,6 +1020,15 @@ pub enum BatchAlloc {
     },
 }
 
+/// One end of a link inside a [`Heap::alloc_batch`] call.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchRef {
+    /// The batch's `i`-th fresh object.
+    New(usize),
+    /// An object already on the heap.
+    Obj(ObjId),
+}
+
 impl BatchAlloc {
     fn size(&self, model: &MemoryModel) -> u32 {
         match *self {
@@ -1064,6 +1093,7 @@ impl HeapInner {
     /// the next occupant). The stale `Object` stays in place; every access
     /// path is gated on `F_OCCUPIED` plus the generation stamp.
     pub(crate) fn release_slot(&mut self, i: usize) {
+        debug_assert_eq!(self.root_counts[i], 0, "a rooted object is never swept");
         self.flags[i] = 0;
         let range = self.slab[i].body.ref_range();
         if range.len > 0 {
@@ -1119,9 +1149,31 @@ impl HeapInner {
                 meta: Vec::new(),
             });
             self.flags.push(flags);
+            self.root_counts.push(0);
             (self.slab.len() - 1) as u32
         };
         ObjId { index, generation }
+    }
+
+    /// Slot index of `obj` if it is live: occupied, with a matching
+    /// generation.
+    fn live_slot(&self, obj: ObjId) -> Option<usize> {
+        let i = obj.index as usize;
+        (self.flags.get(i).is_some_and(|f| f & F_OCCUPIED != 0)
+            && self.slab[i].generation == obj.generation)
+            .then_some(i)
+    }
+
+    /// Live roots in slot order.
+    pub(crate) fn root_ids(&self) -> impl Iterator<Item = ObjId> + '_ {
+        self.root_counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, _)| ObjId {
+                index: i as u32,
+                generation: self.slab[i].generation,
+            })
     }
 
     pub(crate) fn resolve(&self, obj: ObjId) -> &Object {
@@ -1150,6 +1202,29 @@ impl HeapInner {
             "stale ObjId: slot was reused by a newer object"
         );
         o
+    }
+}
+
+/// Hasher for the `free_ranges` length keys: one multiply by the 64-bit
+/// golden ratio, which spreads small lengths over the high bits the
+/// table's probe tags read. Lengths are not attacker-controlled, so
+/// SipHash buys nothing here.
+#[derive(Default)]
+struct LenHasher(u64);
+
+impl Hasher for LenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, len: u32) {
+        self.0 = u64::from(len).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -1190,7 +1265,7 @@ mod tests {
         let (heap, class) = simple_heap();
         let o = heap.alloc_scalar(class, 0, 0, None);
         assert_eq!(heap.get_meta(o, 3), 0);
-        heap.set_meta(o, 3, 42);
+        heap.set_meta(o, 3, &[42]);
         assert_eq!(heap.get_meta(o, 3), 42);
         assert_eq!(heap.get_meta(o, 0), 0);
     }
@@ -1222,6 +1297,83 @@ mod tests {
         heap.remove_root(o);
         heap.gc();
         assert!(!heap.is_live(o));
+    }
+
+    #[test]
+    fn stale_ids_never_root_a_reused_slot() {
+        let (heap, class) = simple_heap();
+        let old = heap.alloc_scalar(class, 0, 0, None);
+        heap.add_root(old);
+        heap.remove_root(old);
+        heap.gc(); // collects `old`
+        let new = heap.alloc_scalar(class, 0, 0, None);
+        assert_eq!(new.index(), old.index(), "the swept slot is reused");
+        assert_ne!(new, old);
+
+        // A stale add_root must not root the new occupant.
+        heap.add_root(old);
+        assert_eq!(heap.root_count(), 0);
+        heap.gc();
+        assert!(!heap.is_live(new), "unrooted occupant is collected");
+
+        // A stale remove_root must not unroot a rooted occupant.
+        let newer = heap.alloc_scalar(class, 0, 0, None);
+        assert_eq!(newer.index(), old.index());
+        heap.add_root(newer);
+        heap.remove_root(old);
+        heap.remove_root(new);
+        assert_eq!(heap.root_count(), 1);
+        heap.gc();
+        assert!(heap.is_live(newer), "rooted occupant survives");
+        assert_eq!(heap.root_count(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// The per-slot root counts agree with a reference multiset of
+        /// rooted ids over random alloc / add_root / remove_root / gc
+        /// sequences, stale ids included.
+        #[test]
+        fn root_counts_match_a_multiset_model(
+            ops in proptest::collection::vec((0u32..4, 0u32..64), 1..160)
+        ) {
+            let (heap, class) = simple_heap();
+            // Every id ever allocated: (id, root count, live).
+            let mut model: Vec<(ObjId, u32, bool)> = Vec::new();
+            for (op, k) in ops {
+                match op {
+                    0 => model.push((heap.alloc_scalar(class, 0, 0, None), 0, true)),
+                    _ if model.is_empty() => {}
+                    1 => {
+                        let n = model.len();
+                        let e = &mut model[k as usize % n];
+                        heap.add_root(e.0);
+                        if e.2 {
+                            e.1 += 1;
+                        }
+                    }
+                    2 => {
+                        let n = model.len();
+                        let e = &mut model[k as usize % n];
+                        heap.remove_root(e.0);
+                        if e.2 {
+                            e.1 = e.1.saturating_sub(1);
+                        }
+                    }
+                    _ => {
+                        heap.gc();
+                        for e in &mut model {
+                            e.2 &= e.1 > 0;
+                        }
+                    }
+                }
+                let rooted = model.iter().filter(|e| e.1 > 0).count();
+                proptest::prop_assert_eq!(heap.root_count(), rooted);
+                for e in &model {
+                    proptest::prop_assert_eq!(heap.is_live(e.0), e.2);
+                }
+            }
+        }
     }
 
     #[test]

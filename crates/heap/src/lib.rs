@@ -40,7 +40,7 @@
 //! let obj = heap.alloc_scalar(list, 1, 4, Some(ctx));
 //! let arr = heap.alloc_array(arr_class, ElemKind::Ref, 10, None);
 //! heap.set_ref(obj, 0, Some(arr));
-//! heap.set_meta(obj, 0, 3); // logical size
+//! heap.set_meta(obj, 0, &[3]); // logical size
 //! heap.add_root(obj);
 //!
 //! let cycle = heap.gc();
@@ -65,7 +65,7 @@ mod telemetry;
 
 pub use clock::SimClock;
 pub use context::{CallStackSim, ContextExport, ContextId, ContextTable, FrameId};
-pub use heap::{BatchAlloc, GcConfig, Heap, HeapConfig, OutOfMemory};
+pub use heap::{BatchAlloc, BatchRef, GcConfig, Heap, HeapConfig, OutOfMemory};
 pub use layout::MemoryModel;
 pub use object::{ClassId, ElemKind, ObjId, ObjectView};
 pub use semantic::{AdtDescriptor, CollectionKind, SemanticMap};

@@ -79,8 +79,8 @@ fn build_and_collect(specs: &[Spec], garbage: u32, threads: usize) -> CycleStats
                 let arr = heap.alloc_array(arr_class, ElemKind::Ref, cap.max(size), None);
                 heap.set_ref(w, 0, Some(im));
                 heap.set_ref(im, 0, Some(arr));
-                heap.set_meta(im, 0, i64::from(size));
-                heap.set_meta(w, 0, i64::from(size));
+                heap.set_meta(im, 0, &[i64::from(size)]);
+                heap.set_meta(w, 0, &[i64::from(size)]);
                 w
             }
             1 => {
@@ -101,9 +101,8 @@ fn build_and_collect(specs: &[Spec], garbage: u32, threads: usize) -> CycleStats
                     }
                     heap.set_elem(arr, b, Some(e));
                 }
-                heap.set_meta(im, 0, i64::from(size));
-                heap.set_meta(im, 1, i64::from(size.min(buckets)));
-                heap.set_meta(w, 0, i64::from(size));
+                heap.set_meta(im, 0, &[i64::from(size), i64::from(size.min(buckets))]);
+                heap.set_meta(w, 0, &[i64::from(size)]);
                 w
             }
             2 => {
@@ -120,14 +119,14 @@ fn build_and_collect(specs: &[Spec], garbage: u32, threads: usize) -> CycleStats
                     prev = e;
                 }
                 heap.set_ref(prev, 0, Some(header));
-                heap.set_meta(im, 0, i64::from(size.min(32)));
-                heap.set_meta(w, 0, i64::from(size.min(32)));
+                heap.set_meta(im, 0, &[i64::from(size.min(32))]);
+                heap.set_meta(w, 0, &[i64::from(size.min(32))]);
                 w
             }
             _ => {
                 // Inline: the single object is the whole collection.
                 let w = heap.alloc_scalar(inline_coll, 2, 8, ctx);
-                heap.set_meta(w, 0, i64::from(size.min(2)));
+                heap.set_meta(w, 0, &[i64::from(size.min(2))]);
                 w
             }
         };

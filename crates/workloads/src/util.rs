@@ -2,7 +2,7 @@
 //! pseudo-randomness.
 
 use chameleon_collections::HeapVal;
-use chameleon_heap::{ClassId, Heap, ObjId};
+use chameleon_heap::{BatchAlloc, ClassId, Heap, ObjId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,8 +26,16 @@ impl AppData {
 
     /// Allocates and roots one application object.
     pub fn alloc(&mut self, class: ClassId, ref_fields: u32, prim_bytes: u32) -> HeapVal {
-        let id = self.heap.alloc_scalar(class, ref_fields, prim_bytes, None);
-        self.heap.add_root(id);
+        let [id] = self.heap.alloc_batch(
+            [BatchAlloc::Scalar {
+                class,
+                ref_fields,
+                prim_bytes,
+                ctx: None,
+            }],
+            &[],
+            &[0],
+        );
         self.ids.push(id);
         HeapVal(id)
     }

@@ -3,7 +3,7 @@
 
 use chameleon_collections::CollectionFactory;
 use chameleon_core::{
-    min_heap_size, run_online, Chameleon, Env, EnvConfig, OnlineConfig, Workload,
+    min_heap_size, run_experiment, run_online, Chameleon, Env, EnvConfig, OnlineConfig, Workload,
 };
 use chameleon_rules::RuleEngine;
 use chameleon_workloads::{Bloat, Findbugs, Fop, Pmd, Soot, Synthetic, Tvla};
@@ -258,4 +258,22 @@ fn jvm64_layout_runs_end_to_end() {
         result.space_improvement().pct(),
         result32.space_improvement().pct()
     );
+}
+
+#[test]
+fn fig6_min_heap_bytes_are_pinned() {
+    // `(min_heap_before, min_heap_after)` of the §5.2 methodology under
+    // the builtin rules and the default environment; fop and findbugs are
+    // the Fig. 6 rows. The min-heap search is byte-exact, so any change to
+    // allocation sizes, GC timing or root handling moves these numbers.
+    let engine = RuleEngine::builtin();
+    for (name, expected) in [
+        ("synthetic", (56_320, 22_528)),
+        ("fop", (1_788_194, 1_672_934)),
+        ("findbugs", (1_835_024, 1_521_443)),
+    ] {
+        let w = chameleon_workloads::by_name(name).expect("registered workload");
+        let r = run_experiment(w.as_ref(), &engine, &EnvConfig::default(), None);
+        assert_eq!((r.min_heap_before, r.min_heap_after), expected, "{name}");
+    }
 }
