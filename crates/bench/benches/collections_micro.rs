@@ -5,8 +5,7 @@
 //! * `ArrayMap` beats `HashMap` on small maps and loses on large ones;
 //! * `LinkedList.get(i)` degrades with position, `ArrayList.get(i)` not;
 //! * `ArraySet.contains` beats hash sets when tiny;
-//! * context capture dominates allocation cost (the §5.4 bottleneck);
-//! * parallel marking scales against sequential marking.
+//! * context capture dominates allocation cost (the §5.4 bottleneck).
 //!
 //! The `construct` group times the allocation path itself at findbugs'
 //! per-class shape: wrapper + backing construction, entry inserts and the
@@ -17,7 +16,7 @@ use chameleon_collections::list::{ArrayListImpl, LinkedListImpl, ListImpl};
 use chameleon_collections::map::{ArrayMapImpl, HashMapImpl, MapImpl};
 use chameleon_collections::set::{ArraySetImpl, HashSetImpl, SetImpl};
 use chameleon_collections::{HeapVal, Runtime};
-use chameleon_heap::{GcConfig, Heap, HeapConfig};
+use chameleon_heap::{Heap, HeapConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -229,37 +228,6 @@ fn bench_construct(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gc_marking(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gc_mark_sweep");
-    group.sample_size(20);
-    for threads in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            let heap = Heap::with_config(HeapConfig {
-                gc: GcConfig {
-                    threads: t,
-                    ..GcConfig::default()
-                },
-                ..HeapConfig::default()
-            });
-            let class = heap.register_class("Node", None);
-            // 64 chains of 200 nodes each.
-            for _ in 0..64 {
-                let mut prev = heap.alloc_scalar(class, 1, 16, None);
-                heap.add_root(prev);
-                for _ in 0..200 {
-                    let n = heap.alloc_scalar(class, 1, 16, None);
-                    heap.set_ref(n, 0, Some(prev));
-                    heap.add_root(n);
-                    heap.remove_root(prev);
-                    prev = n;
-                }
-            }
-            b.iter(|| black_box(heap.gc().live_objects))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_map_get,
@@ -267,7 +235,6 @@ criterion_group!(
     bench_list_get,
     bench_set_contains,
     bench_capture,
-    bench_construct,
-    bench_gc_marking
+    bench_construct
 );
 criterion_main!(benches);

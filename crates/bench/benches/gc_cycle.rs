@@ -2,26 +2,17 @@
 //!
 //! Builds a ~100k-object heap (a mix of array-backed, chained-hash and
 //! linked collections plus plain garbage) and measures one full
-//! mark + fused-scan + sweep cycle at 1, 2 and 4 worker threads, plus the
-//! warm context-capture path. On a single-core host the thread variants
-//! measure sharding overhead rather than speedup; the numbers are still
-//! the equivalence baseline for multi-core runs.
+//! mark + fused-scan + sweep cycle, plus the warm context-capture path.
 
 use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
-use chameleon_heap::{ElemKind, GcConfig, Heap, HeapConfig, ObjId};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use chameleon_heap::{ElemKind, Heap, ObjId};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 /// Builds a heap with roughly `collections * 12` objects, most of them
 /// live, and returns it with its rooted wrappers.
-pub fn populate(threads: usize, collections: usize) -> (Heap, Vec<ObjId>) {
-    let heap = Heap::with_config(HeapConfig {
-        gc: GcConfig {
-            threads,
-            ..GcConfig::default()
-        },
-        ..HeapConfig::default()
-    });
+pub fn populate(collections: usize) -> (Heap, Vec<ObjId>) {
+    let heap = Heap::new();
     let wrap_list = heap.register_class(
         "ListWrapper",
         Some(SemanticMap::wrapper(CollectionKind::List)),
@@ -104,16 +95,14 @@ fn bench_gc_cycle(c: &mut Criterion) {
     group.sample_size(10);
     // ~10k collections -> ~100k objects in the slab.
     const COLLECTIONS: usize = 10_000;
-    for threads in [1usize, 2, 4] {
-        let (heap, _roots) = populate(threads, COLLECTIONS);
-        assert!(
-            heap.object_count() >= 100_000,
-            "heap too small for the benchmark"
-        );
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| black_box(heap.gc().live_objects));
-        });
-    }
+    let (heap, _roots) = populate(COLLECTIONS);
+    assert!(
+        heap.object_count() >= 100_000,
+        "heap too small for the benchmark"
+    );
+    group.bench_function("cycle", |b| {
+        b.iter(|| black_box(heap.gc().live_objects));
+    });
     group.finish();
 }
 

@@ -1,6 +1,6 @@
-//! Emits `BENCH_gc.json`: GC-cycle wall-times on a ~100k-object heap at
-//! 1/2/4 worker threads, plus the warm context-capture cost and its
-//! allocation count (intern misses — zero once warm).
+//! Emits `BENCH_gc.json`: GC-cycle wall-times on a ~100k-object heap, plus
+//! the warm context-capture cost and its allocation count (intern misses —
+//! zero once warm).
 //!
 //! Run from the workspace root: `cargo run --release --bin bench_gc`.
 
@@ -9,7 +9,7 @@ use chameleon_bench::outln;
 use chameleon_collections::factory::CollectionFactory;
 use chameleon_collections::Runtime;
 use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
-use chameleon_heap::{ElemKind, GcConfig, Heap, HeapConfig, HeapProfConfig};
+use chameleon_heap::{ElemKind, Heap, HeapProfConfig};
 use chameleon_telemetry::{Telemetry, Tracer};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -18,14 +18,8 @@ use std::time::Instant;
 const COLLECTIONS: usize = 10_000;
 const CYCLES: usize = 7;
 
-fn populate(threads: usize) -> Heap {
-    let heap = Heap::with_config(HeapConfig {
-        gc: GcConfig {
-            threads,
-            ..GcConfig::default()
-        },
-        ..HeapConfig::default()
-    });
+fn populate() -> Heap {
+    let heap = Heap::new();
     let wrap_list = heap.register_class(
         "ListWrapper",
         Some(SemanticMap::wrapper(CollectionKind::List)),
@@ -108,44 +102,35 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"host\": {},", host_meta_json());
     let _ = writeln!(json, "  \"repeats\": {CYCLES},");
-    json.push_str("  \"gc_cycle\": [\n");
-    let mut first = true;
-    for threads in [1usize, 2, 4] {
-        let heap = populate(threads);
-        let objects = heap.object_count();
-        heap.gc(); // settle: sweep construction garbage once
-        let samples: Vec<f64> = (0..CYCLES)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(heap.gc().live_objects);
-                t0.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        let med = median(samples.clone());
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        outln!(
-            out,
-            "gc_cycle threads={threads}: median {med:.1} us, min {min:.1} us ({objects} objects)"
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "    {{\"threads\": {threads}, \"objects\": {objects}, \"median_us\": {med:.2}, \"min_us\": {min:.2}, \"cycles\": {CYCLES}}}"
-        );
-    }
-    json.push_str("\n  ],\n");
+    let heap = populate();
+    let objects = heap.object_count();
+    heap.gc(); // settle: sweep construction garbage once
+    let samples: Vec<f64> = (0..CYCLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(heap.gc().live_objects);
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    let med = median(samples.clone());
+    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
+    outln!(
+        out,
+        "gc_cycle: median {med:.1} us, min {min:.1} us ({objects} objects)"
+    );
+    let _ = writeln!(
+        json,
+        "  \"gc_cycle\": {{\"objects\": {objects}, \"median_us\": {med:.2}, \"min_us\": {min:.2}, \"cycles\": {CYCLES}}},"
+    );
 
     // Telemetry overhead: the identical GC workload with the telemetry
     // layer enabled vs. absent. Cycles are interleaved (off, on, off, on,
     // ...) so load drift hits both sides equally, and the comparison uses
     // per-side minima, which are far less noise-sensitive than medians.
     const OVERHEAD_CYCLES: usize = 15;
-    let plain_heap = populate(1);
+    let plain_heap = populate();
     let telemetry = Telemetry::new();
-    let traced_heap = populate(1);
+    let traced_heap = populate();
     traced_heap.attach_telemetry(&telemetry);
     plain_heap.gc(); // settle: sweep construction garbage once
     traced_heap.gc();
@@ -182,8 +167,8 @@ fn main() {
     const TRACE_BOUND_PCT: f64 = 5.0;
     const TRACE_CYCLES: usize = 7;
     const TRACE_ATTEMPTS: usize = 5;
-    let plain_heap = populate(1);
-    let armed_heap = populate(1);
+    let plain_heap = populate();
+    let armed_heap = populate();
     let tracer = Tracer::new();
     armed_heap.attach_tracer(&tracer.lane(0));
     plain_heap.gc(); // settle: sweep construction garbage once
@@ -236,8 +221,8 @@ fn main() {
     // object scanned plus one condensed-graph dominator pass per cycle.
     const HEAPPROF_BOUND_PCT: f64 = 100.0;
     const HEAPPROF_CYCLES: usize = 15;
-    let off_heap = populate(1);
-    let on_heap = populate(1);
+    let off_heap = populate();
+    let on_heap = populate();
     on_heap.set_heap_profiling(Some(HeapProfConfig { every: 1 }));
     off_heap.gc(); // settle: sweep construction garbage once
     on_heap.gc();

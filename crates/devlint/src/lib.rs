@@ -30,7 +30,8 @@
 //!   `SAFETY:` comment. Crate roots must carry
 //!   `#![deny(unsafe_op_in_unsafe_fn)]`.
 //! * **`thread-launch`** — `thread::spawn` / `thread::scope` are owned by
-//!   the parallel runtime (`core::parallel`, `heap::gc`) and the shims;
+//!   the parallel runtime (`core::parallel`), the evaluation matrix's cell
+//!   runners and the shims;
 //!   ad-hoc threads elsewhere bypass the partition merge and the model
 //!   checker.
 //!

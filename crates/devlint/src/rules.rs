@@ -35,13 +35,12 @@ const UNSAFE_BUDGET: &[(&str, usize)] = &[
     ("shims/loom/src/cell.rs", 1),
 ];
 
-/// Files allowed to launch threads: the parallel runtime's worker pool,
-/// the GC's marker threads, and the evaluation matrix's cell runners
+/// Files allowed to launch threads: the parallel runtime's worker pool
+/// and the evaluation matrix's cell runners
 /// (bench-only; cells are independent processes-in-miniature whose rows
 /// land behind a lock, so worker scheduling cannot reach simulated state).
 const THREAD_OK: &[&str] = &[
     "crates/core/src/parallel.rs",
-    "crates/heap/src/gc.rs",
     "crates/bench/src/eval/run.rs",
 ];
 

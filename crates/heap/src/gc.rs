@@ -1,18 +1,18 @@
 //! Mark-sweep collector with semantic collection accounting.
 //!
-//! The collector performs a standard mark phase (optionally parallel, one
-//! worker per configured thread, mirroring the paper's "number of parallel
-//! threads is the same as the number of cores"), then a *single fused pass*
+//! The collector performs a standard mark phase, then a *single fused pass*
 //! over the slab that simultaneously gathers live/type statistics, walks
 //! every marked object whose class registered a *top-level* semantic map to
 //! compute per-collection live/used/core statistics attributed to the
 //! allocation context recorded in the object (§4.3), and identifies the
-//! garbage to sweep. The fused pass is sharded across `GcConfig::threads`
-//! workers over disjoint slab chunks; each worker fills dense per-class and
-//! per-context accumulators that merge with plain `u64` addition, so the
-//! resulting [`CycleStats`] are byte-for-byte identical for any thread
-//! count. Finally the recorded garbage is swept and the simulated clock is
-//! charged for the pause.
+//! garbage to sweep. The pass fills dense per-class and per-context
+//! accumulators indexed by `ClassId`/`ContextId`. Finally the recorded
+//! garbage is swept and the simulated clock is charged for the pause.
+//!
+//! The collector runs on the thread that owns the heap. The paper's J9
+//! collector marks in parallel, but here the pause is simulated (a pure
+//! function of config and live bytes), so host threads would change only
+//! wall-clock time, never a result.
 //!
 //! Marking uses an epoch-stamped mark array kept in `HeapInner` (a slot is
 //! marked iff its stamp equals the current cycle's epoch), so no per-cycle
@@ -23,10 +23,7 @@ use crate::object::{ElemKind, ObjBody, ObjId, Object};
 use crate::semantic::{AdtDescriptor, SemanticMap};
 use crate::snapshot::{self, SnapAcc};
 use crate::stats::{AdtTotals, CycleStats};
-use crate::sync::{AtomicU32, Ordering};
-use chameleon_telemetry::trace::{gc_shard_lane, SpanKind, SpanRecord, MAX_SPAN_ARGS};
 use chameleon_telemetry::SpanTimer;
-use std::ops::Range;
 
 /// Runs one full collection cycle on the heap.
 pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
@@ -46,119 +43,45 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         .as_ref()
         .is_some_and(|s| inner.gc_count.is_multiple_of(s.config.every.max(1)));
 
-    // Take the reusable mark array out of the heap so workers can share
-    // `&HeapInner` while holding an independent borrow of the marks.
+    // Take the reusable mark array out of the heap so mark and scan can
+    // borrow `&HeapInner` alongside the marks.
     let mut marks = std::mem::take(&mut inner.marks);
     let epoch = next_epoch(inner, &mut marks);
     if marks.len() < inner.slab.len() {
-        marks.extend((marks.len()..inner.slab.len()).map(|_| AtomicU32::new(0)));
+        marks.resize(inner.slab.len(), 0);
     }
 
     let mark_span = lane.as_ref().and_then(|l| l.scope("gc_mark"));
     let mark_timer = timed.then(SpanTimer::start);
-    mark(inner, &marks, epoch);
+    mark(inner, &mut marks, epoch);
     let mark_ns = mark_timer.map_or(0, |t| t.elapsed_ns());
     drop(mark_span);
 
-    // ----- fused live/semantic/sweep scan (sharded) ----------------------------
+    // ----- fused live/semantic/sweep scan ---------------------------------------
     let scan_span = lane.as_ref().and_then(|l| l.scope("gc_scan"));
-    let scan_begin_ns = lane.as_ref().map_or(0, |l| l.now_ns());
     let scan_timer = timed.then(SpanTimer::start);
-    let threads = inner.gc_config.threads.max(1);
-    let n_classes = inner.classes.len();
     let n_contexts = inner.contexts.len();
-    let accs: Vec<ScanAcc> = if threads == 1 || inner.slab.len() < 2 {
-        vec![scan_chunk(
-            inner,
-            &marks,
-            epoch,
-            0..inner.slab.len(),
-            n_classes,
-            n_contexts,
-            timed,
-            snap_due,
-        )]
-    } else {
-        let chunk = inner.slab.len().div_ceil(threads);
-        let shared: &HeapInner = inner;
-        let marks_ref: &[AtomicU32] = &marks;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..inner.slab.len())
-                .step_by(chunk)
-                .map(|start| {
-                    let range = start..(start + chunk).min(shared.slab.len());
-                    s.spawn(move || {
-                        scan_chunk(
-                            shared, marks_ref, epoch, range, n_classes, n_contexts, timed, snap_due,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gc scan worker panicked"))
-                .collect()
-        })
-    };
+    let ScanAcc {
+        live_bytes,
+        live_objects,
+        swept_bytes,
+        swept_objects,
+        sweep_list,
+        collection,
+        per_context: per_ctx_dense,
+        type_dist: type_dense,
+        snap,
+    } = scan(inner, &marks, epoch, n_contexts, snap_due);
     let scan_ns = scan_timer.map_or(0, |t| t.elapsed_ns());
-    // Per-shard scan spans, recorded post-hoc on the collecting thread
-    // (keeping every ring single-writer) from each worker's own elapsed
-    // time; they render on synthetic shard lanes because shards overlap
-    // in wall time.
-    if let (Some(l), Some(span)) = (&lane, &scan_span) {
-        for (shard, acc) in accs.iter().enumerate() {
-            let mut args = [("", 0u64); MAX_SPAN_ARGS];
-            args[0] = ("shard", shard as u64);
-            args[1] = ("live_objects", acc.live_objects);
-            l.record(SpanRecord {
-                id: l.tracer().alloc_id(),
-                parent: span.id(),
-                lane: gc_shard_lane(l.lane(), shard),
-                kind: SpanKind::Complete,
-                begin_ns: scan_begin_ns,
-                end_ns: scan_begin_ns + acc.elapsed_ns,
-                name: "gc_scan_shard",
-                args,
-                nargs: 2,
-            });
-        }
-    }
     drop(scan_span);
 
-    // ----- merge (order-independent u64 sums; dense ids are pre-sorted) --------
-    let mut live_bytes = 0u64;
-    let mut live_objects = 0u64;
-    let mut swept_bytes = 0u64;
-    let mut swept_objects = 0u64;
-    let mut collection = AdtTotals::default();
-    let mut per_ctx_dense = vec![AdtTotals::default(); n_contexts];
-    let mut type_dense = vec![(0u64, 0u64); n_classes];
-    for acc in &accs {
-        live_bytes += acc.live_bytes;
-        live_objects += acc.live_objects;
-        swept_bytes += acc.swept_bytes;
-        swept_objects += acc.swept_objects;
-        collection.add(acc.collection);
-        for (merged, t) in per_ctx_dense.iter_mut().zip(&acc.per_context) {
-            merged.add(*t);
-        }
-        for (merged, t) in type_dense.iter_mut().zip(&acc.type_dist) {
-            merged.0 += t.0;
-            merged.1 += t.1;
-        }
-    }
-
     // ----- apply the sweep ------------------------------------------------------
-    // Workers are chunk-ordered and each sweep list is ascending, so the
-    // concatenation frees slots in ascending index order — the same free-list
-    // order a sequential sweep produces.
+    // The sweep list is ascending, so slots are freed in ascending index order.
     let sweep_span = lane.as_ref().and_then(|l| l.scope("gc_sweep"));
     let sweep_timer = timed.then(SpanTimer::start);
-    for acc in &accs {
-        for &i in &acc.sweep_list {
-            inner.release_slot(i as usize);
-            inner.free.push(i);
-        }
+    for &i in &sweep_list {
+        inner.release_slot(i as usize);
+        inner.free.push(i);
     }
     let sweep_ns = sweep_timer.map_or(0, |t| t.elapsed_ns());
     drop(sweep_span);
@@ -201,31 +124,25 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     }
 
     // ----- snapshot assembly ----------------------------------------------------
-    // Pure read-side work: the merged accumulator plus virtual-root edges
+    // Pure read-side work: the scan's accumulator plus virtual-root edges
     // resolved against the (already swept, but roots are live) slab. Never
     // touches the clock or the cycle statistics.
     let snap_span = snap_due
         .then(|| lane.as_ref().and_then(|l| l.scope("heap_snapshot_capture")))
         .flatten();
-    let snapshot = snap_due.then(|| {
-        let mut merged = SnapAcc::new(n_contexts);
-        for acc in &accs {
-            if let Some(s) = &acc.snap {
-                merged.merge(s);
-            }
-        }
+    let snapshot = snap.map(|mut acc| {
         let root_node = (n_contexts + 1) as u32;
         for id in inner.root_ids() {
             let o = &inner.slab[id.index as usize];
             let tnode = o.ctx.map_or(n_contexts as u32, |c| c.0);
-            merged.edges.insert(snapshot::pack_edge(root_node, tnode));
+            acc.edges.insert(snapshot::pack_edge(root_node, tnode));
         }
         snapshot::build_snapshot(
             inner.gc_count,
             at_units,
             live_bytes,
             live_objects,
-            &merged,
+            &acc,
             &per_ctx_dense,
             collection,
         )
@@ -263,7 +180,6 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         ht.gc_pause_units.record(pause_cost_units);
         ht.gc_marked_objects.add(live_objects);
         ht.gc_swept_objects.add(swept_objects);
-        let shard_ns: Vec<u64> = accs.iter().map(|a| a.elapsed_ns).collect();
         if let Some(mut e) = ht.t.event("gc_cycle", at_units) {
             e.num("cycle", stats.cycle)
                 .num("live_bytes", live_bytes)
@@ -271,11 +187,9 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
                 .num("swept_bytes", swept_bytes)
                 .num("swept_objects", swept_objects)
                 .num("pause_units", pause_cost_units)
-                .num("threads", threads as u64)
                 .num("mark_ns", mark_ns)
                 .num("scan_ns", scan_ns)
                 .num("sweep_ns", sweep_ns)
-                .nums("shard_scan_ns", &shard_ns)
                 .num("coll_live", stats.collection.live)
                 .num("coll_used", stats.collection.used)
                 .num("coll_core", stats.collection.core)
@@ -305,27 +219,23 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
 
 /// Advances the mark epoch, resetting stamps on the (rare) u32 wraparound
 /// so a slot marked billions of cycles ago can never alias a fresh epoch.
-fn next_epoch(inner: &mut HeapInner, marks: &mut [AtomicU32]) -> u32 {
+fn next_epoch(inner: &mut HeapInner, marks: &mut [u32]) -> u32 {
     inner.mark_epoch = inner.mark_epoch.wrapping_add(1);
     if inner.mark_epoch == 0 {
-        for m in marks.iter_mut() {
-            // relaxed: &mut access proves exclusivity; the store only needs
-            // to be a plain write (and compiles to one).
-            m.store(0, Ordering::Relaxed);
-        }
+        marks.fill(0);
         inner.mark_epoch = 1;
     }
     inner.mark_epoch
 }
 
-/// Per-worker accumulator of the fused scan. Dense vectors indexed by
-/// `ClassId`/`ContextId` keep merging exact and order-independent.
+/// Accumulator of the fused scan. Dense vectors are indexed by
+/// `ClassId`/`ContextId`.
 struct ScanAcc {
     live_bytes: u64,
     live_objects: u64,
     swept_bytes: u64,
     swept_objects: u64,
-    /// Slab indices to free, ascending within this worker's chunk.
+    /// Slab indices to free, ascending.
     sweep_list: Vec<u32>,
     collection: AdtTotals,
     per_context: Vec<AdtTotals>,
@@ -333,27 +243,18 @@ struct ScanAcc {
     /// Snapshot accumulator, filled only on cycles where heap profiling is
     /// due; `None` keeps the scan loop free of snapshot branches' work.
     snap: Option<SnapAcc>,
-    /// Wall-clock nanoseconds this worker spent scanning (0 when telemetry
-    /// is off; never feeds into the simulated statistics).
-    elapsed_ns: u64,
 }
 
-/// Scans one slab chunk: live/type accounting, semantic ADT accounting for
+/// Scans the slab: live/type accounting, semantic ADT accounting for
 /// top-level collections, and garbage identification. Read-only over the
-/// whole heap (semantic walks may chase references outside the chunk); the
-/// sweep itself is applied by the caller after every worker has finished.
-#[allow(clippy::too_many_arguments)]
-fn scan_chunk(
+/// heap; the caller applies the sweep afterwards.
+fn scan(
     inner: &HeapInner,
-    marks: &[AtomicU32],
+    marks: &[u32],
     epoch: u32,
-    range: Range<usize>,
-    n_classes: usize,
     n_contexts: usize,
-    timed: bool,
     snap_due: bool,
 ) -> ScanAcc {
-    let timer = timed.then(SpanTimer::start);
     let mut acc = ScanAcc {
         live_bytes: 0,
         live_objects: 0,
@@ -362,19 +263,15 @@ fn scan_chunk(
         sweep_list: Vec::new(),
         collection: AdtTotals::default(),
         per_context: vec![AdtTotals::default(); n_contexts],
-        type_dist: vec![(0, 0); n_classes],
+        type_dist: vec![(0, 0); inner.classes.len()],
         snap: snap_due.then(|| SnapAcc::new(n_contexts)),
-        elapsed_ns: 0,
     };
-    for i in range {
-        let slot_flags = inner.flags[i];
+    for (i, &slot_flags) in inner.flags.iter().enumerate() {
         if slot_flags & F_OCCUPIED == 0 {
             continue;
         }
         let o = &inner.slab[i];
-        // relaxed: sweep runs after every marker thread joined; the join
-        // is the happens-before edge that publishes the mark words.
-        if marks[i].load(Ordering::Relaxed) != epoch {
+        if marks[i] != epoch {
             acc.swept_bytes += u64::from(o.size);
             acc.swept_objects += 1;
             acc.sweep_list.push(i as u32);
@@ -418,72 +315,36 @@ fn scan_chunk(
             acc.per_context[ctx.0 as usize].add(totals);
         }
     }
-    acc.elapsed_ns = timer.map_or(0, |t| t.elapsed_ns());
     acc
 }
 
-/// Marks reachable objects by stamping `epoch` into the shared mark array.
-fn mark(inner: &HeapInner, marks: &[AtomicU32], epoch: u32) {
-    let roots: Vec<ObjId> = inner.root_ids().collect();
-    let threads = inner.gc_config.threads.max(1);
-    if threads == 1 || roots.len() < 2 {
-        let mut stack: Vec<u32> = Vec::new();
-        for r in roots {
-            trace_from(inner, marks, epoch, r, &mut stack);
+/// Marks everything reachable from the roots by stamping `epoch` into the
+/// mark array.
+fn mark(inner: &HeapInner, marks: &mut [u32], epoch: u32) {
+    let mut stack: Vec<u32> = Vec::new();
+    for root in inner.root_ids() {
+        if claim(inner, marks, epoch, root) {
+            stack.push(root.index);
         }
-    } else {
-        let chunk = roots.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for part in roots.chunks(chunk) {
-                s.spawn(move || {
-                    let mut stack: Vec<u32> = Vec::new();
-                    for r in part {
-                        trace_from(inner, marks, epoch, *r, &mut stack);
-                    }
-                });
-            }
-        });
-    }
-}
-
-fn trace_from(
-    inner: &HeapInner,
-    marks: &[AtomicU32],
-    epoch: u32,
-    root: ObjId,
-    stack: &mut Vec<u32>,
-) {
-    if !claim(inner, marks, epoch, root) {
-        return;
-    }
-    stack.push(root.index);
-    while let Some(i) = stack.pop() {
-        if inner.flags[i as usize] & F_OCCUPIED == 0 {
-            continue;
-        }
-        let o = &inner.slab[i as usize];
-        for child in o.refs_iter(&inner.ref_pool) {
-            if claim(inner, marks, epoch, child) {
-                stack.push(child.index);
+        while let Some(i) = stack.pop() {
+            for child in inner.slab[i as usize].refs_iter(&inner.ref_pool) {
+                if claim(inner, marks, epoch, child) {
+                    stack.push(child.index);
+                }
             }
         }
     }
 }
 
-/// Atomically claims the mark stamp; returns true if this caller marked it.
+/// Stamps `obj`'s mark word; returns true if it was unmarked this cycle.
 /// Stale ids (swept or reused slots) are ignored rather than traced.
-fn claim(inner: &HeapInner, marks: &[AtomicU32], epoch: u32, obj: ObjId) -> bool {
+fn claim(inner: &HeapInner, marks: &mut [u32], epoch: u32, obj: ObjId) -> bool {
     let i = obj.index as usize;
-    match inner.flags.get(i) {
-        Some(f) if f & F_OCCUPIED != 0 => {}
-        _ => return false,
-    }
-    if inner.slab[i].generation != obj.generation {
+    if resolve_opt(inner, obj).is_none() || marks[i] == epoch {
         return false;
     }
-    // relaxed: the swap only needs atomicity so each object is claimed by
-    // exactly one marker; publication to the sweeper happens at join.
-    marks[i].swap(epoch, Ordering::Relaxed) != epoch
+    marks[i] = epoch;
+    true
 }
 
 /// Computes live/used/core for one collection object according to its
@@ -638,7 +499,7 @@ fn resolve_opt(inner: &HeapInner, obj: ObjId) -> Option<&Object> {
 
 #[cfg(test)]
 mod tests {
-    use crate::heap::{GcConfig, Heap, HeapConfig};
+    use crate::heap::{GcConfig, Heap};
     use crate::object::ElemKind;
     use crate::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
 
@@ -790,40 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_marking_matches_sequential() {
-        let build = |threads: usize| {
-            let heap = Heap::with_config(HeapConfig {
-                gc: GcConfig {
-                    threads,
-                    ..GcConfig::default()
-                },
-                ..HeapConfig::default()
-            });
-            let class = heap.register_class("Node", None);
-            // Build a few linked chains with shared tails.
-            let shared = heap.alloc_scalar(class, 0, 0, None);
-            for _ in 0..8 {
-                let mut prev = shared;
-                for _ in 0..50 {
-                    let n = heap.alloc_scalar(class, 1, 0, None);
-                    heap.set_ref(n, 0, Some(prev));
-                    prev = n;
-                }
-                heap.add_root(prev);
-            }
-            // Garbage.
-            for _ in 0..100 {
-                let _ = heap.alloc_scalar(class, 2, 16, None);
-            }
-            heap.gc()
-        };
-        let seq = build(1);
-        let par = build(4);
-        // Full byte-for-byte equivalence, not just live/swept counts.
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn epoch_marks_survive_many_cycles() {
         let heap = Heap::new();
         let class = heap.register_class("Node", None);
@@ -937,45 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_identical_across_thread_counts() {
-        use crate::snapshot::HeapProfConfig;
-        let build = |threads: usize| {
-            let heap = Heap::with_config(HeapConfig {
-                gc: GcConfig {
-                    threads,
-                    ..GcConfig::default()
-                },
-                ..HeapConfig::default()
-            });
-            heap.set_heap_profiling(Some(HeapProfConfig { every: 1 }));
-            let class = heap.register_class("Node", None);
-            // Cross-context chains: each context's objects reference the
-            // next context's, with some shared tails.
-            let ctxs: Vec<_> = (0..6)
-                .map(|i| heap.intern_context("Node", &[format!("S.m:{i}")], 1))
-                .collect();
-            let shared = heap.alloc_scalar(class, 0, 16, Some(ctxs[5]));
-            for (i, &ctx) in ctxs.iter().enumerate().take(5) {
-                let mut prev = shared;
-                for _ in 0..20 {
-                    let n = heap.alloc_scalar(class, 1, (i as u32) * 8, Some(ctx));
-                    heap.set_ref(n, 0, Some(prev));
-                    prev = n;
-                }
-                heap.add_root(prev);
-            }
-            for _ in 0..30 {
-                let _ = heap.alloc_scalar(class, 0, 8, None); // garbage
-            }
-            heap.gc();
-            heap.heap_snapshots()
-        };
-        let seq = build(1);
-        let par = build(4);
-        assert_eq!(seq, par, "snapshots must not depend on worker count");
-    }
-
-    #[test]
     fn disabling_heap_profiling_stops_capture() {
         use crate::snapshot::HeapProfConfig;
         let heap = Heap::new();
@@ -1014,7 +802,7 @@ mod tests {
         );
         assert_eq!(t.counter("heap.gc.cycles").get(), 1);
         let log = t.drain_events();
-        json::validate_jsonl(&log, &["ev", "t", "cycle", "pause_units", "shard_scan_ns"])
+        json::validate_jsonl(&log, &["ev", "t", "cycle", "pause_units"])
             .expect("gc_cycle event is valid JSONL");
         let ev = json::parse(log.lines().next().unwrap()).unwrap();
         assert_eq!(ev.get("ev").unwrap().as_str(), Some("gc_cycle"));

@@ -56,7 +56,7 @@ use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRa
 use crate::semantic::{ClassRegistry, SemanticMap};
 use crate::snapshot::{HeapProfConfig, HeapProfState, HeapSnapshot};
 use crate::stats::CycleStats;
-use crate::sync::{AtomicBool, AtomicU32, Ordering, UnsafeCell};
+use crate::sync::{AtomicBool, Ordering, UnsafeCell};
 use crate::telemetry::HeapTelemetry;
 use chameleon_telemetry::{Telemetry, TraceLane};
 use std::collections::{HashMap, VecDeque};
@@ -93,9 +93,6 @@ impl fmt::Display for OutOfMemory {
 /// Collector configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GcConfig {
-    /// Marking threads (the paper uses one per hardware core; values > 1
-    /// exercise the parallel-marking path).
-    pub threads: usize,
     /// Simulated cost units charged per KiB of live data marked.
     pub cost_per_live_kib: u64,
     /// Fixed simulated cost units charged per cycle (stop-the-world pause).
@@ -117,7 +114,6 @@ pub const ANOMALY_WARMUP: usize = 8;
 impl Default for GcConfig {
     fn default() -> Self {
         GcConfig {
-            threads: 1,
             cost_per_live_kib: 600,
             cost_per_cycle: 50_000,
             anomaly_factor: 8,
@@ -189,7 +185,7 @@ pub(crate) struct HeapInner {
     /// Reusable epoch-stamped mark array (slot i is marked iff
     /// `marks[i] == mark_epoch`); lives here so collection cycles neither
     /// allocate nor clear marks.
-    pub(crate) marks: Vec<AtomicU32>,
+    pub(crate) marks: Vec<u32>,
     pub(crate) mark_epoch: u32,
     /// Pre-resolved telemetry handles; `None` (the default) keeps every hot
     /// path exactly as uninstrumented.
@@ -425,7 +421,7 @@ impl Heap {
     }
 
     /// Attaches an execution-trace lane: GC cycles record causal phase
-    /// spans (mark, sharded scan, sweep, snapshot capture) and the
+    /// spans (mark, scan, sweep, snapshot capture) and the
     /// context-intern table records stripe-wait spans on its miss path
     /// (binding to the *first* lane attached, like the capture counters).
     /// Tracing reads only the wall clock and never charges the

@@ -15,7 +15,7 @@
 //! * [`Heap`] — object table, roots, capacity caps with automatic GC and a
 //!   simulated `OutOfMemoryError` ([`heap::OutOfMemory`]);
 //! * [`semantic`] — declarative semantic ADT maps;
-//! * `gc` (internal) — parallel mark-sweep with semantic accounting;
+//! * `gc` (internal) — mark-sweep with semantic accounting;
 //! * [`stats`] — per-cycle statistics (Table 3) and aggregates (Table 1);
 //! * [`context`] — interned partial allocation contexts (§3.2.1);
 //! * [`clock::SimClock`] — the deterministic cost clock.

@@ -1,7 +1,7 @@
 //! Per-cycle heap snapshots with retained-size attribution.
 //!
 //! When heap profiling is enabled ([`crate::Heap::set_heap_profiling`]) the
-//! collector's fused scan additionally fills a [`SnapAcc`] per worker: self
+//! collector's fused scan additionally fills a [`SnapAcc`]: self
 //! bytes, object counts and incoming reference-edge counts per allocation
 //! context, plus the set of *cross-context* reference edges. Capture rides
 //! the existing epoch-stamped mark pass — no second heap traversal.
@@ -107,7 +107,7 @@ pub(crate) fn pack_edge(src: u32, dst: u32) -> u64 {
     (u64::from(src) << 32) | u64::from(dst)
 }
 
-/// Per-worker snapshot accumulator for the fused scan. Node ids:
+/// Snapshot accumulator for the fused scan. Node ids:
 /// `0..n_contexts` are contexts, `n_contexts` is the no-context bucket and
 /// `n_contexts + 1` is the virtual root (only ever an edge source).
 pub(crate) struct SnapAcc {
@@ -130,25 +130,9 @@ impl SnapAcc {
             edges: HashSet::new(),
         }
     }
-
-    /// Merges another worker's accumulator in. Sums are plain u64 addition
-    /// and the edge set is a union, so the merged result is identical for
-    /// any worker count or merge order.
-    pub(crate) fn merge(&mut self, other: &SnapAcc) {
-        for (a, b) in self.self_bytes.iter_mut().zip(&other.self_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.objects.iter_mut().zip(&other.objects) {
-            *a += b;
-        }
-        for (a, b) in self.edges_in.iter_mut().zip(&other.edges_in) {
-            *a += b;
-        }
-        self.edges.extend(&other.edges);
-    }
 }
 
-/// Assembles a [`HeapSnapshot`] from the merged scan accumulator (which
+/// Assembles a [`HeapSnapshot`] from the scan accumulator (which
 /// must already include the virtual-root edges), the dense per-context
 /// collection totals, and the cycle's whole-heap collection totals.
 pub(crate) fn build_snapshot(

@@ -1,5 +1,5 @@
 //! std-vs-loom indirection for this crate's concurrency kernels (the
-//! shard entry flag, the GC mark words and the context stripe table).
+//! shard entry flag and the context stripe table).
 //!
 //! Re-exports `chameleon_telemetry::sync` (atomics, fences,
 //! [`UnsafeCell`](chameleon_telemetry::sync::UnsafeCell)) and adds the
@@ -8,9 +8,7 @@
 //! feature of this crate enables `chameleon-telemetry/model`, so both
 //! halves always agree.
 
-pub(crate) use chameleon_telemetry::sync::{
-    AtomicBool, AtomicU32, AtomicU64, Ordering, UnsafeCell,
-};
+pub(crate) use chameleon_telemetry::sync::{AtomicBool, AtomicU64, Ordering, UnsafeCell};
 
 #[cfg(feature = "model")]
 pub(crate) use loom::sync::RwLock;

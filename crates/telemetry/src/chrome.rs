@@ -14,7 +14,7 @@
 //! `dur_us` so no consumer has to re-scale.
 
 use crate::json::write_str;
-use crate::trace::{SpanKind, SpanRecord, GC_SHARD_LANE_BASE, GC_SHARD_LANE_STRIDE};
+use crate::trace::{SpanKind, SpanRecord};
 use std::fmt::Write as _;
 
 /// The `pid` every event carries (one simulated environment per trace).
@@ -24,10 +24,6 @@ pub const TRACE_PID: u32 = 1;
 pub fn lane_label(lane: u32) -> String {
     if lane == 0 {
         "env".to_owned()
-    } else if lane >= GC_SHARD_LANE_BASE {
-        let owner = (lane - GC_SHARD_LANE_BASE) / GC_SHARD_LANE_STRIDE;
-        let shard = (lane - GC_SHARD_LANE_BASE) % GC_SHARD_LANE_STRIDE;
-        format!("gc shard {shard} (lane {owner})")
     } else {
         format!("worker {}", lane - 1)
     }
@@ -134,7 +130,7 @@ pub fn summarize(records: &[SpanRecord]) -> (usize, usize, usize) {
 mod tests {
     use super::*;
     use crate::json;
-    use crate::trace::{gc_shard_lane, Tracer};
+    use crate::trace::Tracer;
 
     fn sample_records() -> Vec<SpanRecord> {
         let t = Tracer::new();
@@ -222,11 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_labels_cover_env_workers_and_shards() {
+    fn lane_labels_cover_env_and_workers() {
         assert_eq!(lane_label(0), "env");
         assert_eq!(lane_label(1), "worker 0");
         assert_eq!(lane_label(5), "worker 4");
-        assert_eq!(lane_label(gc_shard_lane(2, 1)), "gc shard 1 (lane 2)");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Causal execution spans recorded into per-lane lock-free ring buffers.
 //!
 //! A [`Tracer`] owns one fixed-capacity [`TraceRing`] per *lane* (lane 0 is
-//! the environment/coordinator thread, lane `w + 1` is mutator worker `w`,
-//! and GC shard scans render on synthetic lanes derived via
-//! [`gc_shard_lane`]). Instrumented code holds a cloneable [`TraceLane`]
+//! the environment/coordinator thread, lane `w + 1` is mutator worker `w`).
+//! Instrumented code holds a cloneable [`TraceLane`]
 //! handle and opens RAII [`TraceScope`]s around phases of interest; the
 //! scope records one [`SpanRecord`] — id, parent id, lane, begin/end
 //! nanoseconds and up to [`MAX_SPAN_ARGS`] numeric key-value arguments —
@@ -51,20 +50,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 /// Default number of most-recent spans per lane written by a flight dump.
 pub const DEFAULT_FLIGHT_TAIL: usize = 256;
 
-/// Synthetic-lane base for per-shard GC scan spans (see [`gc_shard_lane`]).
-pub const GC_SHARD_LANE_BASE: u32 = 1_000_000;
-/// Shard slots reserved per owning lane under [`GC_SHARD_LANE_BASE`].
-pub const GC_SHARD_LANE_STRIDE: u32 = 256;
-
-/// Display lane for GC scan shard `shard` of the heap owned by `owner`
-/// (the mutator lane whose GC ran the sharded scan). Shards render on
-/// their own timeline rows because they overlap in wall time; shards
-/// beyond the stride share its last row.
-pub fn gc_shard_lane(owner: u32, shard: usize) -> u32 {
-    let shard = (shard as u32).min(GC_SHARD_LANE_STRIDE - 1);
-    GC_SHARD_LANE_BASE + owner * GC_SHARD_LANE_STRIDE + shard
-}
-
 /// What a [`SpanRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
@@ -81,7 +66,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Enclosing span's id; 0 for a root span.
     pub parent: u64,
-    /// Display lane (thread/worker/shard row in the timeline).
+    /// Display lane (thread/worker row in the timeline).
     pub lane: u32,
     /// Duration vs point event.
     pub kind: SpanKind,
@@ -576,16 +561,6 @@ impl TraceLane {
         }
         self.ring.push(rec);
     }
-
-    /// Pushes a fully-formed record (post-hoc spans such as per-shard GC
-    /// scans, whose times were measured elsewhere). The record lands in
-    /// *this* lane's ring but keeps its own `lane` field for display.
-    pub fn record(&self, rec: SpanRecord) {
-        if !self.armed() {
-            return;
-        }
-        self.ring.push(rec);
-    }
 }
 
 /// RAII span: records one [`SpanKind::Complete`] record when dropped.
@@ -820,13 +795,5 @@ mod tests {
         let v = crate::json::parse(&body).expect("valid JSON");
         assert!(!v.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_shard_lanes_are_disjoint_per_owner() {
-        assert_ne!(gc_shard_lane(0, 0), gc_shard_lane(1, 0));
-        assert_ne!(gc_shard_lane(0, 0), gc_shard_lane(0, 1));
-        assert_eq!(gc_shard_lane(2, 5000), gc_shard_lane(2, 9000), "clamped");
-        assert!(gc_shard_lane(0, 0) >= GC_SHARD_LANE_BASE);
     }
 }

@@ -6,7 +6,6 @@
 
 use chameleon_collections::CollectionFactory;
 use chameleon_core::{Env, EnvConfig, ParallelConfig, PartitionTask, Workload};
-use chameleon_telemetry::trace::GC_SHARD_LANE_BASE;
 use chameleon_telemetry::{chrome, json, SpanKind, Telemetry, Tracer};
 use chameleon_workloads::{SizeDist, Synthetic, SyntheticSite};
 use std::time::Instant;
@@ -32,7 +31,6 @@ fn sequential_run_records_workload_gc_and_stripe_spans() {
         "gc",
         "gc_mark",
         "gc_scan",
-        "gc_scan_shard",
         "gc_sweep",
         "ctx_stripe_wait",
     ] {
@@ -54,14 +52,6 @@ fn sequential_run_records_workload_gc_and_stripe_spans() {
         recs.iter().any(|r| r.name == "gc" && r.id == mark.parent),
         "gc_mark must parent to a gc span"
     );
-    // Per-shard scan spans render on synthetic shard lanes, parented to
-    // their gc_scan span.
-    for shard in recs.iter().filter(|r| r.name == "gc_scan_shard") {
-        assert!(shard.lane >= GC_SHARD_LANE_BASE, "lane {}", shard.lane);
-        assert!(recs
-            .iter()
-            .any(|r| r.name == "gc_scan" && r.id == shard.parent));
-    }
 }
 
 #[test]
@@ -104,7 +94,6 @@ fn parallel_timeline_has_worker_lanes_partitions_and_gc_phases() {
         "merge_partition",
         "gc_mark",
         "gc_scan",
-        "gc_scan_shard",
         "gc_sweep",
     ] {
         assert!(recs.iter().any(|r| r.name == name), "span `{name}` missing");
