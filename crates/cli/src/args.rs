@@ -19,10 +19,7 @@ const FLAGS: &[&str] = &[
     "help",
     "manual-lazy",
     "throwable",
-    "telemetry",
     "builtin",
-    "heapprof",
-    "timeline",
     // eval fleet modes (`chameleon eval`)
     "gate",
     "report",
@@ -40,14 +37,13 @@ const VALUE_OPTIONS: &[&str] = &[
     "top",
     "eval-every",
     "shutoff-below",
-    "trace-out",
+    "emit",
     "format",
     "deny",
     "every",
     "out",
     "threads",
-    // eval fleet axes and knobs (`chameleon eval`); the telemetry axis is
-    // `telemetry-axis` because `--telemetry` is already a boolean flag.
+    // eval fleet axes and knobs (`chameleon eval`)
     "spec",
     "workloads",
     "rulesets",
@@ -133,7 +129,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         path: &["profile"],
         usage: "<workload> [--depth N] [--sample N] [--top K] [--throwable] \
-                [--heapprof] [--timeline] [--threads N]",
+                [--threads N] [--emit events,timeline,heapprof] [--every N] [--out DIR]",
     },
     Subcommand {
         path: &["optimize"],
@@ -148,18 +144,6 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         path: &["serve"],
         usage: "(--stdin | --socket PATH) [--eval-every N] [--confirm K] \
                 [--min-potential B] [--shutoff-below B]",
-    },
-    Subcommand {
-        path: &["trace"],
-        usage: "<workload> [--telemetry] [--trace-out FILE] [--timeline] [--threads N]",
-    },
-    Subcommand {
-        path: &["timeline"],
-        usage: "<workload> [--threads N] [--out FILE]",
-    },
-    Subcommand {
-        path: &["heapprof"],
-        usage: "<workload> [--every N] [--out DIR] [--top K] [--threads N] [--timeline]",
     },
     Subcommand {
         path: &["rules", "check"],
@@ -270,16 +254,7 @@ mod tests {
         let err = parse(&args).expect_err("typo rejected");
         assert!(err.contains("unknown option --dept"), "{err}");
         assert!(err.contains("--depth"), "should list valid keys: {err}");
-        assert!(err.contains("--telemetry"), "{err}");
-    }
-
-    #[test]
-    fn trace_command_and_telemetry_options() {
-        let inv = p("trace synthetic --telemetry --trace-out out.jsonl");
-        assert_eq!(inv.command, vec!["trace"]);
-        assert_eq!(inv.positional, vec!["synthetic"]);
-        assert!(inv.flag("telemetry"));
-        assert_eq!(inv.options["trace-out"], "out.jsonl");
+        assert!(err.contains("--emit"), "{err}");
     }
 
     #[test]
@@ -301,7 +276,7 @@ mod tests {
     #[test]
     fn zero_every_and_zero_threads_are_rejected_with_the_range() {
         for (args, key) in [
-            ("heapprof synthetic --every 0", "every"),
+            ("profile synthetic --every 0", "every"),
             ("profile synthetic --threads 0", "threads"),
         ] {
             let inv = p(args);
@@ -330,24 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn heapprof_command_and_options() {
-        let inv = p("heapprof synthetic --every 2 --out profdir");
-        assert_eq!(inv.command, vec!["heapprof"]);
+    fn profile_emit_options() {
+        let inv = p("profile synthetic --emit events,heapprof --every 2 --out profdir");
+        assert_eq!(inv.command, vec!["profile"]);
         assert_eq!(inv.positional, vec!["synthetic"]);
+        assert_eq!(inv.options["emit"], "events,heapprof");
         assert_eq!(inv.num("every", 1).unwrap(), 2);
         assert_eq!(inv.options["out"], "profdir");
-        let inv = p("profile synthetic --heapprof");
-        assert!(inv.flag("heapprof"));
-    }
-
-    #[test]
-    fn timeline_command_and_flag() {
-        let inv = p("timeline synthetic --threads 2 --out trace.json");
-        assert_eq!(inv.command, vec!["timeline"]);
-        assert_eq!(inv.positional, vec!["synthetic"]);
-        assert_eq!(inv.options["out"], "trace.json");
-        let inv = p("profile synthetic --timeline");
-        assert!(inv.flag("timeline"));
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! ```text
 //! chameleon list-workloads
 //! chameleon profile <workload> [--depth N] [--sample N] [--top K] [--throwable]
+//!                   [--threads N] [--emit events,timeline,heapprof] [--every N] [--out DIR]
 //! chameleon optimize <workload> [--top K] [--manual-lazy]
 //! chameleon online <workload> [--eval-every N] [--confirm K]
 //! chameleon serve (--stdin | --socket PATH) [--eval-every N] [--confirm K]
-//! chameleon trace <workload> [--telemetry] [--trace-out FILE]
-//! chameleon timeline <workload> [--threads N] [--out FILE]
-//! chameleon heapprof <workload> [--every N] [--out DIR]
 //! chameleon rules check <file.rules>
 //! chameleon rules eval <file.rules> <workload>
 //! chameleon lint <file.rules | --builtin> [--format text|json] [--deny LEVEL]
@@ -26,6 +24,7 @@ use chameleon_core::{
     default_threads, run_online, serve_stream, Chameleon, Env, EnvConfig, OnlineConfig,
     ParallelConfig, ParallelError, ServeConfig, Server, Workload,
 };
+use chameleon_heap::HeapProfConfig;
 use chameleon_profiler::HeapProfile;
 use chameleon_rules::{analyze, parse_rules, RuleEngine, Severity, BUILTIN_RULES, DEFAULT_PARAMS};
 use chameleon_telemetry::{chrome, DriftConfig, Telemetry, Tracer};
@@ -73,26 +72,20 @@ OPTIONS:
   --socket PATH   serve: accept JSONL command streams on a Unix socket,
                   one client at a time
   --manual-lazy   bloat only: include the paper's manual lazy-allocation fix
-  --telemetry     enable the telemetry layer (metrics + JSONL events);
-                  always on for `trace`, opt-in for `profile`
-  --trace-out FILE  write the JSONL event/metric log to FILE
-                  (default: stdout after the report)
-  --heapprof      profile: capture per-cycle heap snapshots and cite each
-                  suggestion's peak retained cycle
-  --every N       heapprof: capture a snapshot every N GC cycles
+  --emit LIST     profile: write artifacts into --out: events (events.jsonl),
+                  timeline (timeline.json, Chrome/Perfetto spans), heapprof
+                  (snapshots.jsonl, flamegraph.folded, summary.json; each
+                  suggestion also cites its peak retained GC cycle)
+  --every N       profile --emit heapprof: snapshot every N GC cycles
                   (default 1; must be at least 1)
-  --threads N     profile/trace/heapprof: run the workload as N partitions
+  --threads N     profile: run the workload as N partitions
                   on N mutator threads (must be at least 1; 1 = sequential).
                   Default `auto`: the host's available parallelism, falling
                   back to a sequential run when the workload has no
                   partition plan. An explicit N > 1 requires the workload
                   to support partitioning (tvla and synthetic do). Results
                   depend only on N, never on thread scheduling.
-  --timeline      profile/trace/heapprof: additionally record causal spans
-                  and write a Chrome/Perfetto timeline to timeline.json
-                  (heapprof: <out-dir>/timeline.json)
-  --out FILE|DIR  timeline: output file (default trace.json);
-                  heapprof: output directory (default heapprof-<workload>)
+  --out DIR       profile: artifact directory (default profile-<workload>)
   --builtin       lint: analyze the built-in Table 2 rule set
   --format F      lint: output `text` (default) or `json`
   --deny LEVEL    lint: exit non-zero on findings at or above
@@ -165,9 +158,6 @@ fn run(raw: &[String]) -> Result<(), String> {
         ["optimize"] => cmd_optimize(&inv),
         ["online"] => cmd_online(&inv),
         ["serve"] => cmd_serve(&inv),
-        ["trace"] => cmd_trace(&inv),
-        ["timeline"] => cmd_timeline(&inv),
-        ["heapprof"] => cmd_heapprof(&inv),
         ["rules", "check"] => cmd_rules_check(&inv),
         ["rules", "eval"] => cmd_rules_eval(&inv),
         ["lint"] => cmd_lint(&inv),
@@ -212,64 +202,57 @@ fn required_workload(inv: &Invocation, pos: usize) -> Result<Box<dyn Workload>, 
     workload(name).ok_or_else(|| format!("unknown workload `{name}` (try list-workloads)"))
 }
 
-/// Resolved `--threads` value.
-enum ThreadsArg {
-    /// Flag absent or the literal `auto`: the host's available
-    /// parallelism, degrading to a sequential run for workloads without a
-    /// partition plan.
-    Auto(usize),
-    /// An explicit count; an unpartitionable workload is then a hard
-    /// error (the user asked for parallelism the workload cannot give).
-    Explicit(u64),
-}
+/// Artifact names `profile --emit` accepts.
+const ARTIFACTS: [&str; 3] = ["events", "timeline", "heapprof"];
 
-fn threads_arg(inv: &Invocation) -> Result<ThreadsArg, String> {
-    match inv.options.get("threads").map(String::as_str) {
-        None | Some("auto") => Ok(ThreadsArg::Auto(default_threads())),
-        Some(_) => inv.num_at_least_one("threads", 1).map(ThreadsArg::Explicit),
-    }
-}
-
-/// Runs the profiling environment, sequentially or — with an effective
-/// thread count > 1 — on the parallel mutator runtime.
-fn profile_env_with_threads(
-    chameleon: &Chameleon,
-    w: &dyn Workload,
-    threads: &ThreadsArg,
-) -> Result<Env, String> {
-    let n = match threads {
-        ThreadsArg::Auto(n) => *n,
-        ThreadsArg::Explicit(n) => *n as usize,
-    };
-    if n <= 1 {
-        return Ok(chameleon.profile_env(w));
-    }
-    match chameleon.profile_env_parallel(w, ParallelConfig::with_threads(n)) {
-        Ok(env) => Ok(env),
-        Err(ParallelError::NotPartitionable { .. }) if matches!(threads, ThreadsArg::Auto(_)) => {
-            Ok(chameleon.profile_env(w))
-        }
-        Err(e) => Err(e.to_string()),
-    }
-}
-
+/// `chameleon profile <workload>`: profile the workload, print its top
+/// contexts and suggestions, and write the `--emit` artifacts into
+/// `--out DIR`. Observation never changes the simulated run: every
+/// artifact comes from the same GC schedule as a bare profile.
 fn cmd_profile(inv: &Invocation) -> Result<(), String> {
     let w = required_workload(inv, 0)?;
     let top = inv.num("top", 10)? as usize;
-    let threads = threads_arg(inv)?;
-    let mut chameleon = Chameleon::new().with_profile_config(env_from(inv)?);
-    let telemetry = inv.flag("telemetry").then(Telemetry::new);
-    if let Some(t) = &telemetry {
-        chameleon = chameleon.with_telemetry(t.clone());
+    // `--threads` absent or `auto`: the host's available parallelism,
+    // degrading to a sequential run for a workload without a partition
+    // plan. An explicit count must be honoured (the user asked for
+    // parallelism the workload may not give).
+    let (threads, explicit) = match inv.options.get("threads").map(String::as_str) {
+        None | Some("auto") => (default_threads(), false),
+        Some(_) => (inv.num_at_least_one("threads", 1)? as usize, true),
+    };
+    let emit: Vec<&str> = inv
+        .options
+        .get("emit")
+        .map_or_else(Vec::new, |v| v.split(',').collect());
+    if let Some(bad) = emit.iter().find(|a| !ARTIFACTS.contains(a)) {
+        return Err(format!(
+            "unknown artifact `{bad}` in --emit; valid artifacts: {}",
+            ARTIFACTS.join(", ")
+        ));
     }
-    if inv.flag("heapprof") {
-        chameleon = chameleon.with_heap_profiling(inv.num_at_least_one("every", 1)?);
-    }
-    let tracer = inv.flag("timeline").then(Tracer::new);
-    if let Some(tr) = &tracer {
-        chameleon = chameleon.with_tracer(tr.clone());
-    }
-    let env = profile_env_with_threads(&chameleon, w.as_ref(), &threads)?;
+    let every = inv.num_at_least_one("every", 1)?;
+    let out = inv
+        .options
+        .get("out")
+        .cloned()
+        .unwrap_or_else(|| format!("profile-{}", w.name()));
+    let telemetry = emit.contains(&"events").then(Telemetry::new);
+    let tracer = emit.contains(&"timeline").then(Tracer::new);
+    let heapprof = emit.contains(&"heapprof");
+    let chameleon = Chameleon::new().with_profile_config(EnvConfig {
+        telemetry: telemetry.clone(),
+        tracer: tracer.clone(),
+        heapprof: heapprof.then_some(HeapProfConfig { every }),
+        ..env_from(inv)?
+    });
+    let env =
+        match chameleon.profile_env_parallel(w.as_ref(), ParallelConfig::with_threads(threads)) {
+            Ok(env) => env,
+            Err(ParallelError::NotPartitionable { .. }) if !explicit => {
+                chameleon.profile_env(w.as_ref())
+            }
+            Err(e) => return Err(e.to_string()),
+        };
     let report = env.report();
     println!(
         "{} — {} context(s), peak live {} B",
@@ -282,9 +265,7 @@ fn cmd_profile(inv: &Invocation) -> Result<(), String> {
     let suggestions = chameleon
         .engine()
         .evaluate_traced(&report, telemetry.as_ref());
-    let profile = inv
-        .flag("heapprof")
-        .then(|| HeapProfile::from_heap(&env.heap, SERIES_CAPACITY));
+    let profile = heapprof.then(|| HeapProfile::from_heap(&env.heap, SERIES_CAPACITY));
     for s in suggestions.iter().take(top) {
         println!("  {s}");
         if let Some(p) = &profile {
@@ -294,179 +275,39 @@ fn cmd_profile(inv: &Invocation) -> Result<(), String> {
         }
     }
     if let Some(t) = &telemetry {
-        emit_trace_log(inv, t)?;
-    }
-    if let Some(tr) = &tracer {
-        write_timeline(tr, "timeline.json")?;
-    }
-    Ok(())
-}
-
-/// `chameleon trace <workload>`: run the workload with telemetry enabled
-/// and print a human-readable observability report; the raw JSONL goes to
-/// `--trace-out FILE` or, without one, to stdout after the report.
-fn cmd_trace(inv: &Invocation) -> Result<(), String> {
-    let w = required_workload(inv, 0)?;
-    let top = inv.num("top", 10)? as usize;
-    let threads = threads_arg(inv)?;
-    let t = Telemetry::new();
-    let mut chameleon = Chameleon::new()
-        .with_profile_config(env_from(inv)?)
-        .with_telemetry(t.clone());
-    let tracer = inv.flag("timeline").then(Tracer::new);
-    if let Some(tr) = &tracer {
-        chameleon = chameleon.with_tracer(tr.clone());
-    }
-    let report = profile_env_with_threads(&chameleon, w.as_ref(), &threads)?.report();
-    let suggestions = chameleon.engine().evaluate_traced(&report, Some(&t));
-
-    println!("{} — telemetry report", w.name());
-    println!(
-        "  {} event(s), peak live {} B, {} GC cycle(s)",
-        t.event_count(),
-        report.peak_live(),
-        report.series.len()
-    );
-    if let Some(pause) = t
-        .metrics_snapshot()
-        .into_iter()
-        .find(|m| m.name == "heap.gc.pause_units")
-    {
+        let log = t.dump_jsonl();
+        write_artifact(&out, "events.jsonl", &log)?;
         println!(
-            "  gc pause: p50 {:.0} / p95 {:.0} units over {} cycle(s)",
-            pause.quantile(0.5),
-            pause.quantile(0.95),
-            pause.value
+            "\nevents written to {out}/events.jsonl ({} line(s))",
+            log.lines().count()
         );
     }
-    println!("\nmetrics:");
-    for m in t.metrics_snapshot() {
-        match m.kind {
-            chameleon_telemetry::MetricKind::Histogram => {
-                let mean = if m.value == 0 {
-                    0.0
-                } else {
-                    m.sum as f64 / m.value as f64
-                };
-                println!("  {:<28} count {:>8}  mean {:.1}", m.name, m.value, mean);
-            }
-            _ => println!("  {:<28} {:>8}", m.name, m.value),
-        }
-    }
-    println!("\nsuggestions ({}):", suggestions.len());
-    for s in suggestions.iter().take(top) {
-        println!("  {s}");
-    }
-    emit_trace_log(inv, &t)?;
     if let Some(tr) = &tracer {
-        write_timeline(tr, "timeline.json")?;
+        let records = tr.records();
+        write_artifact(&out, "timeline.json", &chrome::render(&records))?;
+        let (lanes, spans, instants) = chrome::summarize(&records);
+        println!(
+            "timeline written to {out}/timeline.json: {spans} span(s), {instants} instant(s) \
+             across {lanes} lane(s) — load in chrome://tracing or https://ui.perfetto.dev"
+        );
+    }
+    if let Some(p) = &profile {
+        println!();
+        write_heapprof_artifacts(w.as_ref(), &env, p, every, top, &out)?;
     }
     Ok(())
 }
 
-/// `chameleon timeline <workload>`: run the workload with the execution
-/// tracer armed and export the recorded spans as a Chrome trace-event JSON
-/// timeline, loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
-fn cmd_timeline(inv: &Invocation) -> Result<(), String> {
-    let w = required_workload(inv, 0)?;
-    let threads = threads_arg(inv)?;
-    let out = inv
-        .options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "trace.json".to_owned());
-    let tracer = Tracer::new();
-    let chameleon = Chameleon::new()
-        .with_profile_config(env_from(inv)?)
-        .with_tracer(tracer.clone());
-    let env = profile_env_with_threads(&chameleon, w.as_ref(), &threads)?;
-    let m = env.metrics();
-    println!(
-        "{} — sim time {} units, {} GC cycle(s), peak live {} B",
-        w.name(),
-        m.sim_time,
-        m.gc_count,
-        m.peak_live_bytes
-    );
-    write_timeline(&tracer, &out)
-}
-
-/// Renders the tracer's recorded spans as Chrome trace JSON into `path`.
-fn write_timeline(tracer: &Tracer, path: &str) -> Result<(), String> {
-    let records = tracer.records();
-    std::fs::write(path, chrome::render(&records))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    let (lanes, spans, instants) = chrome::summarize(&records);
-    println!(
-        "timeline written to {path}: {spans} span(s), {instants} instant(s) \
-         across {lanes} lane(s) — load in chrome://tracing or https://ui.perfetto.dev"
-    );
-    Ok(())
-}
-
-/// Writes the JSONL log where the user asked for it.
-fn emit_trace_log(inv: &Invocation, t: &Telemetry) -> Result<(), String> {
-    let log = t.dump_jsonl();
-    match inv.options.get("trace-out") {
-        Some(path) => {
-            std::fs::write(path, &log).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!(
-                "\ntrace written to {path} ({} line(s))",
-                log.lines().count()
-            );
-            Ok(())
-        }
-        None => {
-            println!("\ntrace (JSONL):");
-            print!("{log}");
-            Ok(())
-        }
-    }
+/// Writes `data` to `<out>/<name>`, creating `out` first.
+fn write_artifact(out: &str, name: &str, data: &str) -> Result<(), String> {
+    std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let path = format!("{out}/{name}");
+    std::fs::write(&path, data).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// How many points each per-context series keeps before 2:1 downsampling
 /// kicks in (see `chameleon_telemetry::SeriesStore`).
 const SERIES_CAPACITY: usize = 256;
-
-/// `chameleon heapprof <workload>`: run the workload with continuous heap
-/// profiling and write the snapshot JSONL, a collapsed-stack flamegraph of
-/// the peak cycle, and a JSON summary into `--out DIR`.
-fn cmd_heapprof(inv: &Invocation) -> Result<(), String> {
-    let w = required_workload(inv, 0)?;
-    let every = inv.num_at_least_one("every", 1)?;
-    let threads = threads_arg(inv)?;
-    let top = inv.num("top", 10)? as usize;
-    let out = inv
-        .options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("heapprof-{}", w.name()));
-    // Collect more often than the default profiling interval: snapshots
-    // are only taken at GC cycles, and a bulk-allocating workload would
-    // otherwise finish before the first one.
-    let config = EnvConfig {
-        gc_interval_bytes: Some(32 * 1024),
-        ..env_from(inv)?
-    };
-    let mut chameleon = Chameleon::new()
-        .with_profile_config(config)
-        .with_heap_profiling(every);
-    let tracer = inv.flag("timeline").then(Tracer::new);
-    if let Some(tr) = &tracer {
-        chameleon = chameleon.with_tracer(tr.clone());
-    }
-    let env = profile_env_with_threads(&chameleon, w.as_ref(), &threads)?;
-    let profile = HeapProfile::from_heap(&env.heap, SERIES_CAPACITY);
-    write_heapprof_artifacts(
-        w.as_ref(),
-        &env,
-        &profile,
-        every,
-        top,
-        &out,
-        tracer.as_ref(),
-    )
-}
 
 /// Reports a heap profile and writes its artifacts. A profile with no
 /// snapshots is a one-line report and a successful exit, not a failure
@@ -478,7 +319,6 @@ fn write_heapprof_artifacts(
     every: u64,
     top: usize,
     out: &str,
-    tracer: Option<&Tracer>,
 ) -> Result<(), String> {
     if profile.snapshots.is_empty() {
         println!(
@@ -496,51 +336,28 @@ fn write_heapprof_artifacts(
     let summary = profile.summary_json(&env.heap, top, &drift_cfg);
     let flamegraph = profile.flamegraph(&env.heap);
 
-    std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    let write = |name: &str, data: &str| {
-        let path = format!("{out}/{name}");
-        std::fs::write(&path, data).map_err(|e| format!("cannot write {path}: {e}"))
-    };
-    write("snapshots.jsonl", &jsonl)?;
-    write("flamegraph.folded", &flamegraph)?;
-    write("summary.json", &summary)?;
-    if let Some(tr) = &tracer {
-        write_timeline(tr, &format!("{out}/timeline.json"))?;
-    }
+    write_artifact(out, "snapshots.jsonl", &jsonl)?;
+    write_artifact(out, "flamegraph.folded", &flamegraph)?;
+    write_artifact(out, "summary.json", &summary)?;
 
     let peak = profile.peak_snapshot().expect("snapshots is non-empty");
     println!(
-        "{} — {} snapshot(s) (every {} cycle(s)), peak live {} B at cycle {}",
-        w.name(),
+        "heap profile written to {out}/snapshots.jsonl, flamegraph.folded, summary.json: \
+         {} snapshot(s) (every {every} cycle(s)), peak live {} B at cycle {}",
         profile.snapshots.len(),
-        every,
         peak.live_bytes,
         peak.cycle
     );
-    println!("\ntop retained at peak:");
-    for (ctx, cycle, retained) in profile.top_retained(top) {
-        let label = ctx.map_or_else(|| "<no-context>".to_owned(), |c| env.heap.format_context(c));
-        println!("  {retained:>10} B  cycle {cycle:>4}  {label}");
-    }
-    let findings = profile.drift(&drift_cfg);
-    if findings.is_empty() {
+    for f in profile.drift(&drift_cfg) {
         println!(
-            "\nno drift: no context grew more than {:.0}%",
-            drift_cfg.growth_pct
+            "  drift (> {:.0}% growth): {}: {:.0} B -> {:.0} B (+{:.0}%)",
+            drift_cfg.growth_pct,
+            profile.key_label(&env.heap, f.key),
+            f.first_mean,
+            f.last_mean,
+            f.growth_pct
         );
-    } else {
-        println!("\ndrift (> {:.0}% growth):", drift_cfg.growth_pct);
-        for f in &findings {
-            println!(
-                "  {}: {:.0} B -> {:.0} B (+{:.0}%)",
-                profile.key_label(&env.heap, f.key),
-                f.first_mean,
-                f.last_mean,
-                f.growth_pct
-            );
-        }
     }
-    println!("\nwrote {out}/snapshots.jsonl, flamegraph.folded, summary.json");
     Ok(())
 }
 
@@ -776,30 +593,41 @@ mod tests {
         run_str("profile synthetic --top 3").expect("ok");
     }
 
+    /// A fresh temp directory for one test's `--out`.
+    fn out_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn trace_writes_valid_jsonl() {
-        let path = std::env::temp_dir().join("chameleon_cli_trace_test.jsonl");
-        run_str(&format!(
-            "trace synthetic --telemetry --trace-out {}",
-            path.display()
-        ))
-        .expect("ok");
-        let log = std::fs::read_to_string(&path).expect("trace file written");
-        let lines =
-            chameleon_telemetry::json::validate_jsonl(&log, &["ev", "t"]).expect("valid JSONL");
-        assert!(lines > 0, "trace must not be empty");
-        assert!(log.contains("\"ev\":\"gc_cycle\""), "{log}");
-        assert!(log.contains("\"ev\":\"rule_decision\""), "{log}");
-        assert!(log.contains("\"ev\":\"workload_begin\""), "{log}");
-        assert!(log.contains("\"ev\":\"metric\""), "{log}");
-        let _ = std::fs::remove_file(&path);
+        // Explicit thread counts: the log must be complete whether the
+        // workload runs sequentially or on partition children.
+        for threads in [1, 2, 4] {
+            let dir = out_dir(&format!("chameleon_cli_trace_test_{threads}"));
+            run_str(&format!(
+                "profile synthetic --emit events --out {} --threads {threads}",
+                dir.display()
+            ))
+            .expect("ok");
+            let log = std::fs::read_to_string(dir.join("events.jsonl")).expect("events written");
+            let lines =
+                chameleon_telemetry::json::validate_jsonl(&log, &["ev", "t"]).expect("valid JSONL");
+            assert!(lines > 0, "trace must not be empty");
+            assert!(log.contains("\"ev\":\"gc_cycle\""), "{log}");
+            assert!(log.contains("\"ev\":\"rule_decision\""), "{log}");
+            assert!(log.contains("\"ev\":\"workload_begin\""), "{log}");
+            assert!(log.contains("\"ev\":\"metric\""), "{log}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn heapprof_writes_all_artifacts() {
-        let dir = std::env::temp_dir().join("chameleon_cli_heapprof_test");
+        let dir = out_dir("chameleon_cli_heapprof_test");
         run_str(&format!(
-            "heapprof synthetic --every 2 --out {}",
+            "profile tvla --threads 2 --emit heapprof --every 2 --out {}",
             dir.display()
         ))
         .expect("ok");
@@ -819,19 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_with_heapprof_cites_peak_cycles() {
-        run_str("profile synthetic --heapprof --top 3").expect("ok");
-    }
-
-    #[test]
     fn timeline_writes_perfetto_loadable_trace() {
-        let path = std::env::temp_dir().join("chameleon_cli_timeline_test.json");
+        let dir = out_dir("chameleon_cli_timeline_test");
         run_str(&format!(
-            "timeline synthetic --threads 2 --out {}",
-            path.display()
+            "profile synthetic --threads 2 --emit timeline --out {}",
+            dir.display()
         ))
         .expect("ok");
-        let body = std::fs::read_to_string(&path).expect("timeline written");
+        let body = std::fs::read_to_string(dir.join("timeline.json")).expect("timeline written");
         let v = chameleon_telemetry::json::parse(&body).expect("valid JSON");
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!events.is_empty());
@@ -843,14 +666,14 @@ mod tests {
         assert!(has("run_parallel"), "{body}");
         assert!(has("partition"), "{body}");
         assert!(has("gc"), "{body}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn heapprof_with_timeline_writes_timeline_artifact() {
-        let dir = std::env::temp_dir().join("chameleon_cli_heapprof_timeline_test");
+        let dir = out_dir("chameleon_cli_heapprof_timeline_test");
         run_str(&format!(
-            "heapprof synthetic --every 2 --timeline --out {}",
+            "profile tvla --threads 2 --emit heapprof,timeline --every 2 --out {}",
             dir.display()
         ))
         .expect("ok");
@@ -865,7 +688,6 @@ mod tests {
     fn profile_runs_on_mutator_threads() {
         run_str("profile synthetic --threads 2 --top 3").expect("ok");
         run_str("profile tvla --threads 2 --top 3").expect("ok");
-        run_str("trace synthetic --threads 2 --trace-out /dev/null").expect("ok");
     }
 
     #[test]
@@ -873,16 +695,22 @@ mod tests {
         // These used to be accepted and silently clamped to 1 deep in the
         // heap's snapshot collector.
         for cmd in [
-            "heapprof synthetic --every 0",
-            "profile synthetic --heapprof --every 0",
+            "profile synthetic --emit heapprof --every 0",
             "profile synthetic --threads 0",
-            "trace synthetic --threads 0",
-            "heapprof synthetic --threads 0",
+            "profile synthetic --emit events --threads 0",
+            "profile synthetic --emit heapprof --threads 0",
         ] {
             let err = run_str(cmd).expect_err(cmd);
             assert!(err.contains("at least 1"), "{cmd}: {err}");
             assert!(err.contains("1.."), "{cmd}: {err}");
         }
+    }
+
+    #[test]
+    fn unknown_emit_artifact_lists_the_valid_ones() {
+        let err = run_str("profile synthetic --emit events,flamegraph").expect_err("unknown");
+        assert!(err.contains("unknown artifact `flamegraph`"), "{err}");
+        assert!(err.contains("events, timeline, heapprof"), "{err}");
     }
 
     #[test]
@@ -1063,7 +891,6 @@ mod tests {
             1_000_000,
             10,
             dir.to_str().unwrap(),
-            None,
         )
         .expect("zero snapshots is a successful exit");
         assert!(

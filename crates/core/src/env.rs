@@ -214,30 +214,37 @@ impl Env {
     }
 
     /// Runs `workload` to completion and performs a final GC so end-of-run
-    /// live data is recorded.
-    ///
-    /// When telemetry is attached and enabled, the run is bracketed by
-    /// `workload_begin` / `workload_end` events on the shared `SimClock`;
-    /// the end event carries the run's headline metrics.
+    /// live data is recorded, bracketed by [`Env::run_bracketed`].
     pub fn run(&self, workload: &dyn Workload) {
         let _span = self.trace.as_ref().and_then(|l| l.scope("workload"));
+        self.run_bracketed(workload.name(), || {
+            workload.run(&self.factory);
+            self.heap.gc();
+            // Collections still live at workload end never reach the death
+            // sink on their own; deliver their statistics as survivors so
+            // long-lived contexts are visible to the profile and the online
+            // engine's converged policy.
+            self.rt.flush_survivors();
+        });
+    }
+
+    /// Runs `body` as the workload `name`. When telemetry is attached and
+    /// enabled, the run is bracketed by `workload_begin` / `workload_end`
+    /// events on the shared `SimClock`; the end event carries the run's
+    /// headline metrics. [`Env::run`] and [`Env::run_parallel`] share it,
+    /// so both execution modes log the same bracket.
+    pub(crate) fn run_bracketed<R>(&self, name: &str, body: impl FnOnce() -> R) -> R {
         let telemetry = self.rt.telemetry().filter(|t| t.is_enabled());
         if let Some(t) = &telemetry {
             if let Some(mut e) = t.event("workload_begin", self.rt.clock().now()) {
-                e.str("name", workload.name());
+                e.str("name", name);
             }
         }
-        workload.run(&self.factory);
-        self.heap.gc();
-        // Collections still live at workload end never reach the death
-        // sink on their own; deliver their statistics as survivors so
-        // long-lived contexts are visible to the profile and the online
-        // engine's converged policy.
-        self.rt.flush_survivors();
+        let out = body();
         if let Some(t) = &telemetry {
             let m = self.metrics();
             if let Some(mut e) = t.event("workload_end", m.sim_time) {
-                e.str("name", workload.name())
+                e.str("name", name)
                     .num("sim_time", m.sim_time)
                     .num("peak_live_bytes", m.peak_live_bytes)
                     .num("gc_count", m.gc_count)
@@ -246,6 +253,7 @@ impl Env {
                     .num("capture_count", m.capture_count);
             }
         }
+        out
     }
 
     /// Extracts the run's metrics.

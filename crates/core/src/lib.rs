@@ -112,39 +112,10 @@ impl Chameleon {
         self
     }
 
-    /// Attaches a telemetry sink: profiling runs emit metrics and JSONL
-    /// events (GC cycles, workload spans, rule-decision audits).
-    pub fn with_telemetry(mut self, telemetry: chameleon_telemetry::Telemetry) -> Self {
-        self.profile_config.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&chameleon_telemetry::Telemetry> {
-        self.profile_config.telemetry.as_ref()
-    }
-
-    /// Attaches an execution tracer: profiling runs record causal spans
-    /// (workload, GC phases, partitions, merges) into the tracer's ring
-    /// buffers for timeline export and flight-recorder dumps. Simulation
-    /// results are bit-identical with tracing absent, armed or exporting.
-    pub fn with_tracer(mut self, tracer: chameleon_telemetry::Tracer) -> Self {
-        self.profile_config.tracer = Some(tracer);
-        self
-    }
-
-    /// Enables continuous heap profiling in the profiling environment: a
-    /// heap snapshot with retained-size attribution is captured every
-    /// `every` GC cycles. Simulation results are bit-identical with or
-    /// without it.
-    pub fn with_heap_profiling(mut self, every: u64) -> Self {
-        self.profile_config.heapprof = Some(chameleon_heap::HeapProfConfig { every });
-        self
-    }
-
     /// Profiles `workload` once and returns the environment itself, so
     /// callers can reach both the report *and* the heap (snapshots,
-    /// context labels) — `chameleon heapprof` builds its exports this way.
+    /// context labels) — `chameleon profile --emit` writes its artifacts
+    /// this way.
     pub fn profile_env(&self, workload: &dyn Workload) -> Env {
         let env = Env::new(&self.profile_config);
         env.run(workload);

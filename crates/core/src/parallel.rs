@@ -11,13 +11,13 @@
 //! folded into the parent environment **in partition-index order**:
 //! context tables are merged by `Arc`-shared export/import with id remap,
 //! GC cycles and heap snapshots renumbered, per-context traces merged,
-//! simulated time accumulated, and each partition's capture counters
-//! flushed into the parent's telemetry in one batch (one counter merge
-//! per partition, not per op). Because the merge order is fixed and each
-//! partition is a deterministic function of its task alone, `RunMetrics`,
-//! the profile report and rule suggestions are a function of
-//! `(workload, partition plan)` only — the OS thread interleaving cannot
-//! leak into any result.
+//! simulated time accumulated, and each partition's child telemetry and
+//! child tracer adopted, re-based onto the parent's clock and cycle
+//! count. Because the merge order is fixed and each partition is a
+//! deterministic function of its task alone, `RunMetrics`, the profile
+//! report, rule suggestions and the event log (wall-clock `*_ns` fields
+//! aside) are a function of `(workload, partition plan)` only — the OS
+//! thread interleaving cannot leak into any result.
 //!
 //! With one partition the workload runs inline on the parent environment,
 //! making `run_parallel` bit-identical to [`Env::run`] by construction.
@@ -32,7 +32,7 @@ use crate::steal::StealQueues;
 use crate::workload::{PartitionTask, Workload};
 use chameleon_heap::{ContextExport, ContextId, CycleStats, HeapSnapshot};
 use chameleon_profiler::ContextTrace;
-use chameleon_telemetry::{SpanRecord, SpanTimer, Tracer};
+use chameleon_telemetry::{SpanRecord, SpanTimer, Telemetry, Tracer};
 use parking_lot::Mutex;
 
 /// Mutator threads to use when the caller does not pick a count: the
@@ -127,13 +127,13 @@ struct PartitionOutcome {
     contexts: ContextExport,
     traces: Vec<(Option<ContextId>, ContextTrace)>,
     captures: u64,
-    /// `(frame_misses, context_misses)` of the partition's intern table,
-    /// flushed into the parent's telemetry as one batch at merge time.
-    intern_misses: (u64, u64),
     survivors: usize,
     allocated_bytes: u64,
     allocated_objects: u64,
     wall_ns: u64,
+    /// The partition's child telemetry (present iff the parent has one);
+    /// the parent adopts it at merge time, in partition-index order.
+    telemetry: Option<Telemetry>,
     /// Span records drained from the partition's child tracer (empty when
     /// tracing is off). Ids live in the child's id space until the parent
     /// adopts them at merge time, in partition-index order.
@@ -146,7 +146,8 @@ struct PartitionOutcome {
 }
 
 /// Runs one partition to completion in a fresh hermetic environment and
-/// extracts its portable outcome. `trace` is `(parent tracer, worker lane,
+/// extracts its portable outcome. The partition records into a child of
+/// the parent's telemetry. `trace` is `(parent tracer, worker lane,
 /// stolen)` when tracing is armed: the partition gets a `partition` span on
 /// the worker's lane (preceded by a `steal` instant when the index came
 /// from another worker's queue), and runs against a *child* tracer whose
@@ -172,14 +173,15 @@ fn run_partition(
         }
         None => (None, None),
     };
-    let mut local_config = config.clone();
-    // Name the partition in the heap's single-mutator machinery so a
-    // concurrent-entry panic reports which partition was entered twice.
-    local_config.shard_index = Some(index);
-    if let Some(child) = &child_tracer {
-        local_config.tracer = Some(child.clone());
-    }
-    let env = Env::new(&local_config);
+    let telemetry = config.telemetry.as_ref().map(Telemetry::child);
+    let env = Env::new(&EnvConfig {
+        // Name the partition in the heap's single-mutator machinery so a
+        // concurrent-entry panic reports which partition was entered twice.
+        shard_index: Some(index),
+        telemetry: telemetry.clone(),
+        tracer: child_tracer.clone(),
+        ..config.clone()
+    });
     task.run(&env.factory);
     env.heap.gc();
     let survivors = env.rt.flush_survivors();
@@ -202,11 +204,11 @@ fn run_partition(
         contexts: env.heap.export_contexts(),
         traces,
         captures: env.factory.capture_count(),
-        intern_misses: env.heap.context_intern_misses(),
         survivors,
         allocated_bytes: env.heap.total_allocated_bytes(),
         allocated_objects: env.heap.total_allocated_objects(),
         wall_ns: timer.elapsed_ns(),
+        telemetry,
         trace,
         trace_parent,
         lane,
@@ -256,15 +258,22 @@ impl Env {
                 workload: workload.name().to_owned(),
             })?;
 
-        // Children are silent (the parent narrates the run, per partition,
-        // in merge order). Tracing-wise they are *not* detached: each
-        // partition records into a child tracer the parent adopts at merge
-        // time (worker lane w runs on trace lane w+1; lane 0 is the parent).
-        let child_config = EnvConfig {
-            telemetry: None,
-            tracer: None,
-            ..self.config.clone()
-        };
+        let survivors = self.run_bracketed(workload.name(), || {
+            self.run_partitions(workload.name(), &tasks, config)
+        });
+        Ok(ParallelStats {
+            partitions: config.partitions,
+            threads: config.threads,
+            survivors,
+        })
+    }
+
+    /// Runs `tasks` on `config.threads` mutator threads and merges their
+    /// outcomes in partition-index order; returns the survivor count.
+    fn run_partitions(&self, name: &str, tasks: &[PartitionTask], config: ParallelConfig) -> usize {
+        // Each partition records into a child telemetry and a child tracer
+        // the parent adopts at merge time (worker lane w runs on trace lane
+        // w+1; lane 0 is the parent).
         let tracer = self.config.tracer.clone().filter(|tr| tr.is_armed());
         let workers = config.threads.min(tasks.len());
         let run_span = self
@@ -281,12 +290,7 @@ impl Env {
                 .iter()
                 .enumerate()
                 .map(|(i, t)| {
-                    run_partition(
-                        &child_config,
-                        t,
-                        i,
-                        tracer.as_ref().map(|tr| (tr, 1, false)),
-                    )
+                    run_partition(&self.config, t, i, tracer.as_ref().map(|tr| (tr, 1, false)))
                 })
                 .collect();
             drop(worker_span);
@@ -304,7 +308,7 @@ impl Env {
                     let queues = &queues;
                     let tasks = &tasks;
                     let slots = &slots;
-                    let child_config = &child_config;
+                    let config = &self.config;
                     let tracer = &tracer;
                     s.spawn(move || {
                         let lane_id = (w + 1) as u32;
@@ -315,8 +319,7 @@ impl Env {
                         while let Some(i) = queues.next(w) {
                             let stolen = queues.home(i) != w;
                             let trace = tracer.as_ref().map(|tr| (tr, lane_id, stolen));
-                            *slots[i].lock() =
-                                Some(run_partition(child_config, &tasks[i], i, trace));
+                            *slots[i].lock() = Some(run_partition(config, &tasks[i], i, trace));
                         }
                     });
                 }
@@ -337,6 +340,7 @@ impl Env {
                 .and_then(|l| l.scope("merge_partition"))
                 .map(|s| s.arg("partition", index as u64));
             let base_units = self.rt.clock().now();
+            let base_cycles = self.heap.gc_count();
             self.rt.clock().charge(outcome.sim_time);
 
             // Merge the partition's context table by export/import: frame
@@ -395,16 +399,12 @@ impl Env {
             if let Some(tr) = &tracer {
                 tr.adopt(&outcome.trace, outcome.trace_parent, outcome.lane);
             }
+            // The child's events re-base exactly like its cycles above.
+            if let (Some(t), Some(child)) = (&self.config.telemetry, &outcome.telemetry) {
+                t.adopt(child, base_units, base_cycles);
+            }
 
             if let Some(t) = &telemetry {
-                // Batched cross-shard flush: the partition ran with no
-                // telemetry attached, so its capture counters land here as
-                // one merge per partition instead of one op per capture.
-                let (frame_misses, ctx_misses) = outcome.intern_misses;
-                t.counter("heap.context.frame_misses").add(frame_misses);
-                t.counter("heap.context.misses").add(ctx_misses);
-                t.counter("heap.context.hits")
-                    .add(outcome.captures.saturating_sub(ctx_misses));
                 // Every count below is the partition's *own* total (the
                 // event previously reported the parent's running GC total
                 // as `cycles`), so parent-side aggregates must equal the
@@ -433,17 +433,13 @@ impl Env {
 
         if let Some(t) = &telemetry {
             if let Some(mut e) = t.event("parallel_run_end", self.rt.clock().now()) {
-                e.str("name", workload.name())
+                e.str("name", name)
                     .num("partitions", config.partitions as u64)
                     .num("threads", config.threads as u64)
                     .num("survivors", survivors as u64);
             }
         }
-        Ok(ParallelStats {
-            partitions: config.partitions,
-            threads: config.threads,
-            survivors,
-        })
+        survivors
     }
 }
 
@@ -694,24 +690,5 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), recs.len(), "duplicate span ids after adoption");
-    }
-
-    #[test]
-    fn partition_telemetry_lands_on_the_parent() {
-        use chameleon_telemetry::Telemetry;
-        let t = Telemetry::new();
-        t.set_enabled(true);
-        let env = Env::new(&EnvConfig {
-            telemetry: Some(t.clone()),
-            ..EnvConfig::default()
-        });
-        env.run_parallel(&Burst { sites: 8 }, ParallelConfig::with_threads(2))
-            .expect("parallel run");
-        let events = t.events_snapshot();
-        assert!(
-            events.contains("mutator_partition"),
-            "per-partition events: {events}"
-        );
-        assert!(events.contains("parallel_run_end"), "{events}");
     }
 }

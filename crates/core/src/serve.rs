@@ -46,8 +46,9 @@ use std::sync::Arc;
 /// assume its tenants keep one phase forever.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Environment template for tenants. Observability hooks (telemetry,
-    /// tracer, heap profiling) are stripped per tenant; profiling is
+    /// Environment template for tenants. Every tenant keeps the template's
+    /// observability hooks (telemetry, tracer, heap profiling), so a
+    /// running server logs its tenants' GC cycles and spans; profiling is
     /// forced on (online adaptation requires it).
     pub env: EnvConfig,
     /// Death cadence between rule re-evaluations per tenant.
@@ -314,14 +315,11 @@ impl Server {
         let workload = (self.resolve)(workload_name)
             .ok_or_else(|| format!("unknown workload {workload_name:?}"))?;
 
-        // Hermetic tenant environment: same contract as a parallel
-        // partition env — own heap, no shared observability hooks. The
-        // server is single-threaded, so the heap's single-mutator
-        // contract holds trivially.
+        // Hermetic tenant environment: own heap, like a parallel
+        // partition env. Dispatch is single-threaded, so the heap's
+        // single-mutator contract holds trivially, and tenants share the
+        // server's telemetry and tracer directly, as sequential code does.
         let env = Env::new(&EnvConfig {
-            telemetry: None,
-            tracer: None,
-            heapprof: None,
             profiling: true,
             shard_index: Some(self.opened),
             ..self.config.env.clone()
@@ -606,10 +604,11 @@ mod tests {
         })
     }
 
-    fn server() -> Server {
+    fn server_on(env: EnvConfig) -> Server {
         Server::new(
             RuleEngine::builtin(),
             &ServeConfig {
+                env,
                 eval_every_deaths: 50,
                 ..ServeConfig::default()
             },
@@ -637,9 +636,12 @@ mod tests {
 "#;
 
     fn run_session(script: &str) -> String {
+        run_session_on(&mut server_on(EnvConfig::default()), script)
+    }
+
+    fn run_session_on(server: &mut Server, script: &str) -> String {
         let mut out = Vec::new();
-        let ended =
-            serve_stream(&mut server(), script.as_bytes(), &mut out).expect("in-memory stream");
+        let ended = serve_stream(server, script.as_bytes(), &mut out).expect("in-memory stream");
         assert!(ended, "script ends with shutdown");
         String::from_utf8(out).expect("responses are utf-8")
     }
@@ -662,6 +664,23 @@ mod tests {
             let v = json::parse(line).expect("response parses");
             assert_eq!(json::render(&v), line, "response is canonical");
         }
+    }
+
+    #[test]
+    fn tenants_log_into_the_server_telemetry_without_changing_replies() {
+        let observed = || EnvConfig {
+            telemetry: Some(chameleon_telemetry::Telemetry::new()),
+            ..EnvConfig::default()
+        };
+        let env = observed();
+        let mut s = server_on(env.clone());
+        s.handle_line(r#"{"cmd":"tenant_open","tenant":"a","workload":"steady"}"#);
+        s.handle_line(r#"{"cmd":"tenant_step","tenant":"a","repeat":2}"#);
+        let log = env.telemetry.unwrap().events_snapshot();
+        assert!(log.matches("\"ev\":\"gc_cycle\"").count() >= 2, "{log}");
+
+        let replies = run_session_on(&mut server_on(observed()), SESSION);
+        assert_eq!(replies, run_session(SESSION), "telemetry changed a reply");
     }
 
     #[test]
@@ -724,7 +743,7 @@ mod tests {
 
     #[test]
     fn errors_are_structured_and_non_fatal() {
-        let mut s = server();
+        let mut s = server_on(EnvConfig::default());
         for (line, needle) in [
             ("not json", "bad json"),
             ("{\"nocmd\":1}", "missing string field \"cmd\""),
@@ -774,7 +793,7 @@ mod tests {
         let path = dir.join("serve.sock");
         let server_path = path.clone();
         let handle = std::thread::spawn(move || {
-            let mut s = server();
+            let mut s = server_on(EnvConfig::default());
             serve_socket(&mut s, &server_path).expect("socket serve");
         });
         // The listener may not be bound yet; retry the connect briefly.

@@ -6,7 +6,7 @@
 //! into a bounded [`SeriesStore`], and exposes:
 //!
 //! * per-context **peaks** — the cycle at which a context's retained size
-//!   was largest (cited by `chameleon profile --heapprof` suggestions);
+//!   was largest (cited by `chameleon profile --emit heapprof` suggestions);
 //! * **drift findings** — contexts whose live-bytes trend crossed the
 //!   configured growth threshold (suspected bloat);
 //! * a **collapsed-stack flamegraph** of the peak snapshot (context chains

@@ -7,7 +7,9 @@
 //!   cheap cloneable handles, so the hot path pays one relaxed atomic add;
 //! * [`Telemetry`] — the shared handle bundling the registry, a global
 //!   enabled flag (one relaxed load on every instrumented fast path) and a
-//!   structured JSONL event sink;
+//!   structured JSONL event sink; a sub-run records into a
+//!   [`Telemetry::child`] the parent later [`Telemetry::adopt`]s, the same
+//!   fork/adopt pair [`Tracer`] has;
 //! * [`json`] — a hand-rolled JSON writer (escaping) and a minimal parser
 //!   used to validate emitted event logs and to reconstruct decision audits
 //!   in tests, keeping the workspace free of external dependencies.
@@ -138,6 +140,43 @@ impl Telemetry {
         let t = Telemetry::new();
         t.set_enabled(false);
         t
+    }
+
+    /// An empty handle for a sub-run (a parallel partition) with this
+    /// handle's enabled state. Fold it back with [`Telemetry::adopt`].
+    pub fn child(&self) -> Telemetry {
+        let child = Telemetry::new();
+        child.set_enabled(self.is_enabled());
+        child
+    }
+
+    /// Folds a finished [`Telemetry::child`] into this handle. Counters
+    /// add; histograms add bucket counts, count and sum (one name means one
+    /// set of bounds); gauges take the max. The child's events are appended
+    /// in order, re-based onto this run the way merged `CycleStats` are:
+    /// `t` moves up by `t_base` (the simulated time at which the child's
+    /// clock started), and the `cycle` of `gc_cycle` / `heap_snapshot`
+    /// events by `cycle_base` (the GC cycles that ran before it). Wall-clock
+    /// `*_ns` fields pass through unchanged. Adopt children in a fixed order
+    /// for a deterministic log.
+    pub fn adopt(&self, child: &Telemetry, t_base: u64, cycle_base: u64) {
+        self.inner.registry.absorb(&child.inner.registry);
+        let log = child.events_snapshot();
+        let mut sink = self.inner.events.lock().unwrap_or_else(|e| e.into_inner());
+        for line in log.lines() {
+            let cycles = line.starts_with("{\"ev\":\"gc_cycle\",")
+                || line.starts_with("{\"ev\":\"heap_snapshot\",");
+            // `t` is always the second field, so it precedes `cycle`.
+            let mut rest = shift_field(&mut sink.buf, line, ",\"t\":", t_base);
+            if cycles {
+                rest = shift_field(&mut sink.buf, rest, ",\"cycle\":", cycle_base);
+            }
+            sink.buf.push_str(rest);
+            sink.buf.push('\n');
+        }
+        self.inner
+            .event_count
+            .fetch_add(child.event_count(), Ordering::Relaxed);
     }
 
     /// Switches event and metric recording on or off.
@@ -332,6 +371,25 @@ fn push_u64(buf: &mut String, v: u64) {
     let _ = fmt::Write::write_fmt(buf, format_args!("{v}"));
 }
 
+/// Copies `line` into `out` up to and including the first field marker
+/// `key` (e.g. `,"t":`) and the unsigned integer after it raised by `by`;
+/// returns the rest of the line. Keys and string values are escaped JSON,
+/// so the raw marker only occurs at a field boundary. A line without the
+/// marker or without a number after it is returned whole, untouched.
+fn shift_field<'a>(out: &mut String, line: &'a str, key: &str, by: u64) -> &'a str {
+    let Some(at) = line.find(key) else {
+        return line;
+    };
+    let start = at + key.len();
+    let digits = line[start..].bytes().take_while(u8::is_ascii_digit).count();
+    let Ok(value) = line[start..start + digits].parse::<u64>() else {
+        return line;
+    };
+    out.push_str(&line[..start]);
+    push_u64(out, value.saturating_add(by));
+    &line[start + digits..]
+}
+
 /// Wall-clock span timer for bracketing phases (GC mark/scan/sweep, workload
 /// phases). Purely a convenience over [`Instant`]; the caller decides which
 /// event the elapsed time lands in.
@@ -399,6 +457,64 @@ mod tests {
         let dump = t.dump_jsonl();
         json::validate_jsonl(&dump, &["ev"]).expect("all lines valid");
         assert!(dump.contains("\"name\":\"a.count\""));
+    }
+
+    #[test]
+    fn adopt_sums_metrics_and_rebases_events() {
+        let parent = Telemetry::new();
+        parent.counter("c").add(2);
+        parent.gauge("g").set(9);
+        parent.histogram("h", &[10, 100]).record(5);
+        let child = parent.child();
+        assert!(child.is_enabled() && child.event_count() == 0);
+        child.counter("c").add(3);
+        child.gauge("g").set(4);
+        for v in [50, 500] {
+            child.histogram("h", &[10, 100]).record(v);
+        }
+        let ev = |kind, t, cycle| {
+            child
+                .event(kind, t)
+                .unwrap()
+                .num("cycle", cycle)
+                .num("a_ns", 7);
+        };
+        ev("gc_cycle", 20, 0);
+        ev("heap_snapshot", 20, 1);
+        ev("phase", 30, 5);
+
+        parent.adopt(&child, 1000, 4);
+        let m = parent.metrics_snapshot(); // sorted: c, g, h
+        assert_eq!(
+            (m[0].value, m[1].value),
+            (5, 9),
+            "counters add; gauges take the max"
+        );
+        assert_eq!(
+            (m[2].value, m[2].sum, &m[2].buckets[..]),
+            (3, 555, &[1, 1, 1][..])
+        );
+        assert_eq!(parent.event_count(), 3);
+        assert_eq!(
+            parent.events_snapshot(),
+            "{\"ev\":\"gc_cycle\",\"t\":1020,\"cycle\":4,\"a_ns\":7}\n\
+             {\"ev\":\"heap_snapshot\",\"t\":1020,\"cycle\":5,\"a_ns\":7}\n\
+             {\"ev\":\"phase\",\"t\":1030,\"cycle\":5,\"a_ns\":7}\n",
+            "t always re-bases, cycle only on gc_cycle/heap_snapshot, *_ns never"
+        );
+    }
+
+    #[test]
+    fn disabled_child_records_nothing() {
+        let parent = Telemetry::disabled();
+        let child = parent.child();
+        assert!(!child.is_enabled());
+        assert!(child.event("gc_cycle", 1).is_none());
+        parent.set_enabled(true);
+        parent.adopt(&child, 10, 10);
+        assert_eq!(parent.event_count(), 0);
+        assert!(parent.events_snapshot().is_empty());
+        assert!(parent.metrics_snapshot().is_empty());
     }
 
     #[test]

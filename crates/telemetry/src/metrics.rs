@@ -308,6 +308,36 @@ impl Registry {
         }
     }
 
+    /// Folds every metric of `other` into this registry: counters add,
+    /// gauges take the max, histograms add bucket counts, count and sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a histogram's bounds differ between the two registries:
+    /// one metric name means one set of bounds.
+    pub(crate) fn absorb(&self, other: &Registry) {
+        for m in other.snapshot() {
+            match m.kind {
+                MetricKind::Counter => self.counter(&m.name).add(m.value),
+                MetricKind::Gauge => self.gauge(&m.name).max_with(m.value),
+                MetricKind::Histogram => {
+                    let h = self.histogram(&m.name, &m.bounds).inner;
+                    assert_eq!(
+                        h.bounds[..],
+                        m.bounds,
+                        "histogram `{}` adopted with different bounds",
+                        m.name
+                    );
+                    for (c, n) in h.counts.iter().zip(&m.buckets) {
+                        c.fetch_add(*n, Ordering::Relaxed);
+                    }
+                    h.sum.fetch_add(m.sum, Ordering::Relaxed);
+                    h.count.fetch_add(m.value, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> Vec<MetricSnapshot> {
         let map = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         map.iter()
@@ -465,6 +495,15 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].name, "x");
         assert_eq!(snap[0].value, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "different bounds")]
+    fn absorbing_a_histogram_with_other_bounds_panics() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.histogram("h", &[1, 2]);
+        b.histogram("h", &[1, 3]).record(1);
+        a.absorb(&b);
     }
 
     #[test]

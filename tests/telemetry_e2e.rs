@@ -1,11 +1,16 @@
 //! End-to-end tests for the telemetry layer: JSONL decision-audit
 //! reconstruction, determinism of simulated results under observation,
-//! the zero-allocation disabled path, and the enabled-path overhead bound.
+//! observation that survives the parallel split identically at every
+//! thread count, the zero-allocation disabled path, and the enabled-path
+//! overhead bound.
 
 use chameleon_collections::CollectionFactory;
-use chameleon_core::{Chameleon, Env, EnvConfig};
-use chameleon_telemetry::{json, Telemetry};
+use chameleon_core::{Chameleon, Env, EnvConfig, ParallelConfig};
+use chameleon_heap::HeapProfConfig;
+use chameleon_profiler::HeapProfile;
+use chameleon_telemetry::{json, SpanRecord, Telemetry, Tracer};
 use chameleon_workloads::{SizeDist, Synthetic, SyntheticSite};
+use std::collections::HashMap;
 use std::time::Instant;
 
 fn small_env() -> EnvConfig {
@@ -36,9 +41,10 @@ fn jsonl_reconstructs_profile_suggestions() {
 
     // Traced run.
     let t = Telemetry::new();
-    let traced = Chameleon::new()
-        .with_profile_config(small_env())
-        .with_telemetry(t.clone());
+    let traced = Chameleon::new().with_profile_config(EnvConfig {
+        telemetry: Some(t.clone()),
+        ..small_env()
+    });
     let report = traced.profile(&w);
     let suggestions = traced.engine().evaluate_traced(&report, Some(&t));
     assert_eq!(suggestions.len(), expected.len());
@@ -169,6 +175,93 @@ fn telemetry_never_perturbs_simulated_results() {
 
 /// The disabled path stays allocation-free on the warm capture route
 /// (extends the heap's intern-miss assertions across the attach boundary).
+/// Telemetry, tracer and heap profiling all reach the partition children
+/// of a parallel run and are adopted in partition order, so the event log
+/// (minus wall-clock `*_ns` fields and the configured thread count
+/// `parallel_run_end` echoes), the snapshots and the span tree are
+/// identical at 1, 2 and 4 threads, and the log's cycles are the heap's.
+#[test]
+fn parallel_observability_is_identical_across_thread_counts() {
+    let run = |threads| {
+        let (t, tracer) = (Telemetry::new(), Tracer::new());
+        let env = Env::new(&EnvConfig {
+            telemetry: Some(t.clone()),
+            tracer: Some(tracer.clone()),
+            heapprof: Some(HeapProfConfig { every: 1 }),
+            gc_interval_bytes: Some(8 * 1024),
+            ..EnvConfig::default()
+        });
+        let plan = ParallelConfig {
+            partitions: 4,
+            threads,
+        };
+        env.run_parallel(&Synthetic::small_maps(8), plan).unwrap();
+
+        let (mut log, mut logged) = (Vec::new(), Vec::new());
+        for line in t.dump_jsonl().lines() {
+            let Ok(json::Value::Obj(mut fields)) = json::parse(line) else {
+                panic!("not a JSON object: {line}");
+            };
+            if fields["ev"].as_str() == Some("gc_cycle") {
+                let num = |k: &str| fields[k].as_u64().expect(k);
+                logged.push((num("cycle"), num("t")));
+            }
+            fields.retain(|k, _| !k.ends_with("_ns") && k != "threads");
+            log.push(json::render(&json::Value::Obj(fields)));
+        }
+        let merged: Vec<_> = env
+            .heap
+            .cycles()
+            .iter()
+            .map(|c| (c.cycle, c.at_units))
+            .collect();
+        assert!(merged.len() > 4, "partitions collect mid-run too");
+        assert_eq!(
+            logged, merged,
+            "threads={threads}: gc_cycle re-bases like cycles"
+        );
+        let all = log.concat();
+        for ev in [
+            "workload_begin",
+            "mutator_partition",
+            "parallel_run_end",
+            "workload_end",
+        ] {
+            assert!(all.contains(&format!("\"ev\":\"{ev}\"")), "{ev} missing");
+        }
+
+        // Each span as (name, on the parent lane, ancestor names); which
+        // worker ran a partition (`worker` spans, `steal` instants) is
+        // scheduling and left out.
+        let records: Vec<SpanRecord> = tracer.records();
+        let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
+        let mut spans: Vec<_> = records
+            .iter()
+            .filter(|r| r.name != "worker" && r.name != "steal")
+            .map(|r| {
+                let mut ancestors = Vec::new();
+                let mut parent = r.parent;
+                while let Some(p) = by_id.get(&parent) {
+                    ancestors.push(p.name);
+                    parent = p.parent;
+                }
+                (r.name, r.lane == 0, ancestors)
+            })
+            .collect();
+        spans.sort();
+        let snapshots = HeapProfile::from_heap(&env.heap, 256).snapshots_jsonl(&env.heap);
+        (log, snapshots, spans)
+    };
+    let one = run(1);
+    assert!(!one.1.is_empty(), "snapshots captured");
+    for threads in [2, 4] {
+        let other = run(threads);
+        assert_eq!(one.0, other.0, "event log, threads 1 vs {threads}");
+        assert_eq!(one.1, other.1, "snapshot JSONL, threads 1 vs {threads}");
+        assert_eq!(one.2, other.2, "span tree, threads 1 vs {threads}");
+    }
+}
+
 #[test]
 fn disabled_telemetry_keeps_warm_capture_allocation_free() {
     let cfg = EnvConfig {
