@@ -90,7 +90,7 @@ pub fn populate(collections: usize) -> (Heap, Vec<ObjId>) {
     (heap, roots)
 }
 
-fn bench_gc_cycle(c: &mut Criterion) {
+fn bench_full_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("gc_cycle");
     group.sample_size(10);
     // ~10k collections -> ~100k objects in the slab.
@@ -121,5 +121,5 @@ fn bench_context_capture(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gc_cycle, bench_context_capture);
+criterion_group!(benches, bench_full_cycle, bench_context_capture);
 criterion_main!(benches);

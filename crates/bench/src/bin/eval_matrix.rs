@@ -6,7 +6,7 @@
 //! ```text
 //! eval_matrix [--spec FILE] [--workloads a,b] [--rulesets builtin,FILE]
 //!             [--heaps default,small-gc] [--threads 1,2,4]
-//!             [--telemetry-axis off,on] [--repeats N]
+//!             [--telemetry-axis off,on]
 //!             [--out DIR] [--jobs N] [--max-cells N] [--fresh]
 //! eval_matrix --gate [--golden FILE] [--out DIR]
 //! eval_matrix --report [--out DIR]

@@ -7,8 +7,10 @@
 //! accumulates a `manifest.json`, one JSONL row per completed cell, and a
 //! machine-validated `summary.json`. Killed runs resume from the rows on
 //! disk (config-hash checked); `--gate` diffs against checked-in goldens;
-//! `--report` folds a results directory into markdown plus
-//! `BENCH_eval.json`.
+//! `--report` folds a results directory into markdown.
+//!
+//! Cells carry simulated results only. What the tool costs in wall-clock
+//! time is measured by the end-to-end benchmark under `benchmark/`.
 //!
 //! Both entry points — the `eval_matrix` binary and `chameleon eval` —
 //! funnel into [`run_with`] with a flat string-keyed option map.
@@ -29,14 +31,13 @@ use std::path::PathBuf;
 
 /// Value-carrying option keys [`run_with`] understands, shared by both
 /// front ends so the CLI and the binary cannot drift apart.
-pub const VALUE_KEYS: [&str; 12] = [
+pub const VALUE_KEYS: [&str; 11] = [
     "spec",
     "workloads",
     "rulesets",
     "heaps",
     "threads",
     "telemetry-axis",
-    "repeats",
     "out",
     "jobs",
     "max-cells",
@@ -84,11 +85,6 @@ pub fn run_with(opts: &BTreeMap<String, String>) -> Result<String, String> {
     }
     if let Some(v) = list("telemetry-axis") {
         spec.telemetry = spec::parse_bool_list(&v, 0)?;
-    }
-    if let Some(r) = opts.get("repeats") {
-        spec.repeats = r
-            .parse()
-            .map_err(|_| format!("--repeats `{r}` is not a number"))?;
     }
 
     let dir: PathBuf = match opts.get("out") {

@@ -1,17 +1,12 @@
 //! Analysis pass: fold a results directory into a human-readable markdown
-//! table (`report.md`, also returned for stdout) and a trend-trajectory
-//! artifact (`BENCH_eval.json`, via the shared artifact path).
+//! table (`report.md`, also returned for stdout).
 
-use super::spec::SCHEMA;
-use crate::out::{host_meta, write_artifact};
 use chameleon_telemetry::json::{self, Value};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// Builds the report from `summary.json`, writes `report.md` into the
-/// results directory and `BENCH_eval.json` through the artifact path, and
-/// returns the markdown for printing.
+/// results directory, and returns the markdown for printing.
 pub fn report(dir: &Path) -> Result<String, String> {
     let path = dir.join("summary.json");
     let src = std::fs::read_to_string(&path)
@@ -36,16 +31,10 @@ pub fn report(dir: &Path) -> Result<String, String> {
             .unwrap_or(1);
         let _ = writeln!(
             md,
-            "Host: {} core(s), {}-{} · repeats: {} · total wall: {:.1} ms",
+            "Host: {} core(s), {}-{}",
             cores,
             host.get("os").and_then(Value::as_str).unwrap_or("?"),
             host.get("arch").and_then(Value::as_str).unwrap_or("?"),
-            summary.get("repeats").and_then(Value::as_u64).unwrap_or(1),
-            summary
-                .get("wall_ns_total")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0)
-                / 1e6
         );
     }
     if let Some(inv) = summary.get("telemetry_invariant") {
@@ -65,9 +54,9 @@ pub fn report(dir: &Path) -> Result<String, String> {
     let _ = writeln!(md);
     let _ = writeln!(
         md,
-        "| cell | sugg | applied | cost ratio | sim before | gc | pause p50/p95 | wall ms |"
+        "| cell | sugg | applied | cost ratio | sim before | gc | pause p50/p95 |"
     );
-    let _ = writeln!(md, "|---|---:|---:|---:|---:|---:|---:|---:|");
+    let _ = writeln!(md, "|---|---:|---:|---:|---:|---:|---:|");
     let mut cost_ratios: Vec<f64> = Vec::new();
     for c in cells {
         let sugg = c
@@ -78,7 +67,7 @@ pub fn report(dir: &Path) -> Result<String, String> {
         cost_ratios.push(ratio);
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {:.4} | {} | {}→{} | {:.0}/{:.0} | {:.2} |",
+            "| {} | {} | {} | {:.4} | {} | {}→{} | {:.0}/{:.0} |",
             s(c, "id"),
             sugg,
             f(c, "applied") as u64,
@@ -88,7 +77,6 @@ pub fn report(dir: &Path) -> Result<String, String> {
             f(c, "gc_after") as u64,
             f(c, "pause_p50"),
             f(c, "pause_p95"),
-            f(c, "wall_ns") / 1e6,
         );
     }
     if !cost_ratios.is_empty() {
@@ -105,54 +93,6 @@ pub fn report(dir: &Path) -> Result<String, String> {
     let report_path = dir.join("report.md");
     std::fs::write(&report_path, &md)
         .map_err(|e| format!("cannot write {}: {e}", report_path.display()))?;
-
-    // Trend artifact: one compact entry per cell plus the headline means.
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".to_string(), Value::Str(SCHEMA.to_string()));
-    doc.insert("host".to_string(), host_meta());
-    doc.insert(
-        "repeats".to_string(),
-        summary.get("repeats").cloned().unwrap_or(Value::Num(1.0)),
-    );
-    doc.insert("total_cells".to_string(), Value::Num(cells.len() as f64));
-    if !cost_ratios.is_empty() {
-        doc.insert(
-            "mean_cost_ratio".to_string(),
-            Value::Num(cost_ratios.iter().sum::<f64>() / cost_ratios.len() as f64),
-        );
-    }
-    if let Some(inv) = summary.get("telemetry_invariant") {
-        doc.insert("telemetry_invariant".to_string(), inv.clone());
-    }
-    let entries: Vec<Value> = cells
-        .iter()
-        .map(|c| {
-            let mut e = BTreeMap::new();
-            for key in [
-                "id",
-                "cost_ratio",
-                "sim_time_before",
-                "gc_before",
-                "pause_p95",
-                "wall_ns",
-            ] {
-                if let Some(v) = c.get(key) {
-                    e.insert(key.to_string(), v.clone());
-                }
-            }
-            e.insert(
-                "suggestions".to_string(),
-                Value::Num(
-                    c.get("suggestions")
-                        .and_then(Value::as_arr)
-                        .map_or(0, |a| a.len()) as f64,
-                ),
-            );
-            Value::Obj(e)
-        })
-        .collect();
-    doc.insert("cells".to_string(), Value::Arr(entries));
-    write_artifact("BENCH_eval.json", &json::render(&Value::Obj(doc)));
 
     Ok(md)
 }

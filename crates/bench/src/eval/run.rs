@@ -9,7 +9,7 @@
 
 use super::spec::{heap_preset, resolve_ruleset, Cell, EvalSpec, SCHEMA};
 use crate::out::host_meta;
-use chameleon_core::{run_quick_experiment, EnvConfig, ParallelConfig, QuickExperiment};
+use chameleon_core::{run_quick_experiment, EnvConfig, ParallelConfig};
 use chameleon_rules::RuleEngine;
 use chameleon_telemetry::json::{self, Value};
 use chameleon_telemetry::metrics::Histogram;
@@ -19,11 +19,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Keys every `cells.jsonl` row and every `summary.json` cell must carry;
 /// `validate_jsonl` checks the log against this list after each run.
-pub const ROW_KEYS: [&str; 19] = [
+pub const ROW_KEYS: [&str; 18] = [
     "id",
     "hash",
     "workload",
@@ -42,7 +41,6 @@ pub const ROW_KEYS: [&str; 19] = [
     "alloc_after",
     "pause_p50",
     "pause_p95",
-    "wall_ns",
 ];
 
 /// Pause-histogram bucket bounds: powers of two up to 1 Mi simulated
@@ -93,7 +91,7 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
     }
     let hash_of = |cell: &Cell| -> String {
         let src = ruleset_src[&cell.ruleset].as_deref().unwrap_or("builtin");
-        cell.config_hash(src, opts.spec.repeats)
+        cell.config_hash(src)
     };
     let expected: BTreeMap<String, String> = cells.iter().map(|c| (c.id(), hash_of(c))).collect();
 
@@ -164,7 +162,7 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
         }
         let cell = to_run[i];
         let src = ruleset_src[&cell.ruleset].as_deref();
-        match run_cell(cell, src, opts.spec.repeats) {
+        match run_cell(cell, src) {
             Ok(row) => {
                 let rendered = json::render(&row);
                 let mut file = log_file.lock().unwrap();
@@ -216,7 +214,7 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
             .unwrap_or_default()
             .to_string()
     });
-    write_summary(&opts.dir, &opts.spec, &all_rows)?;
+    write_summary(&opts.dir, &all_rows)?;
 
     // Machine-validate the row log against the schema before reporting
     // success: every row must parse and carry every required key.
@@ -239,9 +237,8 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
     })
 }
 
-/// Runs one cell `repeats` times, keeping the wall-time minimum (the
-/// simulated results are identical across repeats).
-fn run_cell(cell: &Cell, ruleset_src: Option<&str>, repeats: usize) -> Result<Value, String> {
+/// Runs one cell and renders its row.
+fn run_cell(cell: &Cell, ruleset_src: Option<&str>) -> Result<Value, String> {
     let engine = match ruleset_src {
         None => RuleEngine::builtin(),
         Some(src) => {
@@ -259,23 +256,14 @@ fn run_cell(cell: &Cell, ruleset_src: Option<&str>, repeats: usize) -> Result<Va
         threads: cell.threads,
     });
 
-    let mut best: Option<(u64, QuickExperiment)> = None;
-    for _ in 0..repeats.max(1) {
-        let config = EnvConfig {
-            gc_interval_bytes,
-            heap_capacity,
-            telemetry: cell.telemetry.then(Telemetry::new),
-            ..EnvConfig::default()
-        };
-        let t0 = Instant::now();
-        let quick = run_quick_experiment(workload.as_ref(), &engine, &config, parallel)
-            .map_err(|e| e.to_string())?;
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        if best.as_ref().is_none_or(|(w, _)| wall_ns < *w) {
-            best = Some((wall_ns, quick));
-        }
-    }
-    let (wall_ns, quick) = best.expect("at least one repeat");
+    let config = EnvConfig {
+        gc_interval_bytes,
+        heap_capacity,
+        telemetry: cell.telemetry.then(Telemetry::new),
+        ..EnvConfig::default()
+    };
+    let quick = run_quick_experiment(workload.as_ref(), &engine, &config, parallel)
+        .map_err(|e| e.to_string())?;
 
     let mut suggestions: Vec<String> = quick.suggestions.iter().map(|s| s.to_string()).collect();
     suggestions.sort();
@@ -292,7 +280,7 @@ fn run_cell(cell: &Cell, ruleset_src: Option<&str>, repeats: usize) -> Result<Va
     put("id", Value::Str(cell.id()));
     put(
         "hash",
-        Value::Str(cell.config_hash(ruleset_src.unwrap_or("builtin"), repeats)),
+        Value::Str(cell.config_hash(ruleset_src.unwrap_or("builtin"))),
     );
     put("workload", Value::Str(cell.workload.clone()));
     put("ruleset", Value::Str(cell.ruleset.clone()));
@@ -319,7 +307,6 @@ fn run_cell(cell: &Cell, ruleset_src: Option<&str>, repeats: usize) -> Result<Va
     );
     put("pause_p50", Value::Num(pauses.quantile(0.5)));
     put("pause_p95", Value::Num(pauses.quantile(0.95)));
-    put("wall_ns", Value::Num(wall_ns as f64));
     Ok(Value::Obj(row))
 }
 
@@ -332,7 +319,6 @@ fn write_manifest(
     let mut m = BTreeMap::new();
     m.insert("schema".to_string(), Value::Str(SCHEMA.to_string()));
     m.insert("host".to_string(), host_meta());
-    m.insert("repeats".to_string(), Value::Num(spec.repeats as f64));
     let mut axes = BTreeMap::new();
     let strs = |xs: &[String]| Value::Arr(xs.iter().cloned().map(Value::Str).collect());
     axes.insert("workloads".to_string(), strs(&spec.workloads));
@@ -372,7 +358,7 @@ fn write_manifest(
 /// the telemetry invariance (cells differing only in telemetry must have
 /// identical simulated results), then parses the written file back to
 /// prove it is machine-readable.
-fn write_summary(dir: &Path, spec: &EvalSpec, rows: &[Value]) -> Result<(), String> {
+fn write_summary(dir: &Path, rows: &[Value]) -> Result<(), String> {
     let mut pairs: BTreeMap<String, Vec<&Value>> = BTreeMap::new();
     for row in rows {
         let id = row.get("id").and_then(Value::as_str).unwrap_or_default();
@@ -399,16 +385,10 @@ fn write_summary(dir: &Path, spec: &EvalSpec, rows: &[Value]) -> Result<(), Stri
         }
     }
 
-    let wall_total: f64 = rows
-        .iter()
-        .filter_map(|r| r.get("wall_ns").and_then(Value::as_f64))
-        .sum();
     let mut s = BTreeMap::new();
     s.insert("schema".to_string(), Value::Str(SCHEMA.to_string()));
     s.insert("host".to_string(), host_meta());
-    s.insert("repeats".to_string(), Value::Num(spec.repeats as f64));
     s.insert("total_cells".to_string(), Value::Num(rows.len() as f64));
-    s.insert("wall_ns_total".to_string(), Value::Num(wall_total));
     let mut inv = BTreeMap::new();
     inv.insert(
         "checked_pairs".to_string(),

@@ -9,12 +9,12 @@
 
 use std::path::PathBuf;
 
-/// Results-schema identifier stamped into every manifest, summary, golden
-/// and `BENCH_eval.json`. Bump when a field changes meaning; the hash
-/// covers it, so old rows are recomputed rather than misread.
+/// Results-schema identifier stamped into every manifest, summary and
+/// golden. Bump when a field changes meaning; the hash covers it, so old
+/// rows are recomputed rather than misread.
 pub const SCHEMA: &str = "chameleon-eval/1";
 
-/// The five evaluation axes plus the per-cell repeat count.
+/// The five evaluation axes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalSpec {
     /// Workload registry names (see `chameleon_workloads::NAMES`).
@@ -30,9 +30,6 @@ pub struct EvalSpec {
     /// Telemetry attachment axis (simulation results must be identical
     /// either way; the summary cross-checks this).
     pub telemetry: Vec<bool>,
-    /// Timed repeats per cell (wall time keeps the minimum; simulated
-    /// results are identical across repeats).
-    pub repeats: usize,
 }
 
 impl Default for EvalSpec {
@@ -45,7 +42,6 @@ impl Default for EvalSpec {
             heaps: vec!["default".into(), "small-gc".into()],
             threads: vec![1, 2, 4],
             telemetry: vec![false, true],
-            repeats: 1,
         }
     }
 }
@@ -93,11 +89,11 @@ impl Cell {
 
     /// Config hash over every input that could change this cell's results:
     /// schema version, all five axis values, the resolved ruleset source
-    /// text, the heap preset's parameters, and the repeat count.
-    pub fn config_hash(&self, ruleset_src: &str, repeats: usize) -> String {
+    /// text, and the heap preset's parameters.
+    pub fn config_hash(&self, ruleset_src: &str) -> String {
         let (gc_interval, capacity) = heap_preset(&self.heap).expect("validated preset");
         let desc = format!(
-            "{SCHEMA}|{}|{}|{}|{}|gc={gc_interval:?}|cap={capacity:?}|t={}|tel={}|r={repeats}",
+            "{SCHEMA}|{}|{}|{}|{}|gc={gc_interval:?}|cap={capacity:?}|t={}|tel={}",
             self.workload, self.ruleset, ruleset_src, self.heap, self.threads, self.telemetry,
         );
         format!("{:016x}", fnv1a(desc.as_bytes()))
@@ -204,9 +200,6 @@ impl EvalSpec {
         {
             return Err("every axis needs at least one value".to_string());
         }
-        if self.repeats == 0 {
-            return Err("repeats must be at least 1".to_string());
-        }
         for w in &self.workloads {
             let workload = chameleon_workloads::by_name(w)
                 .ok_or_else(|| format!("unknown workload `{w}` (try list-workloads)"))?;
@@ -259,12 +252,6 @@ impl EvalSpec {
                 "heaps" => spec.heaps = values,
                 "threads" => spec.threads = parse_usize_list(&values, lineno + 1)?,
                 "telemetry" => spec.telemetry = parse_bool_list(&values, lineno + 1)?,
-                "repeats" => {
-                    spec.repeats = values
-                        .first()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("line {}: repeats needs a number", lineno + 1))?
-                }
                 other => return Err(format!("line {}: unknown key `{other}`", lineno + 1)),
             }
         }
@@ -343,15 +330,10 @@ mod tests {
             threads: 1,
             telemetry: false,
         };
-        let a = cell.config_hash("rule A", 1);
-        let b = cell.config_hash("rule B", 1);
+        let a = cell.config_hash("rule A");
+        let b = cell.config_hash("rule B");
         assert_ne!(a, b, "ruleset source must change the hash");
-        assert_ne!(
-            cell.config_hash("rule A", 1),
-            cell.config_hash("rule A", 2),
-            "repeat count must change the hash"
-        );
-        assert_eq!(a, cell.config_hash("rule A", 1), "hash is deterministic");
+        assert_eq!(a, cell.config_hash("rule A"), "hash is deterministic");
     }
 
     #[test]

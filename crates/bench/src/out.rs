@@ -5,11 +5,6 @@
 //! tee: each [`outln!`] line still goes to stdout, and on drop the full text
 //! is saved under [`out_dir`] (`CHAMELEON_RESULTS_DIR`, default `results/`)
 //! so eval runs can redirect the whole fleet with one env var.
-//!
-//! Machine-readable artifacts (`BENCH_*.json`) instead go through
-//! [`artifact_path`]: they land in the current directory when
-//! `CHAMELEON_RESULTS_DIR` is unset — CI's smoke steps validate them at the
-//! repo root — and follow the override when it is set.
 
 use chameleon_telemetry::json::Value;
 use std::cell::RefCell;
@@ -27,34 +22,9 @@ pub fn out_dir() -> PathBuf {
     }
 }
 
-/// Where a machine-readable artifact (e.g. `BENCH_mt.json`) should be
-/// written: the current directory by default (CI validates these at the
-/// repo root), or `$CHAMELEON_RESULTS_DIR` when set.
-pub fn artifact_path(name: &str) -> PathBuf {
-    match std::env::var_os("CHAMELEON_RESULTS_DIR") {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir).join(name),
-        _ => PathBuf::from(name),
-    }
-}
-
-/// Writes a machine-readable artifact via [`artifact_path`], creating the
-/// results directory if needed, and echoes where it went.
-pub fn write_artifact(name: &str, contents: &str) {
-    let path = artifact_path(name);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(&path, contents) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
 /// Number of hardware threads the host exposes (1 when unknown). Recorded
-/// in bench JSON so gates can contextualize per-host numbers — threads=4
-/// "losing" on a 1-core container is expected, not a regression.
+/// in the eval manifest, summary and golden so a reader can tell which
+/// host a results directory came from.
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -77,12 +47,6 @@ pub fn host_meta() -> Value {
         Value::Str(std::env::consts::ARCH.to_string()),
     );
     Value::Obj(obj)
-}
-
-/// Host metadata as a raw JSON object string, for the bins that hand-roll
-/// their `BENCH_*.json` documents.
-pub fn host_meta_json() -> String {
-    chameleon_telemetry::json::render(&host_meta())
 }
 
 /// Buffered stdout tee for one bench binary. Lines written through
@@ -154,19 +118,6 @@ macro_rules! outln {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn artifact_path_defaults_to_cwd() {
-        // The CI smoke steps read BENCH_mt.json from the repo root; the
-        // default must stay a bare relative path.
-        if std::env::var_os("CHAMELEON_RESULTS_DIR").is_none() {
-            assert_eq!(
-                artifact_path("BENCH_mt.json"),
-                PathBuf::from("BENCH_mt.json")
-            );
-            assert_eq!(out_dir(), PathBuf::from("results"));
-        }
-    }
 
     #[test]
     fn host_meta_has_core_count() {

@@ -13,7 +13,6 @@ fn tiny_spec() -> EvalSpec {
         heaps: vec!["default".to_owned(), "small-gc".to_owned()],
         threads: vec![1, 2],
         telemetry: vec![false],
-        repeats: 1,
     }
 }
 
@@ -109,17 +108,38 @@ fn max_cells_kill_then_resume_completes_without_recomputation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn manifest_ids(dir: &Path) -> Vec<String> {
+    let src = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let doc = json::parse(&src).expect("manifest parses");
+    let cells = doc.get("cells").and_then(Value::as_arr).expect("cells");
+    cells
+        .iter()
+        .map(|c| c.get("id").and_then(Value::as_str).expect("id").to_owned())
+        .collect()
+}
+
 #[test]
 fn config_change_invalidates_stale_rows() {
+    // Editing a ruleset file in place keeps every cell id but changes the
+    // source text the config hash covers, so nothing on disk is eligible
+    // for resume.
     let dir = temp_dir("invalidate");
-    run_matrix(&opts(tiny_spec(), &dir)).expect("seed run");
-
-    // Bumping `repeats` changes every cell's config hash, so nothing on
-    // disk is eligible for resume.
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let rules = dir.join("policy.rules");
+    let write_rules = |bound: u32| {
+        let src = format!("HashMap : maxSize < {bound} -> ArrayMap \"Space: small\";");
+        std::fs::write(&rules, src).expect("write ruleset");
+    };
+    write_rules(8);
     let mut spec = tiny_spec();
-    spec.repeats = 2;
+    spec.rulesets = vec![rules.display().to_string()];
+    run_matrix(&opts(spec.clone(), &dir)).expect("seed run");
+    let ids = manifest_ids(&dir);
+
+    write_rules(16);
     let outcome = run_matrix(&opts(spec, &dir)).expect("recompute");
     assert_eq!((outcome.computed, outcome.skipped), (4, 0));
+    assert_eq!(manifest_ids(&dir), ids, "cell ids survive the edit");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,7 +49,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "rulesets",
     "heaps",
     "telemetry-axis",
-    "repeats",
     "jobs",
     "max-cells",
     "golden",
@@ -161,7 +160,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         path: &["eval"],
         usage: "[--spec FILE] [--workloads A,B] [--rulesets builtin,FILE] \
                 [--heaps P,Q] [--threads 1,2,4] [--telemetry-axis off,on] \
-                [--repeats N] [--out DIR] [--jobs N] [--max-cells N] [--fresh] \
+                [--out DIR] [--jobs N] [--max-cells N] [--fresh] \
                 [--gate | --report | --write-golden FILE] [--golden FILE]",
     },
     Subcommand {

@@ -96,14 +96,13 @@ EVAL (experiment-matrix fleet; see crates/bench/src/eval):
                   below override individual axes of the spec or defaults
   --workloads A,B --rulesets builtin,FILE --heaps P,Q --threads 1,2,4
   --telemetry-axis off,on   matrix axes (comma-separated lists)
-  --repeats N     run each cell N times, keep the fastest wall time
   --out DIR       results directory (default <results>/eval)
   --jobs N        worker threads executing cells (default host parallelism)
   --max-cells N   stop after N newly computed cells (resume later)
   --fresh         ignore rows on disk instead of resuming from them
   --gate          diff the results directory against the golden; nonzero
                   exit on drift   [--golden FILE]
-  --report        fold the results directory into markdown + BENCH_eval.json
+  --report        fold the results directory into report.md
   --write-golden FILE   distill the results directory into a golden
 ";
 
@@ -844,14 +843,8 @@ mod tests {
         assert!(dir.join("manifest.json").exists());
         assert!(dir.join("cells.jsonl").exists());
         assert!(dir.join("summary.json").exists());
-        // Keep the report's BENCH_eval.json artifact inside the temp dir
-        // instead of the test's working directory.
-        std::env::set_var("CHAMELEON_RESULTS_DIR", &dir);
-        let report = run_str(&format!("eval --report --out {}", dir.display()));
-        std::env::remove_var("CHAMELEON_RESULTS_DIR");
-        report.expect("report");
+        run_str(&format!("eval --report --out {}", dir.display())).expect("report");
         assert!(dir.join("report.md").exists());
-        assert!(dir.join("BENCH_eval.json").exists());
         let err = run_str(&format!(
             "eval --gate --out {} --golden {}",
             dir.display(),

@@ -447,6 +447,25 @@ impl Env {
 mod tests {
     use super::*;
     use chameleon_collections::CollectionFactory;
+    use std::ops::Range;
+
+    /// Splits `sites` into at most `parts` contiguous ranges, one
+    /// partition task each.
+    fn site_ranges(
+        sites: usize,
+        parts: usize,
+        label: &str,
+        run: fn(&CollectionFactory, Range<usize>),
+    ) -> Vec<PartitionTask> {
+        let parts = parts.min(sites).max(1);
+        let per = sites.div_ceil(parts);
+        (0..parts)
+            .map(|p| {
+                let range = p * per..((p + 1) * per).min(sites);
+                PartitionTask::new(format!("{label}[{p}]"), move |f| run(f, range.clone()))
+            })
+            .collect()
+    }
 
     /// A partitionable workload: `sites` allocation sites, each allocating
     /// a deterministic burst of maps and lists.
@@ -484,21 +503,57 @@ mod tests {
             }
         }
         fn partitions(&self, parts: usize) -> Option<Vec<PartitionTask>> {
-            let parts = parts.min(self.sites).max(1);
-            let per = self.sites.div_ceil(parts);
-            Some(
-                (0..parts)
-                    .map(|p| {
-                        let lo = p * per;
-                        let hi = ((p + 1) * per).min(self.sites);
-                        PartitionTask::new(format!("burst[{p}]"), move |f| {
-                            for site in lo..hi {
-                                Burst::run_site(f, site);
-                            }
-                        })
-                    })
-                    .collect(),
-            )
+            Some(site_ranges(self.sites, parts, "burst", |f, sites| {
+                sites.for_each(|site| Burst::run_site(f, site))
+            }))
+        }
+    }
+
+    /// The shape of the workloads crate's `Synthetic` at benchmark scale,
+    /// which core cannot name (that crate depends on this one): each site
+    /// allocates six-entry maps, and every other site keeps its maps live
+    /// until its partition ends, so survivors cross GC cycles.
+    struct LongLived {
+        sites: usize,
+    }
+
+    impl LongLived {
+        const INSTANCES_PER_SITE: usize = 1500;
+
+        fn run_sites(f: &CollectionFactory, sites: Range<usize>) {
+            let mut keep = Vec::new();
+            for site in sites {
+                let _g = f.enter(&format!("LongLived.site:{site}"));
+                for _ in 0..Self::INSTANCES_PER_SITE {
+                    let mut m = f.new_map::<i64, i64>(None);
+                    for k in 0..6 {
+                        m.put(k, k);
+                    }
+                    for k in 0..8 {
+                        let _ = m.get(&(k % 6));
+                    }
+                    if site % 2 == 0 {
+                        keep.push(m);
+                    }
+                }
+            }
+        }
+    }
+
+    impl Workload for LongLived {
+        fn name(&self) -> &'static str {
+            "long_lived"
+        }
+        fn run(&self, f: &CollectionFactory) {
+            LongLived::run_sites(f, 0..self.sites);
+        }
+        fn partitions(&self, parts: usize) -> Option<Vec<PartitionTask>> {
+            Some(site_ranges(
+                self.sites,
+                parts,
+                "long_lived",
+                LongLived::run_sites,
+            ))
         }
     }
 
@@ -509,24 +564,38 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts() {
         // Same partition plan, different thread counts: every byte of the
-        // metrics and of the ranked profile report must match.
-        let mut prints = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let env = Env::new(&EnvConfig::default());
-            let stats = env
-                .run_parallel(
-                    &Burst { sites: 8 },
-                    ParallelConfig {
-                        partitions: 4,
-                        threads,
-                    },
-                )
-                .expect("parallel run");
-            assert_eq!(stats.partitions, 4);
-            prints.push(fingerprint(&env));
+        // metrics and of the ranked profile report must match, both for
+        // short-lived bursts and for long-lived maps that survive the GC
+        // cycles the default 256 KiB interval runs inside each partition.
+        let inputs: [&dyn Workload; 2] = [&Burst { sites: 8 }, &LongLived { sites: 8 }];
+        for workload in inputs {
+            let name = workload.name();
+            let mut prints = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let env = Env::new(&EnvConfig::default());
+                let stats = env
+                    .run_parallel(
+                        workload,
+                        ParallelConfig {
+                            partitions: 4,
+                            threads,
+                        },
+                    )
+                    .expect("parallel run");
+                assert_eq!(stats.partitions, 4);
+                if name == "long_lived" {
+                    let cycles = env.heap.cycles();
+                    assert!(cycles.len() > 4, "{name}: partitions collect mid-run");
+                    assert!(
+                        cycles.iter().any(|c| c.live_objects > 0),
+                        "{name}: survivors cross a GC cycle"
+                    );
+                }
+                prints.push(fingerprint(&env));
+            }
+            assert_eq!(prints[0], prints[1], "{name}: 1 thread vs 2 threads");
+            assert_eq!(prints[1], prints[2], "{name}: 2 threads vs 4 threads");
         }
-        assert_eq!(prints[0], prints[1], "1 thread vs 2 threads");
-        assert_eq!(prints[1], prints[2], "2 threads vs 4 threads");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! * **`wallclock`** — `Instant::now` / `SystemTime` create run-to-run
 //!   nondeterminism; they are confined to the telemetry clock plumbing
-//!   and the benchmark harness.
+//!   and the shims (the criterion shim times micro-benchmarks). The
+//!   end-to-end benchmark under `benchmark/` is outside the workspace.
 //! * **`hashmap-iter`** — iterating a `HashMap`/`HashSet` in the
 //!   deterministic crates (`heap`, `core`, `rules`, `profiler`) leaks
 //!   hash-seed order into results. Sites that sort afterwards (or fold

@@ -52,10 +52,7 @@ fn span(lx: &Lexed, from: usize, to: usize) -> Span {
 
 /// `wallclock`: `Instant::now` / `SystemTime` outside the whitelist.
 pub fn wallclock(path: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
-    if path.starts_with("shims/")
-        || path.starts_with("crates/bench/")
-        || WALLCLOCK_OK.contains(&path)
-    {
+    if path.starts_with("shims/") || WALLCLOCK_OK.contains(&path) {
         return;
     }
     for i in 0..lx.toks.len() {

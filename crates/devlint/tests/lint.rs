@@ -78,9 +78,11 @@ fn hashmap_iteration_in_tests_is_fine() {
 fn instant_now_is_caught_outside_the_clock() {
     let src = "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n";
     assert_eq!(codes("crates/core/src/x.rs", src), vec!["wallclock"]);
-    // The telemetry clock and the bench harness are allowed.
+    // Only the telemetry clock is allowed; the bench bins and the eval
+    // matrix report simulated results and leave wall-clock time to the
+    // end-to-end benchmark.
     assert!(codes("crates/telemetry/src/trace.rs", src).is_empty());
-    assert!(codes("crates/bench/src/bin/x.rs", src).is_empty());
+    assert_eq!(codes("crates/bench/src/bin/x.rs", src), vec!["wallclock"]);
 }
 
 #[test]

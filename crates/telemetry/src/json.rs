@@ -1,8 +1,8 @@
 //! Hand-rolled JSON writer helpers and a minimal parser.
 //!
-//! The sink writes JSON by hand (same style as `bench_gc`); the parser
-//! exists so tests and the CLI trace report can read event logs back
-//! without an external dependency. It covers the full JSON grammar except
+//! The sink writes JSON by hand; the parser exists so tests and the eval
+//! fleet can read event logs and results back without an external
+//! dependency. It covers the full JSON grammar except
 //! `\u` surrogate pairs outside the BMP are passed through unpaired.
 
 use std::collections::BTreeMap;

@@ -5,8 +5,9 @@
 //! `BenchmarkId`, `Bencher::iter`, the `criterion_group!`/`criterion_main!`
 //! macros) with a plain wall-clock harness: calibrate an iteration count to
 //! a small time budget, take several samples, and report the median
-//! nanoseconds per iteration to stdout. No plots, no statistics files —
-//! just honest numbers so benches still run offline.
+//! nanoseconds per iteration to stdout with its quartile spread, under a
+//! group header naming the host's core count. No plots, no statistics
+//! files — just honest numbers so benches still run offline.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -74,6 +75,8 @@ pub struct Measurement {
     pub group: String,
     pub label: String,
     pub median_ns_per_iter: f64,
+    /// Quartile spread of the samples, `(Q3 - Q1) / median`.
+    pub spread: f64,
     pub samples: usize,
     pub iters_per_sample: u64,
 }
@@ -98,7 +101,8 @@ impl Default for Criterion {
 impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
-        println!("group {name}");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        println!("group {name} (available_parallelism {cores})");
         BenchmarkGroup {
             criterion: self,
             name,
@@ -189,16 +193,20 @@ impl BenchmarkGroup<'_> {
             })
             .collect();
         per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-        let median = per_iter_ns[per_iter_ns.len() / 2];
+        let n = per_iter_ns.len();
+        let median = per_iter_ns[n / 2];
+        let spread = (per_iter_ns[3 * n / 4] - per_iter_ns[n / 4]) / median;
 
         println!(
-            "  {name}/{label:<32} {median:>12.1} ns/iter ({samples} samples x {iters} iters)",
+            "  {name}/{label:<32} {median:>12.1} ns/iter (spread {pct:.1}%, {samples} samples x {iters} iters)",
             name = self.name,
+            pct = spread * 100.0,
         );
         self.criterion.measurements.push(Measurement {
             group: self.name.clone(),
             label,
             median_ns_per_iter: median,
+            spread,
             samples,
             iters_per_sample: iters,
         });
@@ -243,5 +251,6 @@ mod tests {
         g.finish();
         assert_eq!(c.measurements().len(), 1);
         assert!(c.measurements()[0].median_ns_per_iter > 0.0);
+        assert!(c.measurements()[0].spread >= 0.0);
     }
 }

@@ -354,8 +354,7 @@ fn gc_cycles_and_snapshots_interleave_in_cycle_order() {
 }
 
 /// Satellite: the telemetry layer costs < 5% wall-clock per GC cycle on
-/// the same heap (the measurement `bench_gc`'s `telemetry_overhead`
-/// section emits). Cycles are interleaved (off, on, off, on, ...) and
+/// the same heap. Cycles are interleaved (off, on, off, on, ...) and
 /// compared on per-side minima so scheduler noise cancels; retried
 /// because CI wall-clock is noisy.
 #[test]
