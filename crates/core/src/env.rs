@@ -233,14 +233,14 @@ impl Env {
     /// events on the shared `SimClock`; the end event carries the run's
     /// headline metrics. [`Env::run`] and [`Env::run_parallel`] share it,
     /// so both execution modes log the same bracket.
-    pub(crate) fn run_bracketed<R>(&self, name: &str, body: impl FnOnce() -> R) -> R {
+    pub(crate) fn run_bracketed(&self, name: &str, body: impl FnOnce()) {
         let telemetry = self.rt.telemetry().filter(|t| t.is_enabled());
         if let Some(t) = &telemetry {
             if let Some(mut e) = t.event("workload_begin", self.rt.clock().now()) {
                 e.str("name", name);
             }
         }
-        let out = body();
+        body();
         if let Some(t) = &telemetry {
             let m = self.metrics();
             if let Some(mut e) = t.event("workload_end", m.sim_time) {
@@ -253,7 +253,6 @@ impl Env {
                     .num("capture_count", m.capture_count);
             }
         }
-        out
     }
 
     /// Extracts the run's metrics.

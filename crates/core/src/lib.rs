@@ -44,13 +44,6 @@ pub mod minheap;
 pub mod online;
 pub mod parallel;
 pub mod serve;
-/// Public only under `--features model` so `tests/model_steal.rs` can
-/// model-check the queues; an internal scheduling detail otherwise.
-#[cfg(feature = "model")]
-pub mod steal;
-#[cfg(not(feature = "model"))]
-mod steal;
-mod sync;
 pub mod workload;
 
 pub use env::{portable_updates, Env, EnvConfig, PortableChoice, PortableUpdate};
@@ -60,7 +53,7 @@ pub use minheap::{
     completes_under, completes_under_with, min_heap_size, min_heap_size_with, silence_oom_panics,
 };
 pub use online::{run_online, OnlineConfig, OnlineDriftConfig, OnlineError, OnlineResult};
-pub use parallel::{default_threads, ParallelConfig, ParallelError, ParallelStats};
+pub use parallel::{default_threads, ParallelConfig, ParallelError};
 #[cfg(unix)]
 pub use serve::serve_socket;
 pub use serve::{serve_stream, Reply, ServeConfig, Server, WorkloadResolver};

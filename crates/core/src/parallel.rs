@@ -1,13 +1,14 @@
 //! Parallel mutator runtime with deterministic partition merge.
 //!
-//! [`Env::run_parallel`] executes a partitioned workload on a pool of
-//! mutator threads. Each partition runs against its own *hermetic*
-//! environment — a fresh single-mutator heap, runtime, factory and
-//! profiler built from the parent's [`EnvConfig`] — so mutator threads
-//! share no simulation state, never touch the parent heap, and take zero
-//! locks on the allocation path. Partitions are scheduled by work
-//! stealing (contiguous blocks per worker, steal-from-richest when
-//! drained), so non-divisible plans keep every thread busy. When every partition has finished, the results are
+//! [`Env::run_parallel`] executes a partitioned workload on the calling
+//! thread (worker 0) plus scoped helper threads. Each partition runs
+//! against its own *hermetic* environment — a fresh single-mutator heap,
+//! runtime, factory and profiler built from the parent's [`EnvConfig`] —
+//! so mutator threads share no simulation state, never touch the parent
+//! heap, and take zero locks on the allocation path. Workers claim
+//! partition indices from one shared counter, so a worker that finishes
+//! takes the next unclaimed partition and non-divisible plans keep every
+//! thread busy. When every partition has finished, the results are
 //! folded into the parent environment **in partition-index order**:
 //! context tables are merged by `Arc`-shared export/import with id remap,
 //! GC cycles and heap snapshots renumbered, per-context traces merged,
@@ -28,12 +29,11 @@
 //! (deterministically so).
 
 use crate::env::{Env, EnvConfig};
-use crate::steal::StealQueues;
 use crate::workload::{PartitionTask, Workload};
 use chameleon_heap::{ContextExport, ContextId, CycleStats, HeapSnapshot};
 use chameleon_profiler::ContextTrace;
 use chameleon_telemetry::{SpanRecord, SpanTimer, Telemetry, Tracer};
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Mutator threads to use when the caller does not pick a count: the
 /// host's available parallelism (1 when the runtime cannot tell).
@@ -60,12 +60,6 @@ impl ParallelConfig {
             partitions: n,
             threads: n,
         }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::with_threads(default_threads())
     }
 }
 
@@ -101,19 +95,6 @@ impl std::fmt::Display for ParallelError {
 
 impl std::error::Error for ParallelError {}
 
-/// Summary of a parallel run (the simulation results live in the parent
-/// environment, exactly as after [`Env::run`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Partitions executed (1 when the run degenerated to sequential).
-    pub partitions: usize,
-    /// Mutator threads used.
-    pub threads: usize,
-    /// Collection-instance statistics flushed as survivors across all
-    /// partitions.
-    pub survivors: usize,
-}
-
 /// Everything a finished partition hands back for the ordered merge.
 /// Plain data only, so it crosses the thread boundary freely.
 struct PartitionOutcome {
@@ -147,26 +128,22 @@ struct PartitionOutcome {
 
 /// Runs one partition to completion in a fresh hermetic environment and
 /// extracts its portable outcome. The partition records into a child of
-/// the parent's telemetry. `trace` is `(parent tracer, worker lane,
-/// stolen)` when tracing is armed: the partition gets a `partition` span on
-/// the worker's lane (preceded by a `steal` instant when the index came
-/// from another worker's queue), and runs against a *child* tracer whose
+/// the parent's telemetry. `trace` is `(parent tracer, worker lane)` when
+/// tracing is armed: the partition gets a `partition` span on the
+/// worker's lane, and runs against a *child* tracer whose
 /// records the parent adopts during the deterministic merge — so worker
 /// rings stay single-writer and the trace is causal across the fork/join.
 fn run_partition(
     config: &EnvConfig,
     task: &PartitionTask,
     index: usize,
-    trace: Option<(&Tracer, u32, bool)>,
+    trace: Option<(&Tracer, u32)>,
 ) -> PartitionOutcome {
     let timer = SpanTimer::start();
     let (span, child_tracer) = match trace {
-        Some((tr, lane_id, stolen)) => {
-            let lane = tr.lane(lane_id);
-            if stolen {
-                lane.instant("steal", &[("partition", index as u64)]);
-            }
-            let span = lane
+        Some((tr, lane_id)) => {
+            let span = tr
+                .lane(lane_id)
                 .scope("partition")
                 .map(|s| s.arg("partition", index as u64));
             (span, Some(tr.child(lane_id)))
@@ -191,7 +168,7 @@ fn run_partition(
         .map(|p| p.traces())
         .unwrap_or_default();
     let trace_parent = span.as_ref().map_or(0, |s| s.id());
-    let lane = trace.map_or(0, |(_, lane_id, _)| lane_id);
+    let lane = trace.map_or(0, |(_, lane_id)| lane_id);
     let trace = child_tracer
         .as_ref()
         .map(|c| c.records())
@@ -228,6 +205,12 @@ impl Env {
     /// [`Env::run`], so the single-partition results match the sequential
     /// path exactly.
     ///
+    /// # Panics
+    ///
+    /// A partition that panics (say, with `OutOfMemory` under a tight
+    /// heap capacity) unwinds out of this call with its own payload, at
+    /// any thread count.
+    ///
     /// # Errors
     ///
     /// Fails when `partitions` or `threads` is zero, or when the workload
@@ -236,7 +219,7 @@ impl Env {
         &self,
         workload: &dyn Workload,
         config: ParallelConfig,
-    ) -> Result<ParallelStats, ParallelError> {
+    ) -> Result<(), ParallelError> {
         if config.partitions == 0 {
             return Err(ParallelError::ZeroPartitions);
         }
@@ -245,11 +228,7 @@ impl Env {
         }
         if config.partitions == 1 {
             self.run(workload);
-            return Ok(ParallelStats {
-                partitions: 1,
-                threads: 1,
-                survivors: 0,
-            });
+            return Ok(());
         }
         let tasks = workload
             .partitions(config.partitions)
@@ -258,24 +237,20 @@ impl Env {
                 workload: workload.name().to_owned(),
             })?;
 
-        let survivors = self.run_bracketed(workload.name(), || {
-            self.run_partitions(workload.name(), &tasks, config)
+        self.run_bracketed(workload.name(), || {
+            self.run_partitions(workload.name(), &tasks, config.threads)
         });
-        Ok(ParallelStats {
-            partitions: config.partitions,
-            threads: config.threads,
-            survivors,
-        })
+        Ok(())
     }
 
-    /// Runs `tasks` on `config.threads` mutator threads and merges their
-    /// outcomes in partition-index order; returns the survivor count.
-    fn run_partitions(&self, name: &str, tasks: &[PartitionTask], config: ParallelConfig) -> usize {
+    /// Runs `tasks` on up to `threads` mutator threads and merges their
+    /// outcomes in partition-index order.
+    fn run_partitions(&self, name: &str, tasks: &[PartitionTask], threads: usize) {
         // Each partition records into a child telemetry and a child tracer
         // the parent adopts at merge time (worker lane w runs on trace lane
         // w+1; lane 0 is the parent).
         let tracer = self.config.tracer.clone().filter(|tr| tr.is_armed());
-        let workers = config.threads.min(tasks.len());
+        let workers = threads.min(tasks.len());
         let run_span = self
             .trace
             .as_ref()
@@ -284,56 +259,58 @@ impl Env {
                 s.arg("partitions", tasks.len() as u64)
                     .arg("threads", workers as u64)
             });
-        let outcomes: Vec<PartitionOutcome> = if workers == 1 {
-            let worker_span = tracer.as_ref().and_then(|tr| tr.lane(1).scope("worker"));
-            let outcomes = tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    run_partition(&self.config, t, i, tracer.as_ref().map(|tr| (tr, 1, false)))
-                })
-                .collect();
-            drop(worker_span);
-            outcomes
-        } else {
-            // Work-stealing schedule: each worker owns a contiguous block
-            // of partition indices and steals from the richest queue once
-            // drained. Which thread runs which partition is scheduling
-            // noise; the index-ordered collection below erases it.
-            let queues = StealQueues::new(workers, tasks.len());
-            let slots: Vec<Mutex<Option<PartitionOutcome>>> =
-                tasks.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let tasks = &tasks;
-                    let slots = &slots;
-                    let config = &self.config;
-                    let tracer = &tracer;
-                    s.spawn(move || {
-                        let lane_id = (w + 1) as u32;
-                        let _worker_span = tracer
-                            .as_ref()
-                            .and_then(|tr| tr.lane(lane_id).scope("worker"))
-                            .map(|sp| sp.arg("worker", w as u64));
-                        while let Some(i) = queues.next(w) {
-                            let stolen = queues.home(i) != w;
-                            let trace = tracer.as_ref().map(|tr| (tr, lane_id, stolen));
-                            *slots[i].lock() = Some(run_partition(config, &tasks[i], i, trace));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("every partition ran"))
-                .collect()
+        // Every worker claims the next unclaimed partition index from one
+        // shared counter until the plan is exhausted. Which worker runs
+        // which partition is scheduling noise; the index-ordered placement
+        // below erases it.
+        let next = AtomicUsize::new(0);
+        let config = &self.config;
+        let work = |w: usize| {
+            let lane_id = (w + 1) as u32;
+            let _worker_span = tracer
+                .as_ref()
+                .and_then(|tr| tr.lane(lane_id).scope("worker"))
+                .map(|sp| sp.arg("worker", w as u64));
+            let mut done = Vec::new();
+            loop {
+                // relaxed: the counter publishes no data (tasks are shared
+                // read-only) and every outcome reaches the caller through
+                // a thread join, which orders it.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(i) else { break };
+                let trace = tracer.as_ref().map(|tr| (tr, lane_id));
+                done.push((i, run_partition(config, task, i, trace)));
+            }
+            done
         };
+        // The calling thread is worker 0. Helpers are joined explicitly so
+        // a helper's panic reaches the caller with its own payload (an
+        // unjoined scoped thread's payload is replaced by a generic one).
+        let claimed = std::thread::scope(|s| {
+            let work = &work;
+            let helpers: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+            let mut claimed = work(0);
+            for h in helpers {
+                claimed.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            claimed
+        });
+        let mut slots: Vec<Option<PartitionOutcome>> = tasks.iter().map(|_| None).collect();
+        for (i, outcome) in claimed {
+            assert!(
+                slots[i].replace(outcome).is_none(),
+                "partition {i} ran twice"
+            );
+        }
+        let outcomes = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| s.unwrap_or_else(|| panic!("partition {i} never ran")));
 
         // ----- deterministic merge, partition-index order --------------------
         let telemetry = self.rt.telemetry().filter(|t| t.is_enabled());
         let mut survivors = 0usize;
-        for (index, outcome) in outcomes.into_iter().enumerate() {
+        for (index, outcome) in outcomes.enumerate() {
             let merge_span = self
                 .trace
                 .as_ref()
@@ -434,12 +411,11 @@ impl Env {
         if let Some(t) = &telemetry {
             if let Some(mut e) = t.event("parallel_run_end", self.rt.clock().now()) {
                 e.str("name", name)
-                    .num("partitions", config.partitions as u64)
-                    .num("threads", config.threads as u64)
+                    .num("partitions", tasks.len() as u64)
+                    .num("threads", workers as u64)
                     .num("survivors", survivors as u64);
             }
         }
-        survivors
     }
 }
 
@@ -573,16 +549,14 @@ mod tests {
             let mut prints = Vec::new();
             for threads in [1usize, 2, 4] {
                 let env = Env::new(&EnvConfig::default());
-                let stats = env
-                    .run_parallel(
-                        workload,
-                        ParallelConfig {
-                            partitions: 4,
-                            threads,
-                        },
-                    )
-                    .expect("parallel run");
-                assert_eq!(stats.partitions, 4);
+                env.run_parallel(
+                    workload,
+                    ParallelConfig {
+                        partitions: 4,
+                        threads,
+                    },
+                )
+                .expect("parallel run");
                 if name == "long_lived" {
                     let cycles = env.heap.cycles();
                     assert!(cycles.len() > 4, "{name}: partitions collect mid-run");
@@ -600,36 +574,26 @@ mod tests {
 
     #[test]
     fn non_divisible_plans_are_bit_identical() {
-        // 7 partitions never divide evenly over 3 or 5 threads, and with
-        // partitions > threads the work-stealing queues must hand every
-        // index out exactly once. All merged results must still match the
+        // 7 partitions never divide evenly over 3 or 5 threads, so with
+        // partitions > threads a worker that finishes must claim the next
+        // index from the shared counter, and the merge asserts each index
+        // ran exactly once. All merged results must still match the
         // single-threaded execution of the same plan byte for byte.
         let mut prints = Vec::new();
         for threads in [1usize, 3, 5] {
             let env = Env::new(&EnvConfig::default());
-            let stats = env
-                .run_parallel(
-                    &Burst { sites: 14 },
-                    ParallelConfig {
-                        partitions: 7,
-                        threads,
-                    },
-                )
-                .expect("parallel run");
-            assert_eq!(stats.partitions, 7);
+            env.run_parallel(
+                &Burst { sites: 14 },
+                ParallelConfig {
+                    partitions: 7,
+                    threads,
+                },
+            )
+            .expect("parallel run");
             prints.push(fingerprint(&env));
         }
         assert_eq!(prints[0], prints[1], "1 thread vs 3 threads");
         assert_eq!(prints[1], prints[2], "3 threads vs 5 threads");
-    }
-
-    #[test]
-    fn default_config_uses_available_parallelism() {
-        assert_eq!(
-            ParallelConfig::default(),
-            ParallelConfig::with_threads(crate::default_threads())
-        );
-        assert!(crate::default_threads() >= 1);
     }
 
     #[test]
@@ -638,10 +602,8 @@ mod tests {
         seq.run(&Burst { sites: 6 });
 
         let par = Env::new(&EnvConfig::default());
-        let stats = par
-            .run_parallel(&Burst { sites: 6 }, ParallelConfig::with_threads(1))
+        par.run_parallel(&Burst { sites: 6 }, ParallelConfig::with_threads(1))
             .expect("parallel run");
-        assert_eq!(stats.partitions, 1);
         assert_eq!(fingerprint(&seq), fingerprint(&par));
     }
 
@@ -719,45 +681,63 @@ mod tests {
 
     #[test]
     fn tracing_is_invisible_to_results_and_adopts_partition_spans() {
-        let plain = Env::new(&EnvConfig::default());
-        plain
-            .run_parallel(&Burst { sites: 8 }, ParallelConfig::with_threads(2))
-            .expect("parallel run");
+        // Two partitions on two workers, and the same plan on the calling
+        // thread alone.
+        for (threads, workers) in [(2usize, 2usize), (1, 1)] {
+            let plan = ParallelConfig {
+                partitions: 2,
+                threads,
+            };
+            let plain = Env::new(&EnvConfig::default());
+            plain
+                .run_parallel(&Burst { sites: 8 }, plan)
+                .expect("parallel run");
 
-        let tracer = Tracer::new();
-        let traced = Env::new(&EnvConfig {
-            tracer: Some(tracer.clone()),
-            ..EnvConfig::default()
-        });
-        traced
-            .run_parallel(&Burst { sites: 8 }, ParallelConfig::with_threads(2))
-            .expect("parallel run");
-        assert_eq!(
-            fingerprint(&plain),
-            fingerprint(&traced),
-            "tracing must not perturb simulated results"
-        );
-
-        let recs = tracer.records();
-        let names: Vec<&str> = recs.iter().map(|r| r.name).collect();
-        assert!(names.contains(&"run_parallel"), "{names:?}");
-        assert!(names.contains(&"worker"), "{names:?}");
-        assert!(names.contains(&"merge_partition"), "{names:?}");
-        // One partition span per partition; the partition's adopted GC
-        // spans hang off it causally.
-        let partitions: Vec<_> = recs.iter().filter(|r| r.name == "partition").collect();
-        assert_eq!(partitions.len(), 2, "{names:?}");
-        for p in &partitions {
-            assert!(
-                recs.iter().any(|r| r.parent == p.id && r.name == "gc"),
-                "adopted child gc span under partition {}",
-                p.id
+            let tracer = Tracer::new();
+            let traced = Env::new(&EnvConfig {
+                tracer: Some(tracer.clone()),
+                ..EnvConfig::default()
+            });
+            traced
+                .run_parallel(&Burst { sites: 8 }, plan)
+                .expect("parallel run");
+            assert_eq!(
+                fingerprint(&plain),
+                fingerprint(&traced),
+                "{plan:?}: tracing must not perturb simulated results"
             );
+
+            let recs = tracer.records();
+            let names: Vec<&str> = recs.iter().map(|r| r.name).collect();
+            assert!(names.contains(&"run_parallel"), "{names:?}");
+            assert!(names.contains(&"merge_partition"), "{names:?}");
+            // One worker span per worker, on lane w+1 with its `worker` arg.
+            let mut worker_spans: Vec<(u32, Vec<(&str, u64)>)> = recs
+                .iter()
+                .filter(|r| r.name == "worker")
+                .map(|r| (r.lane, r.key_values().to_vec()))
+                .collect();
+            worker_spans.sort();
+            let expected: Vec<(u32, Vec<(&str, u64)>)> = (0..workers)
+                .map(|w| ((w + 1) as u32, vec![("worker", w as u64)]))
+                .collect();
+            assert_eq!(worker_spans, expected, "{plan:?}");
+            // One partition span per partition; the partition's adopted GC
+            // spans hang off it causally.
+            let partitions: Vec<_> = recs.iter().filter(|r| r.name == "partition").collect();
+            assert_eq!(partitions.len(), 2, "{plan:?}: {names:?}");
+            for p in &partitions {
+                assert!(
+                    recs.iter().any(|r| r.parent == p.id && r.name == "gc"),
+                    "{plan:?}: adopted child gc span under partition {}",
+                    p.id
+                );
+            }
+            // Adoption must keep ids globally unique.
+            let mut ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), recs.len(), "{plan:?}: duplicate span ids");
         }
-        // Adoption must keep ids globally unique.
-        let mut ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), recs.len(), "duplicate span ids after adoption");
     }
 }

@@ -136,7 +136,7 @@ mod tests {
         let t = Tracer::new();
         let lane0 = t.lane(0);
         let w = lane0.scope("workload").unwrap().arg("sites", 4);
-        lane0.instant("steal", &[("partition", 2)]);
+        lane0.instant("marker", &[("partition", 2)]);
         drop(lane0.scope("gc_mark"));
         drop(w);
         drop(t.lane(3).scope("partition").map(|s| s.arg("partition", 1)));
@@ -179,12 +179,12 @@ mod tests {
             }
         }
         // Key-value args survive with their names.
-        let steal = events
+        let marker = events
             .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("steal"))
+            .find(|e| e.get("name").unwrap().as_str() == Some("marker"))
             .unwrap();
         assert_eq!(
-            steal
+            marker
                 .get("args")
                 .unwrap()
                 .get("partition")

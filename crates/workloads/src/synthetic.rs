@@ -230,6 +230,36 @@ mod tests {
     }
 
     #[test]
+    fn partition_panic_keeps_its_payload_at_every_thread_count() {
+        use chameleon_core::{silence_oom_panics, Env, ParallelConfig};
+        use chameleon_heap::OutOfMemory;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        silence_oom_panics();
+        let w = Synthetic::small_maps(8);
+        for threads in [1usize, 2] {
+            let e = Env::new(&EnvConfig {
+                heap_capacity: Some(4 * 1024),
+                ..env()
+            });
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                e.run_parallel(
+                    &w,
+                    ParallelConfig {
+                        partitions: 2,
+                        threads,
+                    },
+                )
+            }))
+            .expect_err("a 4 KiB heap cannot hold a partition");
+            assert!(
+                payload.is::<OutOfMemory>(),
+                "threads={threads}: payload is {:?}",
+                payload.downcast_ref::<&str>()
+            );
+        }
+    }
+
+    #[test]
     fn bimodal_sites_are_unstable() {
         use chameleon_profiler::StabilityConfig;
         let w = Synthetic {

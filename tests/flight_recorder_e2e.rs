@@ -63,8 +63,9 @@ impl Workload for PanicAtFive {
         }
     }
     fn partitions(&self, _parts: usize) -> Option<Vec<PartitionTask>> {
-        // Worker 0 owns partitions 0..3, worker 1 owns 3..6; the panic in
-        // partition 5 fires after both workers have completed spans.
+        // Both workers claim partitions from one counter; the panic in
+        // partition 5, the last one, fires after both have usually
+        // completed spans.
         Some(
             (0..6)
                 .map(|p| PartitionTask::new(format!("panic[{p}]"), move |f| panic_site(f, p)))

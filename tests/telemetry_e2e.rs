@@ -177,8 +177,8 @@ fn telemetry_never_perturbs_simulated_results() {
 /// (extends the heap's intern-miss assertions across the attach boundary).
 /// Telemetry, tracer and heap profiling all reach the partition children
 /// of a parallel run and are adopted in partition order, so the event log
-/// (minus wall-clock `*_ns` fields and the configured thread count
-/// `parallel_run_end` echoes), the snapshots and the span tree are
+/// (minus wall-clock `*_ns` fields and the worker count
+/// `parallel_run_end` reports), the snapshots and the span tree are
 /// identical at 1, 2 and 4 threads, and the log's cycles are the heap's.
 #[test]
 fn parallel_observability_is_identical_across_thread_counts() {
@@ -231,13 +231,13 @@ fn parallel_observability_is_identical_across_thread_counts() {
         }
 
         // Each span as (name, on the parent lane, ancestor names); which
-        // worker ran a partition (`worker` spans, `steal` instants) is
-        // scheduling and left out.
+        // worker ran a partition (`worker` spans) is scheduling and left
+        // out.
         let records: Vec<SpanRecord> = tracer.records();
         let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
         let mut spans: Vec<_> = records
             .iter()
-            .filter(|r| r.name != "worker" && r.name != "steal")
+            .filter(|r| r.name != "worker")
             .map(|r| {
                 let mut ancestors = Vec::new();
                 let mut parent = r.parent;

@@ -1,12 +1,11 @@
 //! End-to-end tests for the execution tracing layer: causal spans across
-//! the parallel runtime, steal instant-events, Chrome timeline export
-//! shape, the bit-identical-under-tracing determinism contract, the
-//! per-partition telemetry accounting fix, and the armed-ring overhead
-//! bound.
+//! the parallel runtime, Chrome timeline export shape, the
+//! bit-identical-under-tracing determinism contract, the per-partition
+//! telemetry accounting and the plan `parallel_run_end` reports, and the
+//! armed-ring overhead bound.
 
-use chameleon_collections::CollectionFactory;
-use chameleon_core::{Env, EnvConfig, ParallelConfig, PartitionTask, Workload};
-use chameleon_telemetry::{chrome, json, SpanKind, Telemetry, Tracer};
+use chameleon_core::{Env, EnvConfig, ParallelConfig};
+use chameleon_telemetry::{chrome, json, Telemetry, Tracer};
 use chameleon_workloads::{SizeDist, Synthetic, SyntheticSite};
 use std::time::Instant;
 
@@ -134,78 +133,6 @@ fn parallel_timeline_has_worker_lanes_partitions_and_gc_phases() {
     }
 }
 
-/// A workload whose partition plan is deliberately skewed: one worker's
-/// block is trivial while the other's is heavy, so the fast worker drains
-/// its queue and must steal.
-struct Skewed;
-
-fn skewed_site(f: &CollectionFactory, heavy: bool) {
-    let _g = f.enter("Skewed.site:1");
-    let rounds = if heavy { 400 } else { 1 };
-    for _ in 0..rounds {
-        let mut m = f.new_map::<i64, i64>(None);
-        for i in 0..32 {
-            m.put(i, i);
-        }
-    }
-}
-
-impl Workload for Skewed {
-    fn name(&self) -> &'static str {
-        "skewed"
-    }
-    fn run(&self, f: &CollectionFactory) {
-        for p in 0..6 {
-            skewed_site(f, p >= 3);
-        }
-    }
-    fn partitions(&self, _parts: usize) -> Option<Vec<PartitionTask>> {
-        // Worker 0's block (partitions 0..3) is trivial; worker 1's block
-        // (3..6) is heavy, so worker 0 steals from the back of it.
-        Some(
-            (0..6)
-                .map(|p| {
-                    PartitionTask::new(format!("skewed[{p}]"), move |f| skewed_site(f, p >= 3))
-                })
-                .collect(),
-        )
-    }
-}
-
-#[test]
-fn skewed_partition_plans_emit_steal_instants() {
-    // Scheduling-dependent, so retry: with a 400x work skew the fast
-    // worker all but certainly steals at least once per attempt.
-    for attempt in 0..5 {
-        let tracer = Tracer::new();
-        let env = Env::new(&EnvConfig {
-            tracer: Some(tracer.clone()),
-            ..small_env()
-        });
-        env.run_parallel(
-            &Skewed,
-            ParallelConfig {
-                partitions: 6,
-                threads: 2,
-            },
-        )
-        .expect("parallel run");
-        let recs = tracer.records();
-        let steals: Vec<_> = recs.iter().filter(|r| r.name == "steal").collect();
-        if !steals.is_empty() {
-            for s in &steals {
-                assert_eq!(s.kind, SpanKind::Instant);
-                let &(key, partition) = s.key_values().first().expect("partition arg");
-                assert_eq!(key, "partition");
-                assert!(partition < 6);
-            }
-            return;
-        }
-        eprintln!("attempt {attempt}: no steal observed, retrying");
-    }
-    panic!("no steal instant-event in 5 attempts of a 400x-skewed plan");
-}
-
 #[test]
 fn results_bit_identical_with_tracing_absent_armed_exporting() {
     let run_seq = |tracer: Option<Tracer>| {
@@ -248,51 +175,70 @@ fn results_bit_identical_with_tracing_absent_armed_exporting() {
 
 #[test]
 fn partition_event_counts_sum_to_parent_totals() {
-    let t = Telemetry::new();
-    t.set_enabled(true);
-    let env = Env::new(&EnvConfig {
-        telemetry: Some(t.clone()),
-        ..small_env()
-    });
-    env.run_parallel(&Synthetic::small_maps(8), ParallelConfig::with_threads(4))
+    // `small_maps(8)` has 8 sites, so a 16-way request runs 8 partitions
+    // on 8 workers; `parallel_run_end` must report that plan.
+    for requested in [4u64, 16] {
+        let t = Telemetry::new();
+        t.set_enabled(true);
+        let env = Env::new(&EnvConfig {
+            telemetry: Some(t.clone()),
+            ..small_env()
+        });
+        env.run_parallel(
+            &Synthetic::small_maps(8),
+            ParallelConfig::with_threads(requested as usize),
+        )
         .expect("parallel run");
-    let m = env.metrics();
+        let m = env.metrics();
 
-    let mut partitions = 0u64;
-    let (mut cycles, mut ops, mut bytes, mut objects, mut captures) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for line in t.drain_events().lines() {
-        let v = json::parse(line).expect("event parses");
-        if v.get("ev").and_then(|e| e.as_str()) == Some("mutator_partition") {
-            partitions += 1;
+        let mut partitions = 0u64;
+        let mut run_end = None;
+        let (mut cycles, mut ops, mut bytes, mut objects, mut captures) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        for line in t.drain_events().lines() {
+            let v = json::parse(line).expect("event parses");
             let field = |k: &str| {
                 v.get(k)
                     .and_then(|x| x.as_u64())
                     .unwrap_or_else(|| panic!("{k} missing: {line}"))
             };
-            cycles += field("cycles");
-            ops += field("ops");
-            bytes += field("allocated_bytes");
-            objects += field("allocated_objects");
-            captures += field("captures");
+            match v.get("ev").and_then(|e| e.as_str()) {
+                Some("mutator_partition") => {
+                    partitions += 1;
+                    cycles += field("cycles");
+                    ops += field("ops");
+                    bytes += field("allocated_bytes");
+                    objects += field("allocated_objects");
+                    captures += field("captures");
+                }
+                Some("parallel_run_end") => {
+                    run_end = Some((field("partitions"), field("threads")));
+                }
+                _ => {}
+            }
         }
+        assert_eq!(partitions, requested.min(8), "one event per partition");
+        assert_eq!(
+            run_end,
+            Some((partitions, requested.min(partitions))),
+            "requested {requested}: parallel_run_end reports the plan that ran"
+        );
+        // The parent performs no GC of its own in the parallel path, so its
+        // totals are exactly the sums over partitions.
+        assert_eq!(cycles, m.gc_count, "per-partition GC cycle counts");
+        assert_eq!(bytes, m.total_allocated_bytes);
+        assert_eq!(objects, m.total_allocated_objects);
+        assert_eq!(captures, m.capture_count);
+        let parent_ops: u64 = env
+            .profiler
+            .as_ref()
+            .expect("profiling env")
+            .traces()
+            .iter()
+            .map(|(_, trace)| trace.all_ops_total())
+            .sum();
+        assert_eq!(ops, parent_ops, "per-partition op counts");
     }
-    assert_eq!(partitions, 4, "one event per partition");
-    // The parent performs no GC of its own in the parallel path, so its
-    // totals are exactly the sums over partitions.
-    assert_eq!(cycles, m.gc_count, "per-partition GC cycle counts");
-    assert_eq!(bytes, m.total_allocated_bytes);
-    assert_eq!(objects, m.total_allocated_objects);
-    assert_eq!(captures, m.capture_count);
-    let parent_ops: u64 = env
-        .profiler
-        .as_ref()
-        .expect("profiling env")
-        .traces()
-        .iter()
-        .map(|(_, trace)| trace.all_ops_total())
-        .sum();
-    assert_eq!(ops, parent_ops, "per-partition op counts");
 }
 
 #[test]
