@@ -14,7 +14,7 @@
 //! | command         | fields                           | effect |
 //! |-----------------|----------------------------------|--------|
 //! | `tenant_open`   | `tenant`, `workload`             | build a tenant environment |
-//! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times |
+//! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times, 1 to [`MAX_REPEAT`] |
 //! | `tenant_report` | `tenant`                         | per-tenant adaptation summary |
 //! | `tenant_close`  | `tenant`                         | final GC + survivor flush, converged policy, teardown |
 //! | `fleet_report`  | —                                | all tenant summaries + fleet aggregates |
@@ -39,6 +39,10 @@ use chameleon_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
+
+/// Largest `repeat` a `tenant_step` accepts. Dispatch is one loop, so an
+/// unbounded count would stall every tenant behind one command.
+pub const MAX_REPEAT: u64 = 10_000;
 
 /// Server construction parameters. The adaptation knobs mirror
 /// [`OnlineConfig`] and apply to every tenant; unlike the single-tenant
@@ -360,8 +364,10 @@ impl Server {
             None => 1,
             Some(r) => r
                 .as_u64()
-                .filter(|&n| n >= 1)
-                .ok_or("field \"repeat\" must be a positive integer")?,
+                .filter(|&n| (1..=MAX_REPEAT).contains(&n))
+                .ok_or_else(|| {
+                    format!("field \"repeat\" must be an integer in 1..={MAX_REPEAT}")
+                })?,
         };
         let t = self
             .tenants
@@ -780,6 +786,23 @@ mod tests {
             assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{line}");
         }
         assert_eq!(s.tenant_count(), 1);
+    }
+
+    #[test]
+    fn oversized_repeat_is_rejected_before_any_step() {
+        let mut s = server_on(EnvConfig::default());
+        s.handle_line(r#"{"cmd":"tenant_open","tenant":"a","workload":"steady"}"#);
+        let step = |s: &mut Server, repeat: u64| {
+            let line = format!(r#"{{"cmd":"tenant_step","tenant":"a","repeat":{repeat}}}"#);
+            json::parse(&s.handle_line(&line).text).expect("reply parses")
+        };
+        let v = step(&mut s, MAX_REPEAT + 1);
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{v:?}");
+        let err = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(err.contains("repeat"), "{err}");
+        let v = step(&mut s, 2);
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v:?}");
+        assert_eq!(v.get("steps").and_then(Value::as_u64), Some(2));
     }
 
     #[cfg(unix)]

@@ -17,8 +17,15 @@
 //! Marking uses an epoch-stamped mark array kept in `HeapInner` (a slot is
 //! marked iff its stamp equals the current cycle's epoch), so no per-cycle
 //! mark allocation or clearing is needed.
+//!
+//! A top-level collection whose walk resolves at least
+//! [`CACHE_MIN_FOOTPRINT`] objects keeps its totals and the slots it
+//! resolved (its *footprint*) across cycles. The next cycle reuses them
+//! when no footprint slot carries `F_DIRTY`: the walk reads nothing but
+//! the footprint objects, their ref slots and meta, and the immutable
+//! class registry and layout model, so it would read the same bytes.
 
-use crate::heap::{HeapInner, ANOMALY_WARMUP, F_OCCUPIED, F_TOP_COLL, PAUSE_HISTORY};
+use crate::heap::{HeapInner, ANOMALY_WARMUP, F_DIRTY, F_OCCUPIED, F_TOP_COLL, PAUSE_HISTORY};
 use crate::object::{ElemKind, ObjBody, ObjId, Object};
 use crate::semantic::{AdtDescriptor, SemanticMap};
 use crate::snapshot::{self, SnapAcc};
@@ -61,6 +68,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     let scan_span = lane.as_ref().and_then(|l| l.scope("gc_scan"));
     let scan_timer = timed.then(SpanTimer::start);
     let n_contexts = inner.contexts.len();
+    let cache = std::mem::take(&mut inner.adt_cache);
     let ScanAcc {
         live_bytes,
         live_objects,
@@ -71,7 +79,9 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         per_context: per_ctx_dense,
         type_dist: type_dense,
         snap,
-    } = scan(inner, &marks, epoch, n_contexts, snap_due);
+        adt_cache,
+        coll_cached,
+    } = scan(inner, &marks, epoch, n_contexts, snap_due, cache);
     let scan_ns = scan_timer.map_or(0, |t| t.elapsed_ns());
     drop(scan_span);
 
@@ -83,6 +93,10 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         inner.release_slot(i as usize);
         inner.free.push(i);
     }
+    for f in &mut inner.flags {
+        *f &= !F_DIRTY;
+    }
+    inner.adt_cache = adt_cache;
     let sweep_ns = sweep_timer.map_or(0, |t| t.elapsed_ns());
     drop(sweep_span);
     inner.heap_bytes = inner.heap_bytes.saturating_sub(swept_bytes);
@@ -193,7 +207,8 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
                 .num("coll_live", stats.collection.live)
                 .num("coll_used", stats.collection.used)
                 .num("coll_core", stats.collection.core)
-                .num("coll_count", stats.collection.count);
+                .num("coll_count", stats.collection.count)
+                .num("coll_cached", coll_cached);
         }
         if let Some(s) = &snapshot {
             ht.prof_snapshots.inc();
@@ -243,17 +258,40 @@ struct ScanAcc {
     /// Snapshot accumulator, filled only on cycles where heap profiling is
     /// due; `None` keeps the scan loop free of snapshot branches' work.
     snap: Option<SnapAcc>,
+    /// The next cycle's collection cache, ascending by slot.
+    adt_cache: Vec<AdtCached>,
+    /// Top-level collections whose totals came from the cache.
+    coll_cached: u64,
 }
+
+/// One top-level collection's semantic totals from an earlier cycle.
+pub(crate) struct AdtCached {
+    slot: u32,
+    /// Generation of the collection object at `slot`.
+    generation: u32,
+    totals: AdtTotals,
+    /// Slots the walk resolved, the collection object's own first.
+    footprint: Vec<u32>,
+}
+
+/// Smallest footprint worth caching. Smaller walks cost less than
+/// validating and storing their entry, and findbugs keeps ~1.2k live
+/// collections of at most 8 objects each. The walks that pay are pmd's
+/// ~4000-entry symbol tables; every other benchmark walk is at most 65
+/// objects.
+const CACHE_MIN_FOOTPRINT: usize = 64;
 
 /// Scans the slab: live/type accounting, semantic ADT accounting for
 /// top-level collections, and garbage identification. Read-only over the
-/// heap; the caller applies the sweep afterwards.
+/// heap; the caller applies the sweep afterwards. `cache` is the previous
+/// cycle's collection cache; entries of collections not met live drop out.
 fn scan(
     inner: &HeapInner,
     marks: &[u32],
     epoch: u32,
     n_contexts: usize,
     snap_due: bool,
+    cache: Vec<AdtCached>,
 ) -> ScanAcc {
     let mut acc = ScanAcc {
         live_bytes: 0,
@@ -265,7 +303,11 @@ fn scan(
         per_context: vec![AdtTotals::default(); n_contexts],
         type_dist: vec![(0, 0); inner.classes.len()],
         snap: snap_due.then(|| SnapAcc::new(n_contexts)),
+        adt_cache: Vec::new(),
+        coll_cached: 0,
     };
+    let mut cache = cache.into_iter().peekable();
+    let mut footprint = Vec::new();
     for (i, &slot_flags) in inner.flags.iter().enumerate() {
         if slot_flags & F_OCCUPIED == 0 {
             continue;
@@ -308,8 +350,35 @@ fn scan(
             .info(o.class)
             .semantic_map
             .expect("F_TOP_COLL implies a top-level semantic map");
-        let mut totals = adt_stats(inner, o, map);
-        totals.count = 1;
+        while cache.next_if(|e| (e.slot as usize) < i).is_some() {}
+        let totals = match cache.next_if(|e| e.slot as usize == i) {
+            Some(e)
+                if e.generation == o.generation
+                    && e.footprint.iter().all(|&s| {
+                        inner.flags[s as usize] & (F_OCCUPIED | F_DIRTY) == F_OCCUPIED
+                    }) =>
+            {
+                acc.coll_cached += 1;
+                let totals = e.totals;
+                acc.adt_cache.push(e);
+                totals
+            }
+            _ => {
+                footprint.clear();
+                footprint.push(i as u32);
+                let mut totals = adt_stats(inner, o, map, &mut footprint);
+                totals.count = 1;
+                if footprint.len() >= CACHE_MIN_FOOTPRINT {
+                    acc.adt_cache.push(AdtCached {
+                        slot: i as u32,
+                        generation: o.generation,
+                        totals,
+                        footprint: footprint.clone(),
+                    });
+                }
+                totals
+            }
+        };
         acc.collection.add(totals);
         if let Some(ctx) = o.ctx {
             acc.per_context[ctx.0 as usize].add(totals);
@@ -348,8 +417,14 @@ fn claim(inner: &HeapInner, marks: &mut [u32], epoch: u32, obj: ObjId) -> bool {
 }
 
 /// Computes live/used/core for one collection object according to its
-/// semantic map. `count` is left zero; callers set it.
-pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> AdtTotals {
+/// semantic map. `count` is left zero; callers set it. Every object the
+/// walk resolves besides `obj` is pushed onto `footprint`.
+fn adt_stats(
+    inner: &HeapInner,
+    obj: &Object,
+    map: SemanticMap,
+    footprint: &mut Vec<u32>,
+) -> AdtTotals {
     let model = inner.model;
     let size_meta = obj.meta.first().copied().unwrap_or(0).max(0) as u32;
     let refs_per_elem = map.kind.refs_per_elem();
@@ -359,14 +434,14 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
     match map.descriptor {
         AdtDescriptor::Wrapper { impl_field } => {
             let backing = scalar_ref(inner, obj, impl_field);
-            let mut totals = match backing.and_then(|b| resolve_opt(inner, b)) {
+            let mut totals = match backing.and_then(|b| resolve_fp(inner, b, footprint)) {
                 Some(backing_obj) => {
                     let backing_map = inner
                         .classes
                         .info(backing_obj.class)
                         .semantic_map
                         .unwrap_or(SemanticMap::backing(map.kind, AdtDescriptor::Inline));
-                    adt_stats(inner, backing_obj, backing_map)
+                    adt_stats(inner, backing_obj, backing_map, footprint)
                 }
                 None => AdtTotals {
                     live: 0,
@@ -386,7 +461,7 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
             let mut live = own;
             let mut slack = 0u64;
             if let Some(arr) =
-                scalar_ref(inner, obj, array_field).and_then(|a| resolve_opt(inner, a))
+                scalar_ref(inner, obj, array_field).and_then(|a| resolve_fp(inner, a, footprint))
             {
                 live += u64::from(arr.size);
                 if let ObjBody::Array { elem, capacity, .. } = &arr.body {
@@ -409,7 +484,7 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
             let mut live = own;
             let mut slack = 0u64;
             if let Some(arr) =
-                scalar_ref(inner, obj, array_field).and_then(|a| resolve_opt(inner, a))
+                scalar_ref(inner, obj, array_field).and_then(|a| resolve_fp(inner, a, footprint))
             {
                 live += u64::from(arr.size);
                 if let ObjBody::Array {
@@ -428,7 +503,7 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
                                 break;
                             }
                             steps += 1;
-                            let Some(entry) = resolve_opt(inner, id) else {
+                            let Some(entry) = resolve_fp(inner, id, footprint) else {
                                 break;
                             };
                             live += u64::from(entry.size);
@@ -456,7 +531,7 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
                         break;
                     }
                     steps += 1;
-                    let Some(entry) = resolve_opt(inner, id) else {
+                    let Some(entry) = resolve_fp(inner, id, footprint) else {
                         break;
                     };
                     live += u64::from(entry.size);
@@ -488,6 +563,17 @@ fn scalar_ref(inner: &HeapInner, obj: &Object, field: usize) -> Option<ObjId> {
     }
 }
 
+/// [`resolve_opt`] that records a resolved object's slot in `footprint`.
+fn resolve_fp<'h>(
+    inner: &'h HeapInner,
+    obj: ObjId,
+    footprint: &mut Vec<u32>,
+) -> Option<&'h Object> {
+    let o = resolve_opt(inner, obj)?;
+    footprint.push(obj.index);
+    Some(o)
+}
+
 fn resolve_opt(inner: &HeapInner, obj: ObjId) -> Option<&Object> {
     let i = obj.index as usize;
     if inner.flags.get(i)? & F_OCCUPIED == 0 {
@@ -499,8 +585,8 @@ fn resolve_opt(inner: &HeapInner, obj: ObjId) -> Option<&Object> {
 
 #[cfg(test)]
 mod tests {
-    use crate::heap::{GcConfig, Heap};
-    use crate::object::ElemKind;
+    use crate::heap::{BatchAlloc, BatchRef, GcConfig, Heap};
+    use crate::object::{ElemKind, ObjId};
     use crate::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
 
     /// Builds an ArrayList-shaped pair: impl object + backing array of
@@ -814,5 +900,244 @@ mod tests {
             ev.get("live_objects").unwrap().as_u64(),
             Some(enabled_stats.live_objects)
         );
+    }
+
+    /// Objects of the cache fixtures, grouped by the writes they take.
+    #[derive(Debug, Default, PartialEq)]
+    struct Pool {
+        wrappers: Vec<ObjId>,
+        impls: Vec<ObjId>,
+        entries: Vec<ObjId>,
+        arrays: Vec<ObjId>,
+    }
+
+    /// Capacity of every reference array the cache fixtures allocate.
+    const SLOTS: u32 = 32;
+
+    /// Three rooted collections, one per walk shape, each behind a
+    /// `Wrapper`: an ArrayList (`ArrayBacked`), a HashMap (`ChainedHash`,
+    /// 80 entries) and a LinkedList (`LinkedEntries`, 70 entries). The last
+    /// two walk past `CACHE_MIN_FOOTPRINT`; an `ArrayBacked` walk resolves
+    /// 3 objects whatever its size, so it is always walked afresh and sits
+    /// between cached entries in slot order.
+    fn cache_fixtures(heap: &Heap) -> Pool {
+        let mut pool = Pool::default();
+        let entry = heap.register_class("Entry", None);
+        let arr_class = heap.register_class("Object[]", None);
+        let shapes = [
+            (
+                "ArrayList",
+                CollectionKind::List,
+                AdtDescriptor::ArrayBacked {
+                    array_field: 0,
+                    slots_per_elem: 1,
+                },
+                0usize,
+            ),
+            (
+                "HashMap",
+                CollectionKind::Map,
+                AdtDescriptor::ChainedHash { array_field: 0 },
+                80,
+            ),
+            (
+                "LinkedList",
+                CollectionKind::List,
+                AdtDescriptor::LinkedEntries { head_field: 0 },
+                70,
+            ),
+        ];
+        for (name, kind, descriptor, n) in shapes {
+            let wrapper =
+                heap.register_class(&format!("{name}Wrapper"), Some(SemanticMap::wrapper(kind)));
+            let imp = heap.register_class(
+                &format!("{name}Impl"),
+                Some(SemanticMap::backing(kind, descriptor)),
+            );
+            let ctx = heap.intern_context(name, &[format!("{name}.m:1")], 2);
+            let w = heap.alloc_scalar(wrapper, 1, 0, Some(ctx));
+            let im = heap.alloc_scalar(imp, 1, 8, None);
+            heap.set_ref(w, 0, Some(im));
+            heap.add_root(w);
+            let entries: Vec<ObjId> = (0..n)
+                .map(|_| heap.alloc_scalar(entry, 3, 4, None))
+                .collect();
+            if let AdtDescriptor::LinkedEntries { .. } = descriptor {
+                for (k, &e) in entries.iter().enumerate() {
+                    heap.set_ref(e, 0, Some(entries[(k + 1) % n]));
+                }
+                heap.set_ref(im, 0, entries.first().copied());
+            } else {
+                let arr = heap.alloc_array(arr_class, ElemKind::Ref, SLOTS, None);
+                heap.set_ref(im, 0, Some(arr));
+                for (k, &e) in entries.iter().enumerate() {
+                    let bucket = k % SLOTS as usize;
+                    heap.set_ref(e, 0, heap.get_elem(arr, bucket));
+                    heap.set_elem(arr, bucket, Some(e));
+                }
+                pool.arrays.push(arr);
+            }
+            let size = n.max(5) as i64;
+            heap.set_meta(im, 0, &[size, n.min(SLOTS as usize) as i64]);
+            heap.set_meta(w, 0, &[size]);
+            pool.wrappers.push(w);
+            pool.impls.push(im);
+            pool.entries.extend(entries);
+        }
+        pool
+    }
+
+    /// The `k`-th object of `ids` (cyclically) if it is still live.
+    fn pick(heap: &Heap, ids: &[ObjId], k: u32) -> Option<ObjId> {
+        (!ids.is_empty())
+            .then(|| ids[k as usize % ids.len()])
+            .filter(|&id| heap.is_live(id))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The collection cache is invisible: a heap that keeps it and one
+        /// that forgets it before every cycle report identical cycle
+        /// statistics over random writes through every path that sets
+        /// `F_DIRTY` (`set_meta`, `set_ref`, `set_elem`, `alloc_batch`
+        /// links into existing objects), unrooting, garbage and GC.
+        #[test]
+        fn adt_cache_is_invisible(
+            ops in proptest::collection::vec((0u32..10, 0u32..1024, 0u32..1024), 1..120)
+        ) {
+            let cached = Heap::new();
+            let reference = Heap::new();
+            let mut pool = cache_fixtures(&cached);
+            proptest::prop_assert_eq!(&pool, &cache_fixtures(&reference));
+            let entry = cached.register_class("Entry", None);
+            let arr_class = cached.register_class("Object[]", None);
+            let entry_req = BatchAlloc::Scalar {
+                class: entry,
+                ref_fields: 3,
+                prim_bytes: 4,
+                ctx: None,
+            };
+            // Applies the same batch to both heaps, which stay in lockstep.
+            let batch = |req: BatchAlloc, links: &[(BatchRef, usize, Option<BatchRef>)]| {
+                let [id] = cached.alloc_batch([req], links, &[]);
+                assert_eq!(reference.alloc_batch([req], links, &[]), [id]);
+                id
+            };
+            for (op, a, b) in ops {
+                let heaps = [&cached, &reference];
+                match op {
+                    0 => {
+                        let owners = if a % 4 == 0 { &pool.wrappers } else { &pool.impls };
+                        if let Some(o) = pick(&cached, owners, a / 4) {
+                            let values = [i64::from(b % 160), i64::from(b % 33)];
+                            for h in heaps {
+                                h.set_meta(o, 0, &values);
+                            }
+                        }
+                    }
+                    1 => {
+                        let srcs = if a % 5 == 0 { &pool.impls } else { &pool.entries };
+                        let all: Vec<ObjId> = pool.entries.iter().chain(&pool.arrays).copied().collect();
+                        if let Some(src) = pick(&cached, srcs, a / 5) {
+                            let target = (b % 6 != 0).then(|| pick(&cached, &all, b)).flatten();
+                            for h in heaps {
+                                h.set_ref(src, 0, target);
+                            }
+                        }
+                    }
+                    2 => {
+                        if let Some(arr) = pick(&cached, &pool.arrays, a) {
+                            let target = (b % 3 != 0).then(|| pick(&cached, &pool.entries, b)).flatten();
+                            for h in heaps {
+                                h.set_elem(arr, (b % SLOTS) as usize, target);
+                            }
+                        }
+                    }
+                    3 => {
+                        // A hash insert: the new entry heads an existing bucket.
+                        if let Some(arr) = pick(&cached, &pool.arrays, a) {
+                            let bucket = (b % SLOTS) as usize;
+                            let old = cached.get_elem(arr, bucket).map(BatchRef::Obj);
+                            let new = Some(BatchRef::New(0));
+                            let links = [(BatchRef::Obj(arr), bucket, new), (BatchRef::New(0), 0, old)];
+                            pool.entries.push(batch(entry_req, &links));
+                        }
+                    }
+                    4 => {
+                        // A chain or list splice after an existing entry.
+                        if let Some(src) = pick(&cached, &pool.entries, a) {
+                            let old = cached.get_ref(src, 0).map(BatchRef::Obj);
+                            let new = Some(BatchRef::New(0));
+                            let links = [(BatchRef::Obj(src), 0, new), (BatchRef::New(0), 0, old)];
+                            pool.entries.push(batch(entry_req, &links));
+                        }
+                    }
+                    5 => {
+                        // Backing growth: an impl moves to a fresh array.
+                        if let Some(im) = pick(&cached, &pool.impls, a) {
+                            let req = BatchAlloc::Array {
+                                class: arr_class,
+                                elem: ElemKind::Ref,
+                                capacity: SLOTS,
+                                ctx: None,
+                            };
+                            let links = [(BatchRef::Obj(im), 0, Some(BatchRef::New(0)))];
+                            pool.arrays.push(batch(req, &links));
+                        }
+                    }
+                    6 if b % 4 == 0 => {
+                        if let Some(w) = pick(&cached, &pool.wrappers, a) {
+                            for h in heaps {
+                                h.remove_root(w);
+                            }
+                        }
+                    }
+                    6 | 7 => {
+                        for _ in 0..a % 12 {
+                            for h in heaps {
+                                h.alloc_scalar(entry, 3, 4, None);
+                            }
+                        }
+                    }
+                    _ => {
+                        let got = cached.gc();
+                        reference.clear_adt_cache();
+                        proptest::prop_assert_eq!(got, reference.gc());
+                    }
+                }
+            }
+            let got = cached.gc();
+            reference.clear_adt_cache();
+            proptest::prop_assert_eq!(got, reference.gc());
+        }
+    }
+
+    #[test]
+    fn unwritten_collections_reuse_their_walk() {
+        use chameleon_telemetry::{json, Telemetry};
+        let heap = Heap::new();
+        let t = Telemetry::new();
+        heap.attach_telemetry(&t);
+        let pool = cache_fixtures(&heap);
+        let cycle = || {
+            let stats = heap.gc();
+            let log = t.drain_events();
+            let ev = json::parse(log.lines().next().expect("gc_cycle event")).unwrap();
+            let reused = ev.get("coll_cached").and_then(|v| v.as_u64()).unwrap();
+            (reused, stats.collection)
+        };
+        let (reused, first) = cycle();
+        assert_eq!(reused, 0, "the first cycle walks every collection");
+        let (reused, second) = cycle();
+        assert_eq!(reused, 2, "the hash map and the linked list are reused");
+        assert_eq!(second, first);
+        // Emptying a bucket dirties only the hash map.
+        heap.set_elem(pool.arrays[1], 0, None);
+        let (reused, third) = cycle();
+        assert_eq!(reused, 1, "the written hash map is walked again");
+        assert!(third.live < second.live, "its unlinked chain is gone");
+        let (reused, fourth) = cycle();
+        assert_eq!(reused, 2);
+        assert_eq!(fourth, third);
     }
 }

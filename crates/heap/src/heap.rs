@@ -11,8 +11,9 @@
 //!
 //! Objects live in a *dense* slab (`Vec<Object>`) with a parallel packed
 //! flag vector (`Vec<u8>`): one byte per slot records whether the slot is
-//! occupied, whether the object is an array, and whether its class carries
-//! a top-level semantic map. The GC's fused scan reads the flag byte
+//! occupied, whether the object is an array, whether its class carries
+//! a top-level semantic map, and whether it was written since the last GC
+//! cycle. The GC's fused scan reads the flag byte
 //! instead of an `Option` discriminant plus a class-registry lookup, and a
 //! swept slot keeps its (stale) object in place so reuse writes fields
 //! instead of constructing.
@@ -50,7 +51,7 @@
 
 use crate::clock::SimClock;
 use crate::context::{ContextExport, ContextId, FrameId, StripedContextTable};
-use crate::gc;
+use crate::gc::{self, AdtCached};
 use crate::layout::MemoryModel;
 use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRange};
 use crate::semantic::{ClassRegistry, SemanticMap};
@@ -151,6 +152,11 @@ pub(crate) const F_ARRAY: u8 = 1 << 1;
 /// scan computes collection statistics for it. Precomputed at insert so
 /// the scan skips the class-registry lookup for ordinary objects.
 pub(crate) const F_TOP_COLL: u8 = 1 << 2;
+/// A reference field, array slot or meta slot of the object was written
+/// since the last GC cycle, which clears the bit on every slot. The GC
+/// reuses a collection's cached semantic totals only while no object its
+/// walk resolved carries this bit.
+pub(crate) const F_DIRTY: u8 = 1 << 3;
 
 pub(crate) struct HeapInner {
     pub(crate) model: MemoryModel,
@@ -199,6 +205,9 @@ pub(crate) struct HeapInner {
     /// Continuous heap profiling; `None` (the default) keeps the GC scan
     /// free of snapshot work.
     pub(crate) heapprof: Option<HeapProfState>,
+    /// Semantic totals of the large top-level collections walked last
+    /// cycle, ascending by slot (see `gc::AdtCached`).
+    pub(crate) adt_cache: Vec<AdtCached>,
 }
 
 /// Single-mutator cell behind every [`Heap`]: entry wins the `busy` swap
@@ -343,6 +352,7 @@ impl Heap {
             tracer: None,
             pause_history: VecDeque::new(),
             heapprof: None,
+            adt_cache: Vec::new(),
         };
         Heap {
             cell: Arc::new(HeapCell {
@@ -766,8 +776,10 @@ impl Heap {
             BatchRef::Obj(obj) => obj,
         };
         for &(src, field, dst) in links {
-            let range = inner.resolve(id(src)).body.ref_range();
+            let src = id(src);
+            let range = inner.resolve(src).body.ref_range();
             inner.ref_pool[range.slot(field)] = dst.map(id);
+            inner.flags[src.index as usize] |= F_DIRTY;
         }
         for &root in roots {
             inner.root_counts[ids[root].index as usize] += 1;
@@ -789,6 +801,7 @@ impl Heap {
             ObjBody::Array { .. } => panic!("set_ref on array object; use set_elem"),
         };
         inner.ref_pool[range.slot(field)] = target;
+        inner.flags[obj.index as usize] |= F_DIRTY;
     }
 
     /// Reads reference field `field` of `obj`.
@@ -809,6 +822,7 @@ impl Heap {
             ObjBody::Scalar { .. } => panic!("set_elem on scalar object; use set_ref"),
         };
         inner.ref_pool[range.slot(idx)] = target;
+        inner.flags[arr.index as usize] |= F_DIRTY;
     }
 
     /// Reads slot `idx` of a reference array.
@@ -831,6 +845,7 @@ impl Heap {
             meta.resize(end, 0);
         }
         meta[first..end].copy_from_slice(values);
+        inner.flags[obj.index as usize] |= F_DIRTY;
     }
 
     /// Reads semantic-map metadata slot `idx` (0 if never written).
@@ -901,6 +916,14 @@ impl Heap {
     pub fn gc(&self) -> CycleStats {
         let mut inner = self.lock("gc");
         gc::collect(&mut inner)
+    }
+
+    /// Forgets every cached collection walk, so the next cycle walks all
+    /// top-level collections afresh (the reference the cache is tested
+    /// against).
+    #[cfg(test)]
+    pub(crate) fn clear_adt_cache(&self) {
+        self.lock("clear_adt_cache").adt_cache.clear();
     }
 
     /// All per-cycle statistics recorded so far (Table 3 rows).
