@@ -282,8 +282,8 @@ pub fn parse_bool_list(values: &[String], lineno: usize) -> Result<Vec<bool>, St
         .collect()
 }
 
-/// 64-bit FNV-1a — the same deterministic, dependency-free hash the
-/// striped context table uses.
+/// 64-bit FNV-1a: deterministic across runs and dependency-free, unlike
+/// the std `HashMap` hasher.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -787,6 +787,36 @@ mod tests {
     }
 
     #[test]
+    fn capture_telemetry_counts_hits_and_misses() {
+        use chameleon_telemetry::Telemetry;
+        const N: u64 = 5;
+        const M: u64 = 3;
+        let f = factory();
+        let t = Telemetry::new();
+        f.runtime().attach_telemetry(&t);
+        let heap = f.runtime().heap().clone();
+        let (_, ctx_misses) = heap.context_intern_misses();
+        {
+            let _g = f.enter("A.m:1");
+            for _ in 0..N {
+                let _m = f.new_map::<i64, i64>(None);
+            }
+        }
+        {
+            // Re-entering a known frame interns nothing new.
+            let _outer = f.enter("A.m:1");
+            let _g = f.enter("B.n:2");
+            for _ in 0..M {
+                let _m = f.new_map::<i64, i64>(None);
+            }
+        }
+        assert_eq!(t.counter("heap.context.misses").get(), 2);
+        assert_eq!(t.counter("heap.context.hits").get(), N + M - 2);
+        assert_eq!(t.counter("heap.context.frame_misses").get(), 2);
+        assert_eq!(heap.context_intern_misses().1 - ctx_misses, 2);
+    }
+
+    #[test]
     fn telemetry_counts_ops_at_death_and_phases() {
         use chameleon_telemetry::Telemetry;
         let f = factory();

@@ -21,7 +21,9 @@
 //! | `shutdown`      | —                                | acknowledge and stop the stream loop |
 //!
 //! Blank lines and `#`-prefixed comment lines are skipped, so recorded
-//! session scripts can be annotated.
+//! session scripts can be annotated. A line that is not UTF-8 or is longer
+//! than [`MAX_LINE_BYTES`] gets an error response, and the stream goes on
+//! at the next newline.
 //!
 //! **Determinism contract:** a serve session is a pure function of its
 //! command stream. Tenant state lives in `BTreeMap`s, responses are
@@ -37,12 +39,17 @@ use chameleon_heap::Heap;
 use chameleon_rules::{PolicyUpdate, RuleEngine};
 use chameleon_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 
 /// Largest `repeat` a `tenant_step` accepts. Dispatch is one loop, so an
 /// unbounded count would stall every tenant behind one command.
 pub const MAX_REPEAT: u64 = 10_000;
+
+/// Longest command line [`serve_stream`] accepts, newline excluded. A
+/// longer line is answered with an error and skipped up to its newline, so
+/// one client cannot make the server buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Server construction parameters. The adaptation knobs mirror
 /// [`OnlineConfig`] and apply to every tenant; unlike the single-tenant
@@ -245,16 +252,12 @@ impl Server {
     /// `{"ok":false,"error":...}` response so a misbehaving client cannot
     /// take down the other tenants.
     pub fn handle_line(&mut self, line: &str) -> Reply {
-        let (value, shutdown) = match self.dispatch(line) {
-            Ok((v, shutdown)) => (v, shutdown),
-            Err(msg) => (
-                obj(vec![("ok", Value::Bool(false)), ("error", text(msg))]),
-                false,
-            ),
-        };
-        Reply {
-            text: json::render(&value),
-            shutdown,
+        match self.dispatch(line) {
+            Ok((value, shutdown)) => Reply {
+                text: json::render(&value),
+                shutdown,
+            },
+            Err(msg) => error_reply(msg),
         }
     }
 
@@ -495,21 +498,49 @@ impl Server {
     }
 }
 
+/// The `{"ok":false,"error":...}` response to a rejected line.
+fn error_reply(msg: String) -> Reply {
+    Reply {
+        text: json::render(&obj(vec![("ok", Value::Bool(false)), ("error", text(msg))])),
+        shutdown: false,
+    }
+}
+
 /// Drives `server` over a JSONL stream: one response line per command
-/// line, blank and `#`-comment lines skipped. Returns `true` when the
-/// stream ended because of a `shutdown` command (rather than EOF).
+/// line, blank and `#`-comment lines skipped. A line that is not UTF-8 or
+/// exceeds [`MAX_LINE_BYTES`] gets an error response and the stream
+/// continues at the next newline. Returns `true` when the stream ended
+/// because of a `shutdown` command (rather than EOF).
 pub fn serve_stream<R: BufRead, W: Write>(
     server: &mut Server,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> std::io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read one byte past the cap, so an over-long line is detected
+        // without buffering the rest of it.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let reply = server.handle_line(trimmed);
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let reply = if line.len() > MAX_LINE_BYTES {
+            reader.skip_until(b'\n')?;
+            error_reply(format!("line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(line) {
+                Ok(line) => {
+                    let trimmed = line.trim();
+                    if trimmed.is_empty() || trimmed.starts_with('#') {
+                        continue;
+                    }
+                    server.handle_line(trimmed)
+                }
+                Err(e) => error_reply(format!("line is not valid UTF-8: {e}")),
+            }
+        };
         writeln!(writer, "{}", reply.text)?;
         if reply.shutdown {
             writer.flush()?;
@@ -658,6 +689,37 @@ mod tests {
             .find(|l| l.contains("\"cmd\":\"fleet_report\""))
             .expect("fleet report present");
         json::parse(line).expect("fleet report parses")
+    }
+
+    #[test]
+    fn bad_lines_get_errors_and_the_stream_goes_on() {
+        let oversized = format!(
+            "{{\"cmd\":\"fleet_report\",\"pad\":\"{}\"}}",
+            "x".repeat(MAX_LINE_BYTES)
+        );
+        let mut script = b"\xff\n".to_vec();
+        script.extend_from_slice(oversized.as_bytes());
+        script.extend_from_slice(b"\n{\"cmd\":\"shutdown\"}\n");
+        let mut out = Vec::new();
+        let ended = serve_stream(&mut server_on(EnvConfig::default()), &script[..], &mut out)
+            .expect("bad lines must not end the stream");
+        assert!(ended, "shutdown still answered");
+        let out = String::from_utf8(out).expect("responses are utf-8");
+        let replies: Vec<Value> = out.lines().map(|l| json::parse(l).unwrap()).collect();
+        assert_eq!(replies.len(), 3, "{out}");
+        let error = |v: &Value| {
+            v.get("error")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_owned()
+        };
+        assert!(error(&replies[0]).contains("UTF-8"), "{out}");
+        assert!(error(&replies[1]).contains("longer than"), "{out}");
+        assert_eq!(
+            replies[2].get("cmd").and_then(Value::as_str),
+            Some("shutdown")
+        );
+        assert_eq!(replies[2].get("ok"), Some(&Value::Bool(true)));
     }
 
     #[test]

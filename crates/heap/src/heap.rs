@@ -46,11 +46,12 @@
 //! [`HeapConfig::shard_index`]) the partition. Each environment owns its
 //! heap — sequential runs, minimal-heap trials, parallel partitions and
 //! serve tenants alike — so no workload ever enters one heap from two
-//! threads. Context interning never enters the cell (it goes through the
-//! striped intern table), so it is safe from any thread.
+//! threads. The allocation-context table lives in the cell too: every
+//! capture enters the heap like any other operation, between the
+//! mutator's allocations.
 
 use crate::clock::SimClock;
-use crate::context::{ContextExport, ContextId, FrameId, StripedContextTable};
+use crate::context::{ContextExport, ContextId, ContextTable, FrameId};
 use crate::gc::{self, AdtCached};
 use crate::layout::MemoryModel;
 use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRange};
@@ -64,7 +65,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Panic payload used for the simulated `OutOfMemoryError`.
 ///
@@ -179,9 +180,7 @@ pub(crate) struct HeapInner {
     /// Root registrations per slot, parallel to `slab` (0 = not a root).
     pub(crate) root_counts: Vec<u32>,
     pub(crate) classes: ClassRegistry,
-    /// Shared with the owning [`Heap`] handle: context interning never
-    /// takes the heap lock, only the table's internal stripes.
-    pub(crate) contexts: Arc<StripedContextTable>,
+    pub(crate) contexts: ContextTable,
     pub(crate) cycles: Vec<CycleStats>,
     pub(crate) gc_config: GcConfig,
     pub(crate) clock: Option<SimClock>,
@@ -283,13 +282,6 @@ impl DerefMut for HeapGuard<'_> {
 #[derive(Clone)]
 pub struct Heap {
     cell: Arc<HeapCell>,
-    /// Context-intern table, reachable without entering the heap so warm
-    /// capture never serializes on the heap. Also held inside `HeapInner`
-    /// for the collector's read-side accounting.
-    contexts: Arc<StripedContextTable>,
-    /// Capture-path telemetry handles, set once by the first
-    /// [`Heap::attach_telemetry`] (lock-free to read thereafter).
-    capture_tele: Arc<OnceLock<HeapTelemetry>>,
 }
 
 impl fmt::Debug for Heap {
@@ -324,7 +316,6 @@ impl Heap {
 
     /// Creates a heap with an explicit configuration.
     pub fn with_config(config: HeapConfig) -> Self {
-        let contexts = Arc::new(StripedContextTable::new());
         let inner = HeapInner {
             model: config.model,
             slab: Vec::new(),
@@ -339,7 +330,7 @@ impl Heap {
             bytes_since_gc: 0,
             root_counts: Vec::new(),
             classes: ClassRegistry::new(),
-            contexts: Arc::clone(&contexts),
+            contexts: ContextTable::new(),
             cycles: Vec::new(),
             gc_config: config.gc,
             clock: None,
@@ -360,8 +351,6 @@ impl Heap {
                 index: config.shard_index,
                 inner: UnsafeCell::new(inner),
             }),
-            contexts,
-            capture_tele: Arc::new(OnceLock::new()),
         }
     }
 
@@ -420,27 +409,19 @@ impl Heap {
     /// afterwards the allocation/capture/GC paths pay one enabled-check when
     /// the handle is disabled and lock-free atomics when enabled. Telemetry
     /// never charges the [`SimClock`], so simulated results are identical
-    /// with it on, off, or absent.
-    ///
-    /// The context-capture counters bind to the *first* telemetry handle
-    /// attached to this heap (they are read without the heap lock);
-    /// re-attaching redirects only the GC-side metrics.
+    /// with it on, off, or absent. The allocation, GC and context-capture
+    /// counters all resolve from this one handle.
     pub fn attach_telemetry(&self, telemetry: &Telemetry) {
         self.lock("attach_telemetry").telemetry = Some(HeapTelemetry::new(telemetry));
-        let _ = self.capture_tele.set(HeapTelemetry::new(telemetry));
     }
 
     /// Attaches an execution-trace lane: GC cycles record causal phase
-    /// spans (mark, scan, sweep, snapshot capture) and the
-    /// context-intern table records stripe-wait spans on its miss path
-    /// (binding to the *first* lane attached, like the capture counters).
-    /// Tracing reads only the wall clock and never charges the
-    /// [`SimClock`], so simulated results are bit-identical with it
-    /// absent, armed, or exporting. Also arms the flight-recorder anomaly
-    /// trigger (see [`GcConfig::anomaly_factor`]).
+    /// spans (mark, scan, sweep, snapshot capture). Tracing reads only the
+    /// wall clock and never charges the [`SimClock`], so simulated results
+    /// are bit-identical with it absent, armed, or exporting. Also arms the
+    /// flight-recorder anomaly trigger (see [`GcConfig::anomaly_factor`]).
     pub fn attach_tracer(&self, lane: &TraceLane) {
         self.lock("attach_tracer").tracer = Some(lane.clone());
-        self.contexts.set_tracer(lane.clone());
     }
 
     /// Enables (with `Some`) or disables (with `None`) continuous heap
@@ -505,30 +486,30 @@ impl Heap {
 
     /// Interns an allocation context from frame display names
     /// (innermost first), truncated to `depth`.
-    ///
-    /// Context interning never takes the heap lock: it goes straight to
-    /// the striped intern table, so captures from the mutator are
-    /// lock-free with respect to allocation and GC.
     pub fn intern_context(&self, src_type: &str, frames: &[String], depth: usize) -> ContextId {
+        let mut inner = self.lock("intern_context");
         let ids: Vec<FrameId> = frames
             .iter()
             .take(depth)
-            .map(|f| self.contexts.intern_frame(f).0)
+            .map(|f| inner.contexts.intern_frame(f))
             .collect();
-        self.contexts.intern(src_type, &ids, depth).0
+        inner.contexts.intern(src_type, &ids, depth)
     }
 
     /// Interns a single stack frame into this heap's context table.
     ///
-    /// The hit path is a borrowed lookup under one stripe read-lock: no
-    /// allocation once the frame is warm, and no heap lock ever.
+    /// The hit path is a borrowed lookup: no allocation once the frame is
+    /// warm.
     /// [`CallStackSim::for_heap`](crate::context::CallStackSim::for_heap)
     /// stacks use this so their frame ids are directly valid for
     /// [`Heap::intern_context_ids`].
     pub fn intern_frame(&self, name: &str) -> FrameId {
-        let (id, missed) = self.contexts.intern_frame(name);
-        if missed {
-            if let Some(ht) = self.capture_tele.get().filter(|ht| ht.on()) {
+        let mut guard = self.lock("intern_frame");
+        let inner = &mut *guard;
+        let known = inner.contexts.frame_misses();
+        let id = inner.contexts.intern_frame(name);
+        if inner.contexts.frame_misses() > known {
+            if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
                 ht.frame_misses.inc();
             }
         }
@@ -537,24 +518,29 @@ impl Heap {
 
     /// Resolves a frame id previously returned by [`Heap::intern_frame`].
     pub fn frame_name(&self, frame: FrameId) -> String {
-        self.contexts.frame_name(frame).to_string()
+        self.lock("frame_name")
+            .contexts
+            .frame_name(frame)
+            .to_owned()
     }
 
     /// Interns an allocation context from already-interned frame ids
     /// (innermost first, truncated to `depth`).
     ///
-    /// This is the hot capture path: one stripe read-lock, a borrowed-key
-    /// probe, and zero allocations when the context is already known. The
-    /// heap lock is never taken.
+    /// This is the hot capture path: a borrowed-key probe and zero
+    /// allocations when the context is already known.
     pub fn intern_context_ids(
         &self,
         src_type: &str,
         frames: &[FrameId],
         depth: usize,
     ) -> ContextId {
-        let (ctx, missed) = self.contexts.intern(src_type, frames, depth);
-        if let Some(ht) = self.capture_tele.get().filter(|ht| ht.on()) {
-            if missed {
+        let mut guard = self.lock("intern_context_ids");
+        let inner = &mut *guard;
+        let known = inner.contexts.len();
+        let ctx = inner.contexts.intern(src_type, frames, depth);
+        if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
+            if inner.contexts.len() > known {
                 ht.ctx_misses.inc();
             } else {
                 ht.ctx_hits.inc();
@@ -567,27 +553,37 @@ impl Heap {
     /// intern calls actually allocated. Warm capture paths leave both
     /// counters unchanged, which tests assert on.
     pub fn context_intern_misses(&self) -> (u64, u64) {
-        (self.contexts.frame_misses(), self.contexts.context_misses())
+        let inner = self.lock("context_intern_misses");
+        (
+            inner.contexts.frame_misses(),
+            inner.contexts.context_misses(),
+        )
     }
 
     /// Formats a context in the paper's `Type:frame;frame` style.
     pub fn format_context(&self, ctx: ContextId) -> String {
-        self.contexts.format(ctx)
+        self.lock("format_context").contexts.format(ctx)
     }
 
     /// Source type recorded for a context.
     pub fn context_src_type(&self, ctx: ContextId) -> String {
-        self.contexts.record(ctx).src_type.to_string()
+        self.lock("context_src_type")
+            .contexts
+            .record(ctx)
+            .src_type
+            .to_string()
     }
 
     /// Frame display names of a context, innermost first (portable across
     /// heaps: re-interning them reproduces the same logical context).
     pub fn context_frames(&self, ctx: ContextId) -> Vec<String> {
-        self.contexts
+        let inner = self.lock("context_frames");
+        inner
+            .contexts
             .record(ctx)
             .stack
             .iter()
-            .map(|f| self.contexts.frame_name(*f).to_string())
+            .map(|f| inner.contexts.frame_name(*f).to_owned())
             .collect()
     }
 
@@ -598,7 +594,7 @@ impl Heap {
 
     /// Number of distinct allocation contexts interned.
     pub fn context_count(&self) -> usize {
-        self.contexts.len()
+        self.lock("context_count").contexts.len()
     }
 
     /// Dumps every interned context as a `(src_type, frames)` pair, in
@@ -608,15 +604,15 @@ impl Heap {
     /// the allocation-free [`Heap::export_contexts`] /
     /// [`Heap::import_contexts`] pair instead.
     pub fn context_records(&self) -> Vec<(String, Vec<String>)> {
-        let export = self.contexts.export();
-        export
-            .records
+        let inner = self.lock("context_records");
+        inner
+            .contexts
             .iter()
-            .map(|rec| {
+            .map(|(_, rec)| {
                 let frames = rec
                     .stack
                     .iter()
-                    .map(|f| export.frames[f.0 as usize].to_string())
+                    .map(|f| inner.contexts.frame_name(*f).to_owned())
                     .collect();
                 (rec.src_type.to_string(), frames)
             })
@@ -627,7 +623,7 @@ impl Heap {
     /// frame names in `FrameId` order plus records in `ContextId` order,
     /// with every string shared rather than copied.
     pub fn export_contexts(&self) -> ContextExport {
-        self.contexts.export()
+        self.lock("export_contexts").contexts.export()
     }
 
     /// Re-interns `export` (from another heap) into this heap's context
@@ -636,7 +632,7 @@ impl Heap {
     /// parallel runner's partition merge; by construction the remap is a
     /// pure function of the two tables' contents, never of thread timing.
     pub fn import_contexts(&self, export: &ContextExport) -> Vec<ContextId> {
-        self.contexts.import(export)
+        self.lock("import_contexts").contexts.import(export)
     }
 
     // ----- allocation -----------------------------------------------------------
@@ -1562,13 +1558,21 @@ mod tests {
             ..HeapConfig::default()
         });
         let guard = heap.lock("outer");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| heap.root_count()))
-            .expect_err("second entry must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("partition 7") && msg.contains("root_count"),
-            "{msg}"
-        );
+        // Context interning enters the cell like every other operation.
+        let probes: [(&str, &dyn Fn()); 2] = [
+            ("root_count", &|| {
+                heap.root_count();
+            }),
+            ("intern_context_ids", &|| {
+                heap.intern_context_ids("HashMap", &[], 2);
+            }),
+        ];
+        for (op, probe) in probes {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(probe))
+                .expect_err("second entry must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("partition 7") && msg.contains(op), "{msg}");
+        }
         // The losing entry must not clear the winner's flag.
         assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
         drop(guard);

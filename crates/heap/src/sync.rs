@@ -1,17 +1,10 @@
-//! std-vs-loom indirection for this crate's concurrency kernels (the
-//! shard entry flag and the context stripe table).
+//! std-vs-loom indirection for this crate's one concurrency kernel, the
+//! single-mutator cell's entry flag.
 //!
-//! Re-exports `chameleon_telemetry::sync` (atomics, fences,
-//! [`UnsafeCell`](chameleon_telemetry::sync::UnsafeCell)) and adds the
-//! stripe table's `RwLock`: `parking_lot` normally, the loom shim's
-//! scheduling-aware equivalent under `--features model`. The `model`
-//! feature of this crate enables `chameleon-telemetry/model`, so both
-//! halves always agree.
+//! Re-exports `chameleon_telemetry::sync` (atomics and
+//! [`UnsafeCell`](chameleon_telemetry::sync::UnsafeCell)): the plain std
+//! types normally, the loom shim's model-checked equivalents under
+//! `--features model`. The `model` feature of this crate enables
+//! `chameleon-telemetry/model`, so both crates always agree.
 
-pub(crate) use chameleon_telemetry::sync::{AtomicBool, AtomicU64, Ordering, UnsafeCell};
-
-#[cfg(feature = "model")]
-pub(crate) use loom::sync::RwLock;
-
-#[cfg(not(feature = "model"))]
-pub(crate) use parking_lot::RwLock;
+pub(crate) use chameleon_telemetry::sync::{AtomicBool, Ordering, UnsafeCell};

@@ -1,5 +1,4 @@
-//! Model checking for the heap's single-mutator entry flag (`heap.rs`)
-//! and the striped context-intern table (`context.rs`).
+//! Model checking for the heap's single-mutator entry flag (`heap.rs`).
 //!
 //! Run with `cargo test --features model -p chameleon-heap --test
 //! model_shard`. The entry-flag test is the one that catches mutation (a)
@@ -144,37 +143,5 @@ fn entry_flag_serializes_or_panics() {
     assert!(
         contested.load(Ordering::Relaxed) > 0,
         "no schedule tripped the single-mutator contract"
-    );
-}
-
-/// Concurrent interning through the 16-stripe context table: equal keys
-/// must get equal ids and distinct keys distinct ids, under every
-/// interleaving of two interning threads.
-#[test]
-fn stripe_intern_ids_stay_injective() {
-    let mut builder = explorer();
-    // The intern path is long (stripe read probe, write lock, shared id
-    // vector, miss counters), so even a shallow preemption budget yields
-    // thousands of schedules; budget 5 would take minutes.
-    builder.preemption_bound = 3;
-    let report = builder.check(|| {
-        let heap = Heap::new();
-        let h = heap.clone();
-        let worker = loom::thread::spawn(move || {
-            let a = h.intern_context("List", &["alpha".to_owned()], 1);
-            let b = h.intern_context("List", &["beta".to_owned()], 1);
-            (a, b)
-        });
-        let b_main = heap.intern_context("List", &["beta".to_owned()], 1);
-        let a_main = heap.intern_context("List", &["alpha".to_owned()], 1);
-        let (a_w, b_w) = worker.join().unwrap();
-        assert_eq!(a_main, a_w, "same key interned to different ids");
-        assert_eq!(b_main, b_w, "same key interned to different ids");
-        assert_ne!(a_main, b_main, "distinct keys collided");
-    });
-    assert!(
-        report.schedules >= MIN_SCHEDULES,
-        "explored only {} schedules",
-        report.schedules
     );
 }

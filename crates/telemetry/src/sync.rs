@@ -1,9 +1,9 @@
 //! std-vs-loom indirection for the concurrency kernels.
 //!
-//! The workspace's three lock-free/low-level kernels (the trace-ring
-//! seqlock here, the heap's shard entry flags and the context stripe
-//! table) import their atomics, fences and interior-mutability cells
-//! from this module instead of `std` directly. Under
+//! The workspace's two lock-free/low-level kernels (the trace-ring
+//! seqlock here and the heap's single-mutator entry flag) import their
+//! atomics, fences and interior-mutability cells from this module
+//! instead of `std` directly. Under
 //! `--features model` the re-exports switch to the in-tree `loom` shim,
 //! whose types participate in exhaustive schedule exploration and race
 //! checking; without the feature they are the plain `std` types (plus a

@@ -2,7 +2,7 @@
 //!
 //! This shim reproduces the parts of the `loom` crate the workspace's
 //! concurrency kernels need — [`model`], [`thread::spawn`],
-//! [`sync::atomic`], [`sync::Mutex`]/[`sync::RwLock`] and
+//! [`sync::atomic`], [`sync::Mutex`] and
 //! [`cell::UnsafeCell`] — backed by an in-tree explorer instead of the
 //! upstream crate, so model checking works without network access.
 //!
@@ -35,9 +35,8 @@
 //!
 //! # Differences from upstream loom
 //!
-//! * `sync::Mutex::lock` and `sync::RwLock::{read,write}` return guards
-//!   directly (`parking_lot` style, no poison `Result`), matching the
-//!   workspace's lock shims.
+//! * `sync::Mutex::lock` returns its guard directly (`parking_lot` style,
+//!   no poison `Result`), matching the workspace's lock shims.
 //! * [`cell::UnsafeCell`] adds `with_racy`, an intentionally unchecked read
 //!   for seqlock-style readers whose races are resolved by validation.
 //! * Outside a model run every primitive degrades to its plain `std`

@@ -120,17 +120,9 @@ struct MutexState {
     release: VClock,
 }
 
-#[derive(Default)]
-struct RwState {
-    writer: Option<usize>,
-    readers: Vec<usize>,
-    release: VClock,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Block {
     Mutex(usize),
-    Rw(usize),
     Join(usize),
 }
 
@@ -162,7 +154,6 @@ pub(crate) struct RtState {
     locations: Vec<LocState>,
     cells: Vec<CellState>,
     mutexes: Vec<MutexState>,
-    rwlocks: Vec<RwState>,
     failure: Option<String>,
     seen: HashSet<u64>,
     prune: bool,
@@ -249,10 +240,6 @@ impl RtState {
         }
         for m in &self.mutexes {
             m.owner.hash(&mut h);
-        }
-        for r in &self.rwlocks {
-            r.writer.hash(&mut h);
-            r.readers.hash(&mut h);
         }
         h.finish()
     }
@@ -458,7 +445,6 @@ impl Rt {
                 locations: Vec::new(),
                 cells: Vec::new(),
                 mutexes: Vec::new(),
-                rwlocks: Vec::new(),
                 failure: None,
                 seen,
                 prune: b.state_pruning,
@@ -628,48 +614,6 @@ impl Rt {
         });
     }
 
-    pub(crate) fn rw_lock(self: &Arc<Self>, id: usize, write: bool) {
-        loop {
-            let acquired = self.op(|st, me| {
-                let free = if write {
-                    st.rwlocks[id].writer.is_none() && st.rwlocks[id].readers.is_empty()
-                } else {
-                    st.rwlocks[id].writer.is_none()
-                };
-                if free {
-                    if write {
-                        st.rwlocks[id].writer = Some(me);
-                    } else {
-                        st.rwlocks[id].readers.push(me);
-                    }
-                    let rel = st.rwlocks[id].release;
-                    join(&mut st.threads[me].clock, &rel);
-                    true
-                } else {
-                    st.threads[me].status = Status::Blocked(Block::Rw(id));
-                    false
-                }
-            });
-            if acquired {
-                return;
-            }
-        }
-    }
-
-    pub(crate) fn rw_unlock(self: &Arc<Self>, id: usize, write: bool) {
-        self.op(|st, me| {
-            if write {
-                debug_assert_eq!(st.rwlocks[id].writer, Some(me));
-                st.rwlocks[id].writer = None;
-            } else {
-                st.rwlocks[id].readers.retain(|&r| r != me);
-            }
-            let clock = st.threads[me].clock;
-            join(&mut st.rwlocks[id].release, &clock);
-            wake(st, Block::Rw(id));
-        });
-    }
-
     pub(crate) fn join_thread(self: &Arc<Self>, tid: usize) {
         loop {
             let done = self.op(|st, me| {
@@ -770,13 +714,6 @@ pub(crate) fn lazy_mutex(slot: &std::sync::atomic::AtomicUsize) -> Option<usize>
     })
 }
 
-pub(crate) fn lazy_rwlock(slot: &std::sync::atomic::AtomicUsize) -> Option<usize> {
-    lazy_id(slot, |st, _| {
-        st.rwlocks.push(RwState::default());
-        st.rwlocks.len() - 1
-    })
-}
-
 pub(crate) fn lazy_cell(slot: &std::sync::atomic::AtomicUsize) -> Option<usize> {
     lazy_id(slot, |st, _| {
         st.cells.push(CellState::default());
@@ -832,16 +769,6 @@ pub(crate) fn try_lock_mutex(id: usize) -> bool {
 pub(crate) fn unlock_mutex(id: usize) {
     let (rt, _) = ctx().expect("model mutex used outside a model run");
     rt.mutex_unlock(id);
-}
-
-pub(crate) fn lock_rw(id: usize, write: bool) {
-    let (rt, _) = ctx().expect("model rwlock used outside a model run");
-    rt.rw_lock(id, write);
-}
-
-pub(crate) fn unlock_rw(id: usize, write: bool) {
-    let (rt, _) = ctx().expect("model rwlock used outside a model run");
-    rt.rw_unlock(id, write);
 }
 
 /// Spawns a model thread running `f`; returns its tid. Used by

@@ -17,7 +17,7 @@ fn small_env() -> EnvConfig {
 }
 
 #[test]
-fn sequential_run_records_workload_gc_and_stripe_spans() {
+fn sequential_run_records_workload_and_gc_spans() {
     let tracer = Tracer::new();
     let env = Env::new(&EnvConfig {
         tracer: Some(tracer.clone()),
@@ -25,14 +25,7 @@ fn sequential_run_records_workload_gc_and_stripe_spans() {
     });
     env.run(&Synthetic::small_maps(5));
     let recs = tracer.records();
-    for name in [
-        "workload",
-        "gc",
-        "gc_mark",
-        "gc_scan",
-        "gc_sweep",
-        "ctx_stripe_wait",
-    ] {
+    for name in ["workload", "gc", "gc_mark", "gc_scan", "gc_sweep"] {
         assert!(
             recs.iter().any(|r| r.name == name),
             "span `{name}` missing from {:?}",
