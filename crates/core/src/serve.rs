@@ -13,7 +13,7 @@
 //!
 //! | command         | fields                           | effect |
 //! |-----------------|----------------------------------|--------|
-//! | `tenant_open`   | `tenant`, `workload`             | build a tenant environment |
+//! | `tenant_open`   | `tenant`, `workload`             | build a tenant environment, refused once [`MAX_TENANTS`] are open |
 //! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times, 1 to [`MAX_REPEAT`] |
 //! | `tenant_report` | `tenant`                         | per-tenant adaptation summary |
 //! | `tenant_close`  | `tenant`                         | final GC + survivor flush, converged policy, teardown |
@@ -45,6 +45,10 @@ use std::sync::Arc;
 /// Largest `repeat` a `tenant_step` accepts. Dispatch is one loop, so an
 /// unbounded count would stall every tenant behind one command.
 pub const MAX_REPEAT: u64 = 10_000;
+
+/// Most tenants open at once. Every tenant holds its own heap, so an
+/// unbounded count would let one client exhaust the server's memory.
+pub const MAX_TENANTS: usize = 1024;
 
 /// Longest command line [`serve_stream`] accepts, newline excluded. A
 /// longer line is answered with an error and skipped up to its newline, so
@@ -314,6 +318,9 @@ impl Server {
         let name = Self::tenant_name(v)?;
         if self.tenants.contains_key(&name) {
             return Err(format!("tenant {name:?} already open"));
+        }
+        if self.tenants.len() >= MAX_TENANTS {
+            return Err(format!("{MAX_TENANTS} tenants already open"));
         }
         let workload_name = v
             .get("workload")
@@ -865,6 +872,28 @@ mod tests {
         let v = step(&mut s, 2);
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v:?}");
         assert_eq!(v.get("steps").and_then(Value::as_u64), Some(2));
+    }
+
+    #[test]
+    fn tenant_open_beyond_max_tenants_is_rejected() {
+        let mut s = server_on(EnvConfig::default());
+        let open = |s: &mut Server, name: &str| {
+            let line = format!(r#"{{"cmd":"tenant_open","tenant":"{name}","workload":"steady"}}"#);
+            json::parse(&s.handle_line(&line).text).expect("reply parses")
+        };
+        for k in 0..MAX_TENANTS {
+            let v = open(&mut s, &format!("t{k}"));
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v:?}");
+        }
+        let v = open(&mut s, "one-too-many");
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{v:?}");
+        let err = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(err.contains("tenants already open"), "{err}");
+        assert_eq!(s.tenant_count(), MAX_TENANTS);
+        // Closing one frees a place.
+        s.handle_line(r#"{"cmd":"tenant_close","tenant":"t0"}"#);
+        let v = open(&mut s, "one-too-many");
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v:?}");
     }
 
     #[cfg(unix)]

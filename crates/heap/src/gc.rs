@@ -24,6 +24,15 @@
 //! when no footprint slot carries `F_DIRTY`: the walk reads nothing but
 //! the footprint objects, their ref slots and meta, and the immutable
 //! class registry and layout model, so it would read the same bytes.
+//!
+//! The same entry is the collection's *mark summary*. It also keeps the
+//! footprint's external edges: the targets of footprint ref slots that
+//! lie outside the footprint. When the mark reaches a collection whose
+//! entry is still valid, it stamps the whole footprint and traces only
+//! those edges. Every footprint object was reachable from the collection
+//! through footprint refs, none of those refs was written since, and only
+//! the sweep frees a slot, so the marked set is exactly the one a full
+//! trace finds. The mark's verdict is the one the scan reuses.
 
 use crate::heap::{HeapInner, ANOMALY_WARMUP, F_DIRTY, F_OCCUPIED, F_TOP_COLL, PAUSE_HISTORY};
 use crate::object::{ElemKind, ObjBody, ObjId, Object};
@@ -58,9 +67,10 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         marks.resize(inner.slab.len(), 0);
     }
 
+    let mut cache = std::mem::take(&mut inner.adt_cache);
     let mark_span = lane.as_ref().and_then(|l| l.scope("gc_mark"));
     let mark_timer = timed.then(SpanTimer::start);
-    mark(inner, &mut marks, epoch);
+    mark(inner, &mut cache, &mut marks, epoch);
     let mark_ns = mark_timer.map_or(0, |t| t.elapsed_ns());
     drop(mark_span);
 
@@ -68,7 +78,6 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     let scan_span = lane.as_ref().and_then(|l| l.scope("gc_scan"));
     let scan_timer = timed.then(SpanTimer::start);
     let n_contexts = inner.contexts.len();
-    let cache = std::mem::take(&mut inner.adt_cache);
     let ScanAcc {
         live_bytes,
         live_objects,
@@ -264,14 +273,60 @@ struct ScanAcc {
     coll_cached: u64,
 }
 
-/// One top-level collection's semantic totals from an earlier cycle.
+/// One top-level collection's semantic totals from an earlier cycle, and
+/// its mark summary.
 pub(crate) struct AdtCached {
     slot: u32,
     /// Generation of the collection object at `slot`.
     generation: u32,
     totals: AdtTotals,
-    /// Slots the walk resolved, the collection object's own first.
+    /// Slots the walk resolved, ascending and distinct.
     footprint: Vec<u32>,
+    /// Resolvable targets of the footprint objects' ref slots that lie
+    /// outside the footprint: the only edges the mark still traces.
+    external: Vec<ObjId>,
+    /// Epoch of the last mark that found the entry valid; the scan reuses
+    /// the entry only in that cycle.
+    valid_at: u32,
+}
+
+impl AdtCached {
+    /// Builds the entry for a walk that resolved `footprint`.
+    fn record(inner: &HeapInner, slot: u32, totals: AdtTotals, footprint: &[u32]) -> Self {
+        let mut footprint = footprint.to_vec();
+        footprint.sort_unstable();
+        footprint.dedup();
+        let mut external = Vec::new();
+        for &s in &footprint {
+            for child in inner.slab[s as usize].refs_iter(&inner.ref_pool) {
+                // A resolvable id whose slot is in the footprint is that
+                // footprint object.
+                if resolve_opt(inner, child).is_some()
+                    && footprint.binary_search(&child.index).is_err()
+                {
+                    external.push(child);
+                }
+            }
+        }
+        AdtCached {
+            slot,
+            generation: inner.slab[slot as usize].generation,
+            totals,
+            footprint,
+            external,
+            valid_at: 0,
+        }
+    }
+
+    /// True while the collection at `slot` is the one walked and no
+    /// footprint slot was freed or written since.
+    fn still_valid(&self, inner: &HeapInner) -> bool {
+        self.generation == inner.slab[self.slot as usize].generation
+            && self
+                .footprint
+                .iter()
+                .all(|&s| inner.flags[s as usize] & (F_OCCUPIED | F_DIRTY) == F_OCCUPIED)
+    }
 }
 
 /// Smallest footprint worth caching. Smaller walks cost less than
@@ -351,13 +406,9 @@ fn scan(
             .semantic_map
             .expect("F_TOP_COLL implies a top-level semantic map");
         while cache.next_if(|e| (e.slot as usize) < i).is_some() {}
+        // The mark validated every entry it used this cycle.
         let totals = match cache.next_if(|e| e.slot as usize == i) {
-            Some(e)
-                if e.generation == o.generation
-                    && e.footprint.iter().all(|&s| {
-                        inner.flags[s as usize] & (F_OCCUPIED | F_DIRTY) == F_OCCUPIED
-                    }) =>
-            {
+            Some(e) if e.valid_at == epoch => {
                 acc.coll_cached += 1;
                 let totals = e.totals;
                 acc.adt_cache.push(e);
@@ -369,12 +420,8 @@ fn scan(
                 let mut totals = adt_stats(inner, o, map, &mut footprint);
                 totals.count = 1;
                 if footprint.len() >= CACHE_MIN_FOOTPRINT {
-                    acc.adt_cache.push(AdtCached {
-                        slot: i as u32,
-                        generation: o.generation,
-                        totals,
-                        footprint: footprint.clone(),
-                    });
+                    acc.adt_cache
+                        .push(AdtCached::record(inner, i as u32, totals, &footprint));
                 }
                 totals
             }
@@ -388,14 +435,33 @@ fn scan(
 }
 
 /// Marks everything reachable from the roots by stamping `epoch` into the
-/// mark array.
-fn mark(inner: &HeapInner, marks: &mut [u32], epoch: u32) {
+/// mark array. A top-level collection with a still-valid `cache` entry is
+/// marked from its summary: its footprint is stamped whole and only its
+/// external edges are traced. Each entry used is marked valid for `epoch`.
+fn mark(inner: &HeapInner, cache: &mut [AdtCached], marks: &mut [u32], epoch: u32) {
     let mut stack: Vec<u32> = Vec::new();
     for root in inner.root_ids() {
         if claim(inner, marks, epoch, root) {
             stack.push(root.index);
         }
         while let Some(i) = stack.pop() {
+            if inner.flags[i as usize] & F_TOP_COLL != 0 {
+                if let Ok(k) = cache.binary_search_by_key(&i, |e| e.slot) {
+                    let e = &mut cache[k];
+                    if e.still_valid(inner) {
+                        e.valid_at = epoch;
+                        for &s in &e.footprint {
+                            marks[s as usize] = epoch;
+                        }
+                        for &child in &e.external {
+                            if claim(inner, marks, epoch, child) {
+                                stack.push(child.index);
+                            }
+                        }
+                        continue;
+                    }
+                }
+            }
             for child in inner.slab[i as usize].refs_iter(&inner.ref_pool) {
                 if claim(inner, marks, epoch, child) {
                     stack.push(child.index);
@@ -909,6 +975,24 @@ mod tests {
         impls: Vec<ObjId>,
         entries: Vec<ObjId>,
         arrays: Vec<ObjId>,
+        payloads: Vec<ObjId>,
+    }
+
+    impl Pool {
+        /// Whether each pool object is live in `heap`, in pool order.
+        fn liveness(&self, heap: &Heap) -> Vec<bool> {
+            [
+                &self.wrappers,
+                &self.impls,
+                &self.entries,
+                &self.arrays,
+                &self.payloads,
+            ]
+            .into_iter()
+            .flatten()
+            .map(|&id| heap.is_live(id))
+            .collect()
+        }
     }
 
     /// Capacity of every reference array the cache fixtures allocate.
@@ -920,6 +1004,12 @@ mod tests {
     /// two walk past `CACHE_MIN_FOOTPRINT`; an `ArrayBacked` walk resolves
     /// 3 objects whatever its size, so it is always walked afresh and sits
     /// between cached entries in slot order.
+    ///
+    /// Payloads hang off entries' field 1, outside every footprint: every
+    /// tenth entry holds one, the first heads a chain of two more, and the
+    /// last entry-held one is shared by the hash map and the linked list.
+    /// The hash map's first entry also holds the linked list's wrapper as
+    /// a value in field 2.
     fn cache_fixtures(heap: &Heap) -> Pool {
         let mut pool = Pool::default();
         let entry = heap.register_class("Entry", None);
@@ -984,6 +1074,22 @@ mod tests {
             pool.impls.push(im);
             pool.entries.extend(entries);
         }
+        let payload = heap.register_class("Payload", None);
+        for k in (0..pool.entries.len()).step_by(10) {
+            let p = heap.alloc_scalar(payload, 2, 8, None);
+            heap.set_ref(pool.entries[k], 1, Some(p));
+            pool.payloads.push(p);
+        }
+        let shared = pool.payloads[pool.payloads.len() - 1];
+        heap.set_ref(pool.entries[5], 1, Some(shared));
+        let mut tail = pool.payloads[0];
+        for _ in 0..2 {
+            let p = heap.alloc_scalar(payload, 2, 8, None);
+            heap.set_ref(tail, 0, Some(p));
+            pool.payloads.push(p);
+            tail = p;
+        }
+        heap.set_ref(pool.entries[0], 2, Some(pool.wrappers[2]));
         pool
     }
 
@@ -1000,10 +1106,13 @@ mod tests {
         /// that forgets it before every cycle report identical cycle
         /// statistics over random writes through every path that sets
         /// `F_DIRTY` (`set_meta`, `set_ref`, `set_elem`, `alloc_batch`
-        /// links into existing objects), unrooting, garbage and GC.
+        /// links into existing objects), unrooting, garbage and GC, and
+        /// both heaps keep the same objects live. Payload writes change the
+        /// graph below the collections while their mark summaries stay
+        /// valid.
         #[test]
         fn adt_cache_is_invisible(
-            ops in proptest::collection::vec((0u32..10, 0u32..1024, 0u32..1024), 1..120)
+            ops in proptest::collection::vec((0u32..11, 0u32..1024, 0u32..1024), 1..120)
         ) {
             let cached = Heap::new();
             let reference = Heap::new();
@@ -1011,6 +1120,7 @@ mod tests {
             proptest::prop_assert_eq!(&pool, &cache_fixtures(&reference));
             let entry = cached.register_class("Entry", None);
             let arr_class = cached.register_class("Object[]", None);
+            let payload = cached.register_class("Payload", None);
             let entry_req = BatchAlloc::Scalar {
                 class: entry,
                 ref_fields: 3,
@@ -1099,16 +1209,45 @@ mod tests {
                             }
                         }
                     }
+                    8 => {
+                        // A payload write: relink, clear, or hang a fresh
+                        // payload off one.
+                        if let Some(p) = pick(&cached, &pool.payloads, a) {
+                            let field = (a % 2) as usize;
+                            if b % 7 == 0 {
+                                let req = BatchAlloc::Scalar {
+                                    class: payload,
+                                    ref_fields: 2,
+                                    prim_bytes: 8,
+                                    ctx: None,
+                                };
+                                let links = [(BatchRef::Obj(p), field, Some(BatchRef::New(0)))];
+                                pool.payloads.push(batch(req, &links));
+                            } else {
+                                let all: Vec<ObjId> = pool.payloads.iter()
+                                    .chain(&pool.entries)
+                                    .chain(&pool.wrappers)
+                                    .copied()
+                                    .collect();
+                                let target = (b % 5 != 0).then(|| pick(&cached, &all, b)).flatten();
+                                for h in heaps {
+                                    h.set_ref(p, field, target);
+                                }
+                            }
+                        }
+                    }
                     _ => {
                         let got = cached.gc();
                         reference.clear_adt_cache();
                         proptest::prop_assert_eq!(got, reference.gc());
+                        proptest::prop_assert_eq!(pool.liveness(&cached), pool.liveness(&reference));
                     }
                 }
             }
             let got = cached.gc();
             reference.clear_adt_cache();
             proptest::prop_assert_eq!(got, reference.gc());
+            proptest::prop_assert_eq!(pool.liveness(&cached), pool.liveness(&reference));
         }
     }
 
@@ -1139,5 +1278,37 @@ mod tests {
         let (reused, fourth) = cycle();
         assert_eq!(reused, 2);
         assert_eq!(fourth, third);
+    }
+
+    #[test]
+    fn summarized_collections_still_trace_their_payloads() {
+        use chameleon_telemetry::{json, Telemetry};
+        let heap = Heap::new();
+        let t = Telemetry::new();
+        heap.attach_telemetry(&t);
+        let pool = cache_fixtures(&heap);
+        let cached_walks = || {
+            heap.gc();
+            let log = t.drain_events();
+            let ev = json::parse(log.lines().next().expect("gc_cycle event")).unwrap();
+            ev.get("coll_cached").and_then(|v| v.as_u64()).unwrap()
+        };
+        assert_eq!(cached_walks(), 0);
+        // Payloads lie outside every footprint, so linking through the
+        // end of the payload chain leaves both summaries valid.
+        let tail = *pool.payloads.last().unwrap();
+        let class = heap.register_class("Leaf", None);
+        let leaf = heap.alloc_scalar(class, 0, 8, None);
+        heap.set_ref(tail, 1, Some(leaf));
+        // The linked list stays reachable as the hash map's value.
+        heap.remove_root(pool.wrappers[2]);
+        assert_eq!(cached_walks(), 2);
+        assert!(heap.is_live(leaf), "a leaf below a payload chain survives");
+        assert!(heap.is_live(pool.wrappers[2]), "a map value survives");
+        assert!(pool.payloads.iter().all(|&p| heap.is_live(p)));
+        heap.set_ref(tail, 1, None);
+        assert_eq!(cached_walks(), 2);
+        assert!(!heap.is_live(leaf), "an unlinked leaf is swept");
+        assert!(heap.is_live(tail));
     }
 }
