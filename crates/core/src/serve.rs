@@ -14,7 +14,7 @@
 //! | command         | fields                           | effect |
 //! |-----------------|----------------------------------|--------|
 //! | `tenant_open`   | `tenant`, `workload`             | build a tenant environment, refused once [`MAX_TENANTS`] are open |
-//! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times, 1 to [`MAX_REPEAT`] |
+//! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times, 1 to [`MAX_REPEAT`]; a step that panics closes the tenant with an error reply |
 //! | `tenant_report` | `tenant`                         | per-tenant adaptation summary |
 //! | `tenant_close`  | `tenant`                         | final GC + survivor flush, converged policy, teardown |
 //! | `fleet_report`  | —                                | all tenant summaries + fleet aggregates |
@@ -35,11 +35,13 @@
 use crate::env::{Env, EnvConfig};
 use crate::online::{OnlineConfig, OnlineDriftConfig, OnlineSink};
 use crate::workload::Workload;
-use chameleon_heap::Heap;
+use chameleon_heap::{Heap, OutOfMemory};
 use chameleon_rules::{PolicyUpdate, RuleEngine};
 use chameleon_telemetry::json::{self, Value};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Largest `repeat` a `tenant_step` accepts. Dispatch is one loop, so an
@@ -149,6 +151,19 @@ fn kind_name(tag: u8) -> &'static str {
     }
 }
 
+/// The message a panic carried: a simulated `OutOfMemory`, or text.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(oom) = payload.downcast_ref::<OutOfMemory>() {
+        oom.to_string()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with a non-text payload".to_owned()
+    }
+}
+
 /// Renders an installed override as a response object.
 fn update_value(u: &PolicyUpdate, heap: &Heap) -> Value {
     let (kind, ctx, impl_name, capacity) = match u {
@@ -254,7 +269,8 @@ impl Server {
     /// Handles one command line and produces one response line. Invalid
     /// input never panics or kills the server: it yields an
     /// `{"ok":false,"error":...}` response so a misbehaving client cannot
-    /// take down the other tenants.
+    /// take down the other tenants. A tenant whose step panics is closed
+    /// with such a response; later commands for it get "unknown tenant".
     pub fn handle_line(&mut self, line: &str) -> Reply {
         match self.dispatch(line) {
             Ok((value, shutdown)) => Reply {
@@ -398,16 +414,27 @@ impl Server {
             }
             None => None,
         };
-        for _ in 0..repeat {
-            match &phases {
-                Some(task) => task.run(&t.env.factory),
-                None => t.workload.run(&t.env.factory),
+        // A step that panics (a simulated `OutOfMemory` under
+        // `heap_capacity`, or a workload bug) ends only its own tenant.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            for _ in 0..repeat {
+                match &phases {
+                    Some(task) => task.run(&t.env.factory),
+                    None => t.workload.run(&t.env.factory),
+                }
+                // A GC per step keeps heap statistics (and thus
+                // potential-bytes evidence) flowing between commands; the
+                // survivor flush waits for tenant_close so long-lived state
+                // is not double-counted across steps.
+                t.env.heap.gc();
             }
-            // A GC per step keeps heap statistics (and thus
-            // potential-bytes evidence) flowing between commands; the
-            // survivor flush waits for tenant_close so long-lived state
-            // is not double-counted across steps.
-            t.env.heap.gc();
+        }));
+        if let Err(payload) = ran {
+            self.tenants.remove(&name);
+            return Err(format!(
+                "tenant {name:?} failed: {}",
+                panic_message(payload.as_ref())
+            ));
         }
         t.steps += repeat;
         Ok(obj(vec![
@@ -640,10 +667,33 @@ mod tests {
         }
     }
 
+    /// Runs like `Steady` once, then runs out of heap on every later step.
+    #[derive(Default)]
+    struct Faulty {
+        runs: std::cell::Cell<u32>,
+    }
+    impl Workload for Faulty {
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+        fn run(&self, f: &CollectionFactory) {
+            self.runs.set(self.runs.get() + 1);
+            if self.runs.get() > 1 {
+                std::panic::panic_any(OutOfMemory {
+                    requested: 64,
+                    capacity: 4096,
+                    live_after_gc: 4080,
+                });
+            }
+            map_heavy(f);
+        }
+    }
+
     fn resolver() -> WorkloadResolver {
         Box::new(|name| match name {
             "two-phase" => Some(Box::new(TwoPhase)),
             "steady" => Some(Box::new(Steady)),
+            "faulty" => Some(Box::<Faulty>::default()),
             _ => None,
         })
     }
@@ -855,6 +905,37 @@ mod tests {
             assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{line}");
         }
         assert_eq!(s.tenant_count(), 1);
+    }
+
+    #[test]
+    fn a_panicking_tenant_is_closed_and_the_others_go_on() {
+        const FAULT: &str = r#"
+{"cmd":"tenant_open","tenant":"bad","workload":"faulty"}
+{"cmd":"tenant_open","tenant":"good","workload":"steady"}
+{"cmd":"tenant_step","tenant":"bad"}
+{"cmd":"tenant_step","tenant":"bad"}
+{"cmd":"tenant_step","tenant":"bad"}
+{"cmd":"tenant_step","tenant":"good"}
+{"cmd":"fleet_report"}
+{"cmd":"shutdown"}
+"#;
+        let output = run_session(FAULT);
+        assert_eq!(output, run_session(FAULT), "replay must be byte-identical");
+        let replies: Vec<Value> = output.lines().map(|l| json::parse(l).unwrap()).collect();
+        let ok = |k: usize| replies[k].get("ok").and_then(Value::as_bool);
+        let error = |k: usize| replies[k].get("error").and_then(Value::as_str).unwrap();
+        assert_eq!(ok(2), Some(true), "the first step runs: {output}");
+        assert_eq!(ok(3), Some(false), "{output}");
+        assert_eq!(
+            error(3),
+            "tenant \"bad\" failed: simulated OutOfMemoryError: \
+             requested 64 B, capacity 4096 B, live 4080 B"
+        );
+        assert!(error(4).contains("unknown tenant"), "{output}");
+        assert_eq!(ok(5), Some(true), "the other tenant still steps: {output}");
+        assert_eq!(ok(6), Some(true), "{output}");
+        let tenants = replies[6].get("tenants").and_then(Value::as_obj).unwrap();
+        assert_eq!(tenants.keys().collect::<Vec<_>>(), ["good"], "{output}");
     }
 
     #[test]

@@ -33,13 +33,30 @@
 //! through footprint refs, none of those refs was written since, and only
 //! the sweep frees a slot, so the marked set is exactly the one a full
 //! trace finds. The mark's verdict is the one the scan reuses.
+//!
+//! A footprint is stored as ascending, disjoint slot runs (pmd's symbol
+//! tables are one run each), so validating an entry is one OR-fold over
+//! the runs' flag bytes and stamping it is one `fill` per run. The entry
+//! also keeps the live bytes and objects, per class, of its footprint's
+//! objects without `F_TOP_COLL`. After the mark, each entry validated this
+//! cycle claims its runs by setting `F_SUMMARIZED`, unless another entry
+//! claimed one of those slots first (footprints may overlap). The scan
+//! skips a summarized slot without `F_TOP_COLL` and adds the claiming
+//! entry's stored accounting at its collection slot, so it pays per object
+//! outside the claimed footprints. This is exact: a footprint slot is
+//! occupied and unwritten, so its object's size and class are the ones
+//! recorded, and a claim is exclusive, so no object is counted twice. A
+//! cycle that takes a heap snapshot claims nothing and scans every object.
 
-use crate::heap::{HeapInner, ANOMALY_WARMUP, F_DIRTY, F_OCCUPIED, F_TOP_COLL, PAUSE_HISTORY};
-use crate::object::{ElemKind, ObjBody, ObjId, Object};
+use crate::heap::{
+    HeapInner, ANOMALY_WARMUP, F_DIRTY, F_OCCUPIED, F_SUMMARIZED, F_TOP_COLL, PAUSE_HISTORY,
+};
+use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object};
 use crate::semantic::{AdtDescriptor, SemanticMap};
 use crate::snapshot::{self, SnapAcc};
 use crate::stats::{AdtTotals, CycleStats};
 use chameleon_telemetry::SpanTimer;
+use std::ops::Range;
 
 /// Runs one full collection cycle on the heap.
 pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
@@ -71,6 +88,11 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     let mark_span = lane.as_ref().and_then(|l| l.scope("gc_mark"));
     let mark_timer = timed.then(SpanTimer::start);
     mark(inner, &mut cache, &mut marks, epoch);
+    // Heap profiling needs every live object's edges, so a snapshot-due
+    // cycle scans every object.
+    if !snap_due {
+        claim_footprints(&mut inner.flags, &mut cache, epoch);
+    }
     let mark_ns = mark_timer.map_or(0, |t| t.elapsed_ns());
     drop(mark_span);
 
@@ -90,6 +112,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         snap,
         adt_cache,
         coll_cached,
+        summarized_objects,
     } = scan(inner, &marks, epoch, n_contexts, snap_due, cache);
     let scan_ns = scan_timer.map_or(0, |t| t.elapsed_ns());
     drop(scan_span);
@@ -103,7 +126,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         inner.free.push(i);
     }
     for f in &mut inner.flags {
-        *f &= !F_DIRTY;
+        *f &= !(F_DIRTY | F_SUMMARIZED);
     }
     inner.adt_cache = adt_cache;
     let sweep_ns = sweep_timer.map_or(0, |t| t.elapsed_ns());
@@ -217,7 +240,8 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
                 .num("coll_used", stats.collection.used)
                 .num("coll_core", stats.collection.core)
                 .num("coll_count", stats.collection.count)
-                .num("coll_cached", coll_cached);
+                .num("coll_cached", coll_cached)
+                .num("summarized_objects", summarized_objects);
         }
         if let Some(s) = &snapshot {
             ht.prof_snapshots.inc();
@@ -271,6 +295,8 @@ struct ScanAcc {
     adt_cache: Vec<AdtCached>,
     /// Top-level collections whose totals came from the cache.
     coll_cached: u64,
+    /// Live objects whose accounting came from a mark summary.
+    summarized_objects: u64,
 }
 
 /// One top-level collection's semantic totals from an earlier cycle, and
@@ -280,41 +306,69 @@ pub(crate) struct AdtCached {
     /// Generation of the collection object at `slot`.
     generation: u32,
     totals: AdtTotals,
-    /// Slots the walk resolved, ascending and distinct.
-    footprint: Vec<u32>,
+    /// Slots the walk resolved (its footprint), as ascending, disjoint
+    /// `[start, end)` runs.
+    runs: Vec<Range<usize>>,
     /// Resolvable targets of the footprint objects' ref slots that lie
     /// outside the footprint: the only edges the mark still traces.
     external: Vec<ObjId>,
+    /// Live `(class, bytes, objects)` of the footprint objects without
+    /// `F_TOP_COLL`, ascending by class: what the scan would add up for
+    /// them.
+    classes: Vec<(ClassId, u64, u64)>,
     /// Epoch of the last mark that found the entry valid; the scan reuses
     /// the entry only in that cycle.
     valid_at: u32,
+    /// Epoch of the last cycle whose footprint claim gave this entry every
+    /// one of its slots; the scan adds `classes` only in that cycle.
+    claimed_at: u32,
 }
 
 impl AdtCached {
     /// Builds the entry for a walk that resolved `footprint`.
-    fn record(inner: &HeapInner, slot: u32, totals: AdtTotals, footprint: &[u32]) -> Self {
-        let mut footprint = footprint.to_vec();
+    fn record(inner: &HeapInner, slot: u32, totals: AdtTotals, footprint: &mut [u32]) -> Self {
         footprint.sort_unstable();
-        footprint.dedup();
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for &s in footprint.iter() {
+            let s = s as usize;
+            match runs.last_mut() {
+                // `s == r.end` extends the run; sorted, so `s < r.end`
+                // repeats a slot already in it.
+                Some(r) if s <= r.end => r.end = r.end.max(s + 1),
+                _ => runs.push(s..s + 1),
+            }
+        }
+        let slots = || runs.iter().flat_map(Range::clone);
         let mut external = Vec::new();
-        for &s in &footprint {
-            for child in inner.slab[s as usize].refs_iter(&inner.ref_pool) {
+        for s in slots() {
+            for child in inner.slab[s].refs_iter(&inner.ref_pool) {
                 // A resolvable id whose slot is in the footprint is that
                 // footprint object.
-                if resolve_opt(inner, child).is_some()
-                    && footprint.binary_search(&child.index).is_err()
-                {
+                if resolve_opt(inner, child).is_some() && !in_runs(&runs, child.index as usize) {
                     external.push(child);
                 }
+            }
+        }
+        let mut classes: Vec<(ClassId, u64, u64)> = Vec::new();
+        for s in slots().filter(|&s| inner.flags[s] & F_TOP_COLL == 0) {
+            let (class, size) = (inner.slab[s].class, u64::from(inner.slab[s].size));
+            match classes.binary_search_by_key(&class, |t| t.0) {
+                Ok(k) => {
+                    classes[k].1 += size;
+                    classes[k].2 += 1;
+                }
+                Err(k) => classes.insert(k, (class, size, 1)),
             }
         }
         AdtCached {
             slot,
             generation: inner.slab[slot as usize].generation,
             totals,
-            footprint,
+            runs,
             external,
+            classes,
             valid_at: 0,
+            claimed_at: 0,
         }
     }
 
@@ -322,10 +376,41 @@ impl AdtCached {
     /// footprint slot was freed or written since.
     fn still_valid(&self, inner: &HeapInner) -> bool {
         self.generation == inner.slab[self.slot as usize].generation
-            && self
-                .footprint
-                .iter()
-                .all(|&s| inner.flags[s as usize] & (F_OCCUPIED | F_DIRTY) == F_OCCUPIED)
+            && fold_runs(&inner.flags, &self.runs, F_OCCUPIED) & (F_OCCUPIED | F_DIRTY) == 0
+    }
+}
+
+/// Whether slot `s` lies in one of the ascending, disjoint `runs`.
+fn in_runs(runs: &[Range<usize>], s: usize) -> bool {
+    let k = runs.partition_point(|r| r.end <= s);
+    runs.get(k).is_some_and(|r| r.start <= s)
+}
+
+/// OR of `flag ^ flip` over the flag bytes of every slot in `runs`. With
+/// `flip = F_OCCUPIED`, the result's `F_OCCUPIED` bit says some slot is
+/// free.
+fn fold_runs(flags: &[u8], runs: &[Range<usize>], flip: u8) -> u8 {
+    runs.iter().fold(0, |acc, r| {
+        flags[r.clone()]
+            .iter()
+            .fold(acc, |acc, &f| acc | (f ^ flip))
+    })
+}
+
+/// Sets `F_SUMMARIZED` on the footprint of every entry this cycle's mark
+/// validated, and marks the entry claimed. Footprints can overlap (a chain
+/// may run into another collection's entries); an entry that meets a slot
+/// an earlier entry claimed is left unclaimed, so its objects are scanned
+/// one by one and no object is counted twice.
+fn claim_footprints(flags: &mut [u8], cache: &mut [AdtCached], epoch: u32) {
+    for e in cache.iter_mut().filter(|e| e.valid_at == epoch) {
+        if fold_runs(flags, &e.runs, 0) & F_SUMMARIZED != 0 {
+            continue;
+        }
+        for r in &e.runs {
+            flags[r.clone()].iter_mut().for_each(|f| *f |= F_SUMMARIZED);
+        }
+        e.claimed_at = epoch;
     }
 }
 
@@ -360,11 +445,16 @@ fn scan(
         snap: snap_due.then(|| SnapAcc::new(n_contexts)),
         adt_cache: Vec::new(),
         coll_cached: 0,
+        summarized_objects: 0,
     };
     let mut cache = cache.into_iter().peekable();
     let mut footprint = Vec::new();
     for (i, &slot_flags) in inner.flags.iter().enumerate() {
         if slot_flags & F_OCCUPIED == 0 {
+            continue;
+        }
+        // Live, and counted by its claimed summary at the collection slot.
+        if slot_flags & (F_SUMMARIZED | F_TOP_COLL) == F_SUMMARIZED {
             continue;
         }
         let o = &inner.slab[i];
@@ -410,6 +500,16 @@ fn scan(
         let totals = match cache.next_if(|e| e.slot as usize == i) {
             Some(e) if e.valid_at == epoch => {
                 acc.coll_cached += 1;
+                if e.claimed_at == epoch {
+                    for &(class, bytes, objects) in &e.classes {
+                        acc.live_bytes += bytes;
+                        acc.live_objects += objects;
+                        acc.summarized_objects += objects;
+                        let t = &mut acc.type_dist[class.0 as usize];
+                        t.0 += bytes;
+                        t.1 += objects;
+                    }
+                }
                 let totals = e.totals;
                 acc.adt_cache.push(e);
                 totals
@@ -421,7 +521,7 @@ fn scan(
                 totals.count = 1;
                 if footprint.len() >= CACHE_MIN_FOOTPRINT {
                     acc.adt_cache
-                        .push(AdtCached::record(inner, i as u32, totals, &footprint));
+                        .push(AdtCached::record(inner, i as u32, totals, &mut footprint));
                 }
                 totals
             }
@@ -450,8 +550,8 @@ fn mark(inner: &HeapInner, cache: &mut [AdtCached], marks: &mut [u32], epoch: u3
                     let e = &mut cache[k];
                     if e.still_valid(inner) {
                         e.valid_at = epoch;
-                        for &s in &e.footprint {
-                            marks[s as usize] = epoch;
+                        for r in &e.runs {
+                            marks[r.clone()].fill(epoch);
                         }
                         for &child in &e.external {
                             if claim(inner, marks, epoch, child) {
@@ -654,6 +754,7 @@ mod tests {
     use crate::heap::{BatchAlloc, BatchRef, GcConfig, Heap};
     use crate::object::{ElemKind, ObjId};
     use crate::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
+    use crate::snapshot::HeapProfConfig;
 
     /// Builds an ArrayList-shaped pair: impl object + backing array of
     /// `cap` slots with `size` elements, wrapped in a top-level wrapper.
@@ -871,7 +972,6 @@ mod tests {
 
     #[test]
     fn snapshot_capture_reconciles_with_cycle_stats() {
-        use crate::snapshot::HeapProfConfig;
         let heap = Heap::new();
         heap.set_heap_profiling(Some(HeapProfConfig { every: 1 }));
         let _w = array_list_fixture(&heap, 10, 3);
@@ -899,7 +999,6 @@ mod tests {
 
     #[test]
     fn snapshot_cadence_follows_every() {
-        use crate::snapshot::HeapProfConfig;
         let heap = Heap::new();
         heap.set_heap_profiling(Some(HeapProfConfig { every: 3 }));
         let class = heap.register_class("A", None);
@@ -917,7 +1016,6 @@ mod tests {
 
     #[test]
     fn disabling_heap_profiling_stops_capture() {
-        use crate::snapshot::HeapProfConfig;
         let heap = Heap::new();
         let class = heap.register_class("A", None);
         let o = heap.alloc_scalar(class, 0, 0, None);
@@ -1109,15 +1207,27 @@ mod tests {
         /// links into existing objects), unrooting, garbage and GC, and
         /// both heaps keep the same objects live. Payload writes change the
         /// graph below the collections while their mark summaries stay
-        /// valid.
+        /// valid. Both heaps take a heap snapshot every second cycle, which
+        /// must match too: a snapshot-due cycle visits every live object.
         #[test]
         fn adt_cache_is_invisible(
             ops in proptest::collection::vec((0u32..11, 0u32..1024, 0u32..1024), 1..120)
         ) {
             let cached = Heap::new();
             let reference = Heap::new();
+            for h in [&cached, &reference] {
+                h.set_heap_profiling(Some(HeapProfConfig { every: 2 }));
+            }
             let mut pool = cache_fixtures(&cached);
             proptest::prop_assert_eq!(&pool, &cache_fixtures(&reference));
+            // One cycle on both heaps; the reference forgets its cache first.
+            let cycle = |pool: &Pool| {
+                let got = cached.gc();
+                reference.clear_adt_cache();
+                proptest::prop_assert_eq!(got, reference.gc());
+                proptest::prop_assert_eq!(pool.liveness(&cached), pool.liveness(&reference));
+                proptest::prop_assert_eq!(cached.heap_snapshots(), reference.heap_snapshots());
+            };
             let entry = cached.register_class("Entry", None);
             let arr_class = cached.register_class("Object[]", None);
             let payload = cached.register_class("Payload", None);
@@ -1236,18 +1346,10 @@ mod tests {
                             }
                         }
                     }
-                    _ => {
-                        let got = cached.gc();
-                        reference.clear_adt_cache();
-                        proptest::prop_assert_eq!(got, reference.gc());
-                        proptest::prop_assert_eq!(pool.liveness(&cached), pool.liveness(&reference));
-                    }
+                    _ => cycle(&pool),
                 }
             }
-            let got = cached.gc();
-            reference.clear_adt_cache();
-            proptest::prop_assert_eq!(got, reference.gc());
-            proptest::prop_assert_eq!(pool.liveness(&cached), pool.liveness(&reference));
+            cycle(&pool);
         }
     }
 
@@ -1310,5 +1412,55 @@ mod tests {
         assert_eq!(cached_walks(), 2);
         assert!(!heap.is_live(leaf), "an unlinked leaf is swept");
         assert!(heap.is_live(tail));
+    }
+
+    #[test]
+    fn summarized_footprints_skip_the_scan() {
+        use chameleon_telemetry::{json, Telemetry};
+        let heap = Heap::new();
+        let t = Telemetry::new();
+        heap.attach_telemetry(&t);
+        let pool = cache_fixtures(&heap);
+        let cycle = || {
+            let stats = heap.gc();
+            let log = t.drain_events();
+            let ev = json::parse(log.lines().next().expect("gc_cycle event")).unwrap();
+            let summarized = ev.get("summarized_objects").and_then(|v| v.as_u64());
+            (summarized.unwrap(), stats)
+        };
+        let accounting = |s: &crate::stats::CycleStats| {
+            (
+                s.live_bytes,
+                s.live_objects,
+                s.type_distribution.clone(),
+                s.collection,
+                s.per_context.clone(),
+            )
+        };
+        let (summarized, first) = cycle();
+        assert_eq!(summarized, 0, "the first cycle records the summaries");
+        let (summarized, second) = cycle();
+        // The footprints without their wrappers: the hash map's impl, bucket
+        // array and 80 entries, and the linked list's impl and 70 entries.
+        assert_eq!(summarized, (2 + 80) + (1 + 70));
+        assert_eq!(accounting(&second), accounting(&first));
+
+        // Bucket 0 ends at the map's first entry; run it into the list. The
+        // map's walk now follows bucket 0 (3 entries) around the circular
+        // list until its step cap, so its footprint takes in all 70 list
+        // entries, which the list's own footprint holds too.
+        heap.set_ref(pool.entries[0], 0, Some(pool.entries[80]));
+        let (summarized, _) = cycle();
+        assert_eq!(summarized, 1 + 70, "only the unwritten list is summarized");
+        let (summarized, overlapped) = cycle();
+        assert_eq!(
+            summarized,
+            2 + 3 + 70,
+            "the map claims the shared entries first; the list is scanned"
+        );
+        heap.clear_adt_cache();
+        let (summarized, reference) = cycle();
+        assert_eq!(summarized, 0);
+        assert_eq!(accounting(&overlapped), accounting(&reference));
     }
 }

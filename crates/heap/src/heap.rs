@@ -158,6 +158,11 @@ pub(crate) const F_TOP_COLL: u8 = 1 << 2;
 /// reuses a collection's cached semantic totals only while no object its
 /// walk resolved carries this bit.
 pub(crate) const F_DIRTY: u8 = 1 << 3;
+/// Set between the mark and the sweep of a cycle on the footprint of each
+/// mark summary that holds its slots exclusively this cycle. The scan skips
+/// such a slot unless it also carries `F_TOP_COLL`: the summary's stored
+/// accounting covers it. Cleared on every slot after the sweep.
+pub(crate) const F_SUMMARIZED: u8 = 1 << 4;
 
 pub(crate) struct HeapInner {
     pub(crate) model: MemoryModel,
