@@ -16,9 +16,9 @@ use crate::map::{ArrayMapImpl, HashMapImpl, MapImpl, SizeAdaptingMapImpl};
 use crate::runtime::Runtime;
 use crate::set::{ArraySetImpl, HashSetImpl, SetImpl, SizeAdaptingSetImpl};
 use chameleon_heap::{CallStackSim, ContextId, ObjId};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// How the factory obtains allocation contexts (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,7 +112,7 @@ pub struct Selection<C> {
     pub capacity: Option<u32>,
 }
 
-/// Per-context overrides applied by the factory. Shared (`Arc`) so the
+/// Per-context overrides applied by the factory. Shared (`Rc`) so the
 /// orchestrator can update it while a run is in progress (online mode).
 #[derive(Debug, Default)]
 pub struct SelectionPolicy {
@@ -169,18 +169,18 @@ impl SelectionPolicy {
     }
 }
 
-/// Cloneable, thread-safe handle to a factory's capture state, for
-/// controllers (like the online mode's per-type shutoff) that run on other
-/// threads or inside sinks.
+/// Cloneable handle to a factory's capture state alone, for controllers
+/// (like the online mode's per-type shutoff) that run inside sinks, where
+/// a factory clone would form an `Rc` cycle through the runtime's sink.
 #[derive(Clone)]
 pub struct CaptureController {
-    capture: Arc<Mutex<CaptureState>>,
+    capture: Rc<RefCell<CaptureState>>,
 }
 
 impl std::fmt::Debug for CaptureController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CaptureController")
-            .field("captures", &self.capture.lock().captures)
+            .field("captures", &self.capture.borrow().captures)
             .finish()
     }
 }
@@ -189,7 +189,7 @@ impl CaptureController {
     /// Disables context tracking for a requested type (§4.2).
     pub fn disable_tracking_for(&self, requested_type: &str) {
         self.capture
-            .lock()
+            .borrow_mut()
             .disabled_types
             .insert(requested_type.to_owned());
     }
@@ -200,12 +200,21 @@ impl CaptureController {
     /// be profiled once it turns hot. Returns whether the type had been
     /// disabled.
     pub fn enable_tracking_for(&self, requested_type: &str) -> bool {
-        self.capture.lock().disabled_types.remove(requested_type)
+        self.capture
+            .borrow_mut()
+            .disabled_types
+            .remove(requested_type)
     }
 
     /// Types whose tracking has been switched off.
     pub fn disabled_types(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.capture.lock().disabled_types.iter().cloned().collect();
+        let mut v: Vec<String> = self
+            .capture
+            .borrow()
+            .disabled_types
+            .iter()
+            .cloned()
+            .collect();
         v.sort();
         v
     }
@@ -237,15 +246,15 @@ struct CaptureState {
 pub struct CollectionFactory {
     rt: Runtime,
     stack: CallStackSim,
-    policy: Arc<Mutex<SelectionPolicy>>,
-    capture: Arc<Mutex<CaptureState>>,
+    policy: Rc<RefCell<SelectionPolicy>>,
+    capture: Rc<RefCell<CaptureState>>,
 }
 
 impl std::fmt::Debug for CollectionFactory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CollectionFactory")
             .field("rt", &self.rt)
-            .field("overrides", &self.policy.lock().len())
+            .field("overrides", &self.policy.borrow().len())
             .finish()
     }
 }
@@ -265,8 +274,8 @@ impl CollectionFactory {
         CollectionFactory {
             rt,
             stack,
-            policy: Arc::new(Mutex::new(SelectionPolicy::new())),
-            capture: Arc::new(Mutex::new(CaptureState {
+            policy: Rc::default(),
+            capture: Rc::new(RefCell::new(CaptureState {
                 config,
                 counter: 0,
                 disabled_types: HashSet::new(),
@@ -302,22 +311,20 @@ impl CollectionFactory {
     }
 
     /// The shared selection policy.
-    pub fn policy(&self) -> Arc<Mutex<SelectionPolicy>> {
-        Arc::clone(&self.policy)
+    pub fn policy(&self) -> Rc<RefCell<SelectionPolicy>> {
+        Rc::clone(&self.policy)
     }
 
     /// Replaces the capture configuration.
     pub fn set_capture(&self, config: CaptureConfig) {
-        self.capture.lock().config = config;
+        self.capture.borrow_mut().config = config;
     }
 
     /// Disables context tracking for a requested type (the paper's
     /// per-type shutoff when potential is low, §4.2).
     pub fn disable_tracking_for(&self, requested_type: &str) {
-        self.capture
-            .lock()
-            .disabled_types
-            .insert(requested_type.to_owned());
+        self.capture_controller()
+            .disable_tracking_for(requested_type);
     }
 
     /// Types whose tracking has been switched off.
@@ -325,28 +332,28 @@ impl CollectionFactory {
         self.capture_controller().disabled_types()
     }
 
-    /// A thread-safe handle to this factory's capture state.
+    /// A handle to this factory's capture state.
     pub fn capture_controller(&self) -> CaptureController {
         CaptureController {
-            capture: Arc::clone(&self.capture),
+            capture: Rc::clone(&self.capture),
         }
     }
 
     /// Number of contexts actually captured (diagnostics).
     pub fn capture_count(&self) -> u64 {
-        self.capture.lock().captures
+        self.capture.borrow().captures
     }
 
     /// Folds `n` captures performed by a partition's factory into this
     /// factory's count, so `capture_count` covers a whole parallel run.
     pub fn absorb_captures(&self, n: u64) {
-        self.capture.lock().captures += n;
+        self.capture.borrow_mut().captures += n;
     }
 
     /// Captures the allocation context for an allocation of `src_type`,
     /// charging the configured capture cost.
     pub fn capture_context(&self, src_type: &'static str) -> Option<ContextId> {
-        let mut st = self.capture.lock();
+        let mut st = self.capture.borrow_mut();
         st.counter += 1;
         if st.config.method == CaptureMethod::None || st.disabled_types.contains(src_type) {
             return None;
@@ -434,7 +441,7 @@ impl CollectionFactory {
     ) -> ListHandle<T> {
         let ctx = self.capture_context(requested);
         let sel = ctx
-            .and_then(|c| self.policy.lock().lists.get(&c).copied())
+            .and_then(|c| self.policy.borrow().lists.get(&c).copied())
             .unwrap_or(Selection {
                 choice: default_choice,
                 capacity,
@@ -481,7 +488,7 @@ impl CollectionFactory {
     ) -> SetHandle<T> {
         let ctx = self.capture_context(requested);
         let sel = ctx
-            .and_then(|c| self.policy.lock().sets.get(&c).copied())
+            .and_then(|c| self.policy.borrow().sets.get(&c).copied())
             .unwrap_or(Selection {
                 choice: default_choice,
                 capacity,
@@ -529,7 +536,7 @@ impl CollectionFactory {
     ) -> MapHandle<K, V> {
         let ctx = self.capture_context(requested);
         let sel = ctx
-            .and_then(|c| self.policy.lock().maps.get(&c).copied())
+            .and_then(|c| self.policy.borrow().maps.get(&c).copied())
             .unwrap_or(Selection {
                 choice: default_choice,
                 capacity,
@@ -611,7 +618,7 @@ mod tests {
             let _g = f.enter("Site.alloc:1");
             f.new_map::<i64, i64>(None).ctx().expect("captured")
         };
-        f.policy().lock().set_map(
+        f.policy().borrow_mut().set_map(
             ctx,
             Selection {
                 choice: MapChoice::ArrayMap,
@@ -709,7 +716,7 @@ mod tests {
             f.new_map::<i64, i64>(None).ctx().expect("captured")
         };
         let policy = f.policy();
-        policy.lock().set_map(
+        policy.borrow_mut().set_map(
             ctx,
             Selection {
                 choice: MapChoice::ArrayMap,
@@ -720,7 +727,7 @@ mod tests {
             let _g = f.enter("Site.alloc:2");
             assert_eq!(f.new_map::<i64, i64>(None).impl_name(), "ArrayMap");
         }
-        let removed = policy.lock().clear_map(ctx);
+        let removed = policy.borrow_mut().clear_map(ctx);
         assert_eq!(
             removed,
             Some(Selection {
@@ -728,12 +735,12 @@ mod tests {
                 capacity: None
             })
         );
-        assert!(policy.lock().is_empty());
+        assert!(policy.borrow().is_empty());
         let _g = f.enter("Site.alloc:2");
         assert_eq!(f.new_map::<i64, i64>(None).impl_name(), "HashMap");
         // Clearing keys that were never set is a no-op returning None.
-        assert!(policy.lock().clear_list(ctx).is_none());
-        assert!(policy.lock().clear_set(ctx).is_none());
+        assert!(policy.borrow_mut().clear_list(ctx).is_none());
+        assert!(policy.borrow_mut().clear_set(ctx).is_none());
     }
 
     #[test]

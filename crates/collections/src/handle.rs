@@ -12,64 +12,17 @@ use crate::elem::Elem;
 use crate::list::ListImpl;
 use crate::map::MapImpl;
 use crate::ops::{Op, OpCounts};
-use crate::runtime::{InstanceStats, LiveKey, Runtime};
+use crate::runtime::{LiveKey, Runtime, StatsBuilder};
 use crate::set::SetImpl;
 use chameleon_heap::{ContextId, ObjId};
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Mutable per-instance statistics shared between a handle, its iterators,
-/// and the runtime's live-instance registry (which reads it when flushing
-/// survivors at workload end). `current_size` and `chosen_impl` are kept
-/// fresh on every size-changing operation so a survivor flush sees the
-/// instance's true final state without touching the (non-`Send`) backing.
-#[derive(Debug)]
-pub(crate) struct StatsBuilder {
-    pub ops: OpCounts,
-    pub max_size: u64,
-    pub current_size: u64,
-    pub initial_capacity: u64,
-    pub requested_type: &'static str,
-    pub chosen_impl: &'static str,
-    /// Set the first time stats are delivered (survivor flush or handle
-    /// death) so the instance is never reported twice.
-    pub reported: bool,
-}
-
-impl StatsBuilder {
-    fn new(
-        requested_type: &'static str,
-        initial_capacity: u64,
-        chosen_impl: &'static str,
-    ) -> Arc<Mutex<Self>> {
-        Arc::new(Mutex::new(StatsBuilder {
-            ops: OpCounts::new(),
-            max_size: 0,
-            current_size: 0,
-            initial_capacity,
-            requested_type,
-            chosen_impl,
-            reported: false,
-        }))
-    }
-
-    fn record(&mut self, op: Op) {
-        self.ops.record(op);
-    }
-
-    fn saw_size(&mut self, size: usize, chosen_impl: &'static str) {
-        self.current_size = size as u64;
-        self.max_size = self.max_size.max(size as u64);
-        self.chosen_impl = chosen_impl;
-    }
-}
 
 /// Snapshot-based iterator over a handle's contents; each step records an
-/// `iterNext` operation on the owning collection.
+/// `iterNext` operation on the owning collection while it is still live.
 #[derive(Debug)]
 pub struct HandleIter<T> {
     items: std::vec::IntoIter<T>,
-    stats: Arc<Mutex<StatsBuilder>>,
+    rt: Runtime,
+    key: LiveKey,
 }
 
 impl<T> Iterator for HandleIter<T> {
@@ -78,18 +31,51 @@ impl<T> Iterator for HandleIter<T> {
     fn next(&mut self) -> Option<T> {
         let item = self.items.next();
         if item.is_some() {
-            self.stats.lock().record(Op::IterNext);
+            self.rt.record_if_live(self.key, Op::IterNext);
         }
         item
     }
 }
 
+/// Defines a wrapper handle over `Box<$Backing>` whose contents are
+/// `$Item`s, with everything the three handles share: assembly, the
+/// recorded-statistics accessors, iteration and death.
 macro_rules! handle_common {
-    ($Handle:ident) => {
-        impl<T: Elem> $Handle<T> {
+    ($(#[$doc:meta])* $Handle:ident<$($P:ident),+>, $Backing:ty, $Item:ty) => {
+        $(#[$doc])*
+        #[derive(Debug)]
+        pub struct $Handle<$($P: Elem),+> {
+            rt: Runtime,
+            wrapper: ObjId,
+            backing: Box<$Backing>,
+            live_key: LiveKey,
+        }
+
+        impl<$($P: Elem),+> $Handle<$($P),+> {
+            pub(crate) fn assemble(
+                rt: Runtime,
+                wrapper: ObjId,
+                backing: Box<$Backing>,
+                ctx: Option<ContextId>,
+                requested_type: &'static str,
+            ) -> Self {
+                let stats = StatsBuilder::new(
+                    requested_type,
+                    backing.capacity() as u64,
+                    backing.impl_name(),
+                );
+                let live_key = rt.register_live(ctx, stats);
+                $Handle {
+                    rt,
+                    wrapper,
+                    backing,
+                    live_key,
+                }
+            }
+
             /// The allocation context this collection was created at.
             pub fn ctx(&self) -> Option<ContextId> {
-                self.ctx
+                self.rt.with_live(self.live_key, |i| i.ctx)
             }
 
             /// Name of the backing implementation currently in use.
@@ -99,7 +85,7 @@ macro_rules! handle_common {
 
             /// The collection type the program requested.
             pub fn requested_type(&self) -> &'static str {
-                self.stats.lock().requested_type
+                self.rt.with_live(self.live_key, |i| i.stats.requested_type)
             }
 
             /// The wrapper's simulated-heap object.
@@ -107,7 +93,7 @@ macro_rules! handle_common {
                 self.wrapper
             }
 
-            /// Number of elements.
+            /// Number of elements (entries, for a map).
             pub fn size(&self) -> usize {
                 self.backing.len()
             }
@@ -124,12 +110,12 @@ macro_rules! handle_common {
 
             /// Largest size observed so far.
             pub fn max_size_seen(&self) -> u64 {
-                self.stats.lock().max_size
+                self.rt.with_live(self.live_key, |i| i.stats.max_size)
             }
 
             /// Operation counts recorded so far.
             pub fn op_counts(&self) -> OpCounts {
-                self.stats.lock().ops
+                self.rt.with_live(self.live_key, |i| i.stats.ops)
             }
 
             fn charge_indirection(&self) {
@@ -137,64 +123,51 @@ macro_rules! handle_common {
             }
 
             fn record(&self, op: Op) {
-                self.stats.lock().record(op);
+                self.rt.with_live(self.live_key, |i| i.stats.ops.record(op));
             }
 
             fn track_size(&self) {
-                self.stats
-                    .lock()
-                    .saw_size(self.backing.len(), self.backing.impl_name());
+                let (len, name) = (self.backing.len(), self.backing.impl_name());
+                self.rt.with_live(self.live_key, |i| i.stats.saw_size(len, name));
             }
 
             /// Creates an iterator over a snapshot of the contents. Creating
             /// an iterator allocates a (short-lived) iterator object on the
             /// simulated heap, as iterators do in the paper's §5.4 study.
-            pub fn iter(&self) -> HandleIter<T> {
+            pub fn iter(&self) -> HandleIter<$Item> {
                 self.record(Op::IterNew);
                 if self.backing.is_empty() {
                     self.record(Op::IterNewEmpty);
                 }
                 let heap = self.rt.heap();
-                let _it = heap.alloc_scalar(self.rt.classes().iterator, 1, 8, self.ctx);
+                let _it = heap.alloc_scalar(self.rt.classes().iterator, 1, 8, self.ctx());
                 self.rt.charge(self.rt.cost().alloc_object);
                 self.charge_indirection();
                 HandleIter {
                     items: self.backing.snapshot().into_iter(),
-                    stats: Arc::clone(&self.stats),
+                    rt: self.rt.clone(),
+                    key: self.live_key,
                 }
             }
 
-            fn finish(&mut self) {
-                if self.finished {
-                    return;
-                }
-                self.finished = true;
-                self.rt.deregister_live(self.live_key);
-                let mut b = self.stats.lock();
-                let already_reported = std::mem::replace(&mut b.reported, true);
-                let stats = InstanceStats {
-                    ops: b.ops,
-                    max_size: b.max_size,
-                    final_size: self.backing.len() as u64,
-                    initial_capacity: b.initial_capacity,
-                    requested_type: b.requested_type,
-                    chosen_impl: self.backing.impl_name(),
-                    survivor: false,
-                };
-                drop(b);
-                // A survivor flush may have delivered this instance's stats
-                // already; the heap cleanup below still has to happen.
-                if !already_reported {
-                    self.rt.report_death(self.ctx, &stats);
-                }
-                self.backing.dispose();
-                self.rt.heap().remove_root(self.wrapper);
+            /// Copies the contents out without recording an iteration.
+            pub fn snapshot(&self) -> Vec<$Item> {
+                self.backing.snapshot()
+            }
+
+            pub(crate) fn mark_copied(&self) {
+                self.record(Op::CopiedInto);
             }
         }
 
-        impl<T: Elem> Drop for $Handle<T> {
+        impl<$($P: Elem),+> Drop for $Handle<$($P),+> {
+            /// Delivers the instance's statistics (unless a survivor flush
+            /// already did), then releases its simulated-heap objects.
             fn drop(&mut self) {
-                self.finish();
+                self.rt
+                    .retire_live(self.live_key, self.backing.len(), self.backing.impl_name());
+                self.backing.dispose();
+                self.rt.heap().remove_root(self.wrapper);
             }
         }
     };
@@ -204,45 +177,17 @@ macro_rules! handle_common {
 // ListHandle
 // ---------------------------------------------------------------------------
 
-/// Instrumented wrapper around a swappable list implementation.
-///
-/// Constructed by
-/// [`CollectionFactory`](crate::factory::CollectionFactory::new_list).
-#[derive(Debug)]
-pub struct ListHandle<T: Elem> {
-    rt: Runtime,
-    wrapper: ObjId,
-    backing: Box<dyn ListImpl<T>>,
-    ctx: Option<ContextId>,
-    stats: Arc<Mutex<StatsBuilder>>,
-    live_key: LiveKey,
-    finished: bool,
-}
-
-handle_common!(ListHandle);
+handle_common!(
+    /// Instrumented wrapper around a swappable list implementation.
+    ///
+    /// Constructed by
+    /// [`CollectionFactory`](crate::factory::CollectionFactory::new_list).
+    ListHandle<T>,
+    dyn ListImpl<T>,
+    T
+);
 
 impl<T: Elem> ListHandle<T> {
-    pub(crate) fn assemble(
-        rt: Runtime,
-        wrapper: ObjId,
-        backing: Box<dyn ListImpl<T>>,
-        ctx: Option<ContextId>,
-        requested_type: &'static str,
-    ) -> Self {
-        let initial_capacity = backing.capacity() as u64;
-        let stats = StatsBuilder::new(requested_type, initial_capacity, backing.impl_name());
-        let live_key = rt.register_live(ctx, Arc::clone(&stats));
-        ListHandle {
-            rt,
-            wrapper,
-            backing,
-            ctx,
-            stats,
-            live_key,
-            finished: false,
-        }
-    }
-
     #[cfg(test)]
     pub(crate) fn live_key(&self) -> LiveKey {
         self.live_key
@@ -344,57 +289,20 @@ impl<T: Elem> ListHandle<T> {
         self.backing.clear();
         self.track_size();
     }
-
-    /// Copies the contents out without recording an iteration.
-    pub fn snapshot(&self) -> Vec<T> {
-        self.backing.snapshot()
-    }
-
-    pub(crate) fn mark_copied(&self) {
-        self.record(Op::CopiedInto);
-    }
 }
 
 // ---------------------------------------------------------------------------
 // SetHandle
 // ---------------------------------------------------------------------------
 
-/// Instrumented wrapper around a swappable set implementation.
-#[derive(Debug)]
-pub struct SetHandle<T: Elem> {
-    rt: Runtime,
-    wrapper: ObjId,
-    backing: Box<dyn SetImpl<T>>,
-    ctx: Option<ContextId>,
-    stats: Arc<Mutex<StatsBuilder>>,
-    live_key: LiveKey,
-    finished: bool,
-}
-
-handle_common!(SetHandle);
+handle_common!(
+    /// Instrumented wrapper around a swappable set implementation.
+    SetHandle<T>,
+    dyn SetImpl<T>,
+    T
+);
 
 impl<T: Elem> SetHandle<T> {
-    pub(crate) fn assemble(
-        rt: Runtime,
-        wrapper: ObjId,
-        backing: Box<dyn SetImpl<T>>,
-        ctx: Option<ContextId>,
-        requested_type: &'static str,
-    ) -> Self {
-        let initial_capacity = backing.capacity() as u64;
-        let stats = StatsBuilder::new(requested_type, initial_capacity, backing.impl_name());
-        let live_key = rt.register_live(ctx, Arc::clone(&stats));
-        SetHandle {
-            rt,
-            wrapper,
-            backing,
-            ctx,
-            stats,
-            live_key,
-            finished: false,
-        }
-    }
-
     /// Adds `v`; returns whether it was newly inserted.
     pub fn add(&mut self, v: T) -> bool {
         self.charge_indirection();
@@ -438,114 +346,20 @@ impl<T: Elem> SetHandle<T> {
         self.backing.clear();
         self.track_size();
     }
-
-    /// Copies the contents out without recording an iteration.
-    pub fn snapshot(&self) -> Vec<T> {
-        self.backing.snapshot()
-    }
-
-    pub(crate) fn mark_copied(&self) {
-        self.record(Op::CopiedInto);
-    }
 }
 
 // ---------------------------------------------------------------------------
 // MapHandle
 // ---------------------------------------------------------------------------
 
-/// Instrumented wrapper around a swappable map implementation.
-#[derive(Debug)]
-pub struct MapHandle<K: Elem, V: Elem> {
-    rt: Runtime,
-    wrapper: ObjId,
-    backing: Box<dyn MapImpl<K, V>>,
-    ctx: Option<ContextId>,
-    stats: Arc<Mutex<StatsBuilder>>,
-    live_key: LiveKey,
-    finished: bool,
-}
+handle_common!(
+    /// Instrumented wrapper around a swappable map implementation.
+    MapHandle<K, V>,
+    dyn MapImpl<K, V>,
+    (K, V)
+);
 
 impl<K: Elem, V: Elem> MapHandle<K, V> {
-    pub(crate) fn assemble(
-        rt: Runtime,
-        wrapper: ObjId,
-        backing: Box<dyn MapImpl<K, V>>,
-        ctx: Option<ContextId>,
-        requested_type: &'static str,
-    ) -> Self {
-        let initial_capacity = backing.capacity() as u64;
-        let stats = StatsBuilder::new(requested_type, initial_capacity, backing.impl_name());
-        let live_key = rt.register_live(ctx, Arc::clone(&stats));
-        MapHandle {
-            rt,
-            wrapper,
-            backing,
-            ctx,
-            stats,
-            live_key,
-            finished: false,
-        }
-    }
-
-    /// The allocation context this collection was created at.
-    pub fn ctx(&self) -> Option<ContextId> {
-        self.ctx
-    }
-
-    /// Name of the backing implementation currently in use.
-    pub fn impl_name(&self) -> &'static str {
-        self.backing.impl_name()
-    }
-
-    /// The collection type the program requested.
-    pub fn requested_type(&self) -> &'static str {
-        self.stats.lock().requested_type
-    }
-
-    /// The wrapper's simulated-heap object.
-    pub fn wrapper_obj(&self) -> ObjId {
-        self.wrapper
-    }
-
-    /// Number of entries.
-    pub fn size(&self) -> usize {
-        self.backing.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.backing.is_empty()
-    }
-
-    /// Current backing capacity.
-    pub fn capacity(&self) -> usize {
-        self.backing.capacity()
-    }
-
-    /// Largest size observed so far.
-    pub fn max_size_seen(&self) -> u64 {
-        self.stats.lock().max_size
-    }
-
-    /// Operation counts recorded so far.
-    pub fn op_counts(&self) -> OpCounts {
-        self.stats.lock().ops
-    }
-
-    fn charge_indirection(&self) {
-        self.rt.charge(self.rt.cost().wrapper_indirection);
-    }
-
-    fn record(&self, op: Op) {
-        self.stats.lock().record(op);
-    }
-
-    fn track_size(&self) {
-        self.stats
-            .lock()
-            .saw_size(self.backing.len(), self.backing.impl_name());
-    }
-
     /// Inserts or replaces; returns the previous value for `k`.
     pub fn put(&mut self, k: K, v: V) -> Option<V> {
         self.charge_indirection();
@@ -599,64 +413,6 @@ impl<K: Elem, V: Elem> MapHandle<K, V> {
         self.backing.clear();
         self.track_size();
     }
-
-    /// Iterator over a snapshot of the entries.
-    pub fn iter(&self) -> HandleIter<(K, V)> {
-        self.record(Op::IterNew);
-        if self.backing.is_empty() {
-            self.record(Op::IterNewEmpty);
-        }
-        let heap = self.rt.heap();
-        let _it = heap.alloc_scalar(self.rt.classes().iterator, 1, 8, self.ctx);
-        self.rt.charge(self.rt.cost().alloc_object);
-        self.charge_indirection();
-        HandleIter {
-            items: self.backing.snapshot().into_iter(),
-            stats: Arc::clone(&self.stats),
-        }
-    }
-
-    /// Copies the entries out without recording an iteration.
-    pub fn snapshot(&self) -> Vec<(K, V)> {
-        self.backing.snapshot()
-    }
-
-    pub(crate) fn mark_copied(&self) {
-        self.record(Op::CopiedInto);
-    }
-
-    fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        self.rt.deregister_live(self.live_key);
-        let mut b = self.stats.lock();
-        let already_reported = std::mem::replace(&mut b.reported, true);
-        let stats = InstanceStats {
-            ops: b.ops,
-            max_size: b.max_size,
-            final_size: self.backing.len() as u64,
-            initial_capacity: b.initial_capacity,
-            requested_type: b.requested_type,
-            chosen_impl: self.backing.impl_name(),
-            survivor: false,
-        };
-        drop(b);
-        // A survivor flush may have delivered this instance's stats already;
-        // the heap cleanup below still has to happen.
-        if !already_reported {
-            self.rt.report_death(self.ctx, &stats);
-        }
-        self.backing.dispose();
-        self.rt.heap().remove_root(self.wrapper);
-    }
-}
-
-impl<K: Elem, V: Elem> Drop for MapHandle<K, V> {
-    fn drop(&mut self) {
-        self.finish();
-    }
 }
 
 #[cfg(test)]
@@ -665,8 +421,8 @@ mod tests {
     use crate::factory::CollectionFactory;
     use crate::runtime::{InstanceStats, StatsSink};
     use chameleon_heap::Heap;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn factory() -> CollectionFactory {
         CollectionFactory::new(Runtime::new(Heap::new()))
@@ -686,6 +442,23 @@ mod tests {
         assert_eq!(l.op_counts().get(Op::IterNew), 2);
         assert_eq!(l.op_counts().get(Op::IterNewEmpty), 1);
         assert_eq!(l.op_counts().get(Op::IterNext), 2);
+    }
+
+    #[test]
+    fn an_iterator_outliving_its_handle_records_nothing_on_the_slots_next_owner() {
+        let f = factory();
+        let mut old = f.new_list::<i64>(None);
+        old.add(1);
+        old.add(2);
+        let mut it = old.iter();
+        let slot = old.live_key().slot;
+        drop(old);
+        let fresh = f.new_list::<i64>(None);
+        assert_eq!(fresh.live_key().slot, slot, "the new list reuses the slot");
+        assert_eq!(it.next(), Some(1));
+        assert_eq!(it.next(), Some(2));
+        assert_eq!(fresh.op_counts().get(Op::IterNext), 0);
+        assert_eq!(fresh.op_counts().total(), 0);
     }
 
     #[test]
@@ -741,14 +514,14 @@ mod tests {
 
     #[test]
     fn death_report_carries_final_state() {
-        struct Capture(Mutex<Option<InstanceStats>>);
+        struct Capture(RefCell<Option<InstanceStats>>);
         impl StatsSink for Capture {
             fn on_death(&self, _ctx: Option<chameleon_heap::ContextId>, s: &InstanceStats) {
-                *self.0.lock() = Some(s.clone());
+                *self.0.borrow_mut() = Some(s.clone());
             }
         }
         let f = factory();
-        let sink = Arc::new(Capture(Mutex::new(None)));
+        let sink = Rc::new(Capture(RefCell::new(None)));
         f.runtime().set_sink(sink.clone());
         {
             let mut m = f.new_map::<i64, i64>(Some(8));
@@ -756,7 +529,7 @@ mod tests {
             m.put(2, 2);
             m.remove(&1);
         }
-        let stats = sink.0.lock().take().expect("death reported");
+        let stats = sink.0.borrow_mut().take().expect("death reported");
         assert_eq!(stats.max_size, 2);
         assert_eq!(stats.final_size, 1);
         assert_eq!(stats.initial_capacity, 8);

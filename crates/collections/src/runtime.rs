@@ -1,5 +1,6 @@
-//! Collection runtime: shared heap, clock, cost model, class registrations
-//! and the death-statistics sink.
+//! Collection runtime: shared heap, clock, cost model, class registrations,
+//! the registry of live instances' statistics and the death-statistics
+//! sink.
 //!
 //! Every collection implementation holds a [`Runtime`] handle. Constructing
 //! the runtime registers all collection classes (with their semantic ADT
@@ -7,14 +8,12 @@
 //! semantic maps for all collection types at startup (§4.3.2).
 
 use crate::cost::CostModel;
-use crate::handle::StatsBuilder;
 use crate::ops::{Op, OpCounts};
 use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
 use chameleon_heap::{ClassId, ContextId, Heap, SimClock};
 use chameleon_telemetry::{Counter, Histogram, Telemetry};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::cell::{Ref, RefCell};
+use std::rc::Rc;
 
 /// Histogram bounds for logical collection sizes (`max_size` at death).
 const SIZE_BUCKETS: [u64; 10] = [0, 1, 2, 4, 8, 16, 64, 256, 1024, 16384];
@@ -24,7 +23,8 @@ const OP_COST_BUCKETS: [u64; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 1024];
 
 /// Pre-resolved telemetry handles for the collection runtime: one counter
 /// per operation kind plus death-count and max-size distributions, all
-/// folded in when an instance dies (the same funnel the profiler uses).
+/// folded in when an instance dies (the same funnel the profiler uses),
+/// and the per-operation cost distribution `charge` feeds.
 struct CollTelemetry {
     t: Telemetry,
     /// `coll.ops.<metric-name>`, indexed by [`Op::index`].
@@ -33,6 +33,8 @@ struct CollTelemetry {
     deaths: Counter,
     /// `coll.max_size` — distribution of per-instance peak sizes.
     max_size: Histogram,
+    /// `coll.op_cost_units` — per-operation cost, recorded by `charge`.
+    op_cost: Histogram,
 }
 
 impl CollTelemetry {
@@ -44,6 +46,7 @@ impl CollTelemetry {
                 .collect(),
             deaths: t.counter("coll.deaths"),
             max_size: t.histogram("coll.max_size", &SIZE_BUCKETS),
+            op_cost: t.histogram("coll.op_cost_units", &OP_COST_BUCKETS),
             t: t.clone(),
         }
     }
@@ -190,29 +193,87 @@ pub struct InstanceStats {
 }
 
 /// Receiver of per-instance statistics on collection death.
-pub trait StatsSink: Send + Sync {
+///
+/// A sink runs on the thread that owns its runtime. It must not hold a
+/// [`Runtime`] or factory clone: the runtime owns its sink, so such a clone
+/// would form an `Rc` cycle and leak the whole environment.
+pub trait StatsSink {
     /// Called once per collection instance, when its handle is dropped.
     fn on_death(&self, ctx: Option<ContextId>, stats: &InstanceStats);
 }
 
-/// A still-live collection instance tracked for the survivor flush.
-struct LiveInstance {
+/// Mutable per-instance statistics, kept in the instance's registry slot.
+/// `current_size` and `chosen_impl` are kept fresh on every size-changing
+/// operation so a survivor flush sees the instance's true final state
+/// without touching its backing.
+pub(crate) struct StatsBuilder {
+    pub ops: OpCounts,
+    pub max_size: u64,
+    pub current_size: u64,
+    pub initial_capacity: u64,
+    pub requested_type: &'static str,
+    pub chosen_impl: &'static str,
+}
+
+impl StatsBuilder {
+    pub(crate) fn new(
+        requested_type: &'static str,
+        initial_capacity: u64,
+        chosen_impl: &'static str,
+    ) -> Self {
+        StatsBuilder {
+            ops: OpCounts::new(),
+            max_size: 0,
+            current_size: 0,
+            initial_capacity,
+            requested_type,
+            chosen_impl,
+        }
+    }
+
+    pub(crate) fn saw_size(&mut self, size: usize, chosen_impl: &'static str) {
+        self.current_size = size as u64;
+        self.max_size = self.max_size.max(size as u64);
+        self.chosen_impl = chosen_impl;
+    }
+
+    fn report(&self, final_size: u64, chosen_impl: &'static str, survivor: bool) -> InstanceStats {
+        InstanceStats {
+            ops: self.ops,
+            max_size: self.max_size,
+            final_size,
+            initial_capacity: self.initial_capacity,
+            requested_type: self.requested_type,
+            chosen_impl,
+            survivor,
+        }
+    }
+}
+
+/// One live collection instance: its registry slot's contents.
+pub(crate) struct LiveInstance {
     /// Registration id, increasing in allocation order.
     id: u64,
-    ctx: Option<ContextId>,
-    stats: Arc<Mutex<StatsBuilder>>,
+    pub ctx: Option<ContextId>,
+    pub stats: StatsBuilder,
+    /// Set once the statistics were delivered by a survivor flush, so the
+    /// handle's death does not deliver them a second time.
+    reported: bool,
 }
 
-/// What a handle keeps to deregister itself: its registry slot plus the
-/// registration id that proves the slot is still its own.
+/// What a handle keeps to reach its registry slot, plus the registration
+/// id that proves the slot is still its instance's.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LiveKey {
-    slot: u32,
+    pub(crate) slot: u32,
     id: u64,
 }
 
-/// Free-listed slot registry of live instances. Registering and
-/// deregistering index a vector: no hashing, no tree walk.
+/// Free-listed slot registry of live instances. Registering, updating and
+/// retiring index a vector: no hashing, no tree walk. A slot belongs to
+/// its handle until the handle drops, so the handle's own accesses need no
+/// id check; only a [`HandleIter`](crate::HandleIter), which can outlive
+/// its handle, checks the id.
 #[derive(Default)]
 struct LiveRegistry {
     slots: Vec<Option<LiveInstance>>,
@@ -221,10 +282,15 @@ struct LiveRegistry {
 }
 
 impl LiveRegistry {
-    fn register(&mut self, ctx: Option<ContextId>, stats: Arc<Mutex<StatsBuilder>>) -> LiveKey {
+    fn register(&mut self, ctx: Option<ContextId>, stats: StatsBuilder) -> LiveKey {
         let id = self.next_id;
         self.next_id += 1;
-        let inst = Some(LiveInstance { id, ctx, stats });
+        let inst = Some(LiveInstance {
+            id,
+            ctx,
+            stats,
+            reported: false,
+        });
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = inst;
@@ -238,26 +304,52 @@ impl LiveRegistry {
         LiveKey { slot, id }
     }
 
-    /// Frees `key`'s slot only while it still holds `key`'s instance: a
-    /// survivor flush drains the registry while handles live on, so a
-    /// flushed handle dropping later must not free a slot that a newer
-    /// instance has since taken.
-    fn deregister(&mut self, key: LiveKey) {
-        let Some(slot) = self.slots.get_mut(key.slot as usize) else {
-            return;
-        };
-        if slot.as_ref().is_some_and(|inst| inst.id == key.id) {
-            *slot = None;
-            self.free.push(key.slot);
+    fn get(&mut self, key: LiveKey) -> &mut LiveInstance {
+        self.slots[key.slot as usize]
+            .as_mut()
+            .expect("a live handle owns its registry slot")
+    }
+
+    /// `key`'s instance if its slot still holds it; for a
+    /// [`HandleIter`](crate::HandleIter), whose handle may have dropped
+    /// and whose slot may have been reused since.
+    fn get_if(&mut self, key: LiveKey) -> Option<&mut LiveInstance> {
+        match self.slots.get_mut(key.slot as usize) {
+            Some(Some(inst)) if inst.id == key.id => Some(inst),
+            _ => None,
         }
     }
 
-    /// Empties the registry, returning its instances in allocation order.
-    fn drain(&mut self) -> Vec<LiveInstance> {
-        self.free.clear();
-        let mut live: Vec<LiveInstance> = self.slots.drain(..).flatten().collect();
-        live.sort_unstable_by_key(|inst| inst.id);
-        live
+    /// Marks every unreported instance reported and returns its survivor
+    /// statistics in registration (age) order. A registry with no live
+    /// instance left, the usual state at workload end, also gives back its
+    /// slot storage: an environment kept for its report would otherwise
+    /// hold it at its high-water mark.
+    fn mark_survivors(&mut self) -> Vec<(u64, Option<ContextId>, InstanceStats)> {
+        if self.free.len() == self.slots.len() {
+            *self = LiveRegistry {
+                next_id: self.next_id,
+                ..LiveRegistry::default()
+            };
+        }
+        let mut due = Vec::new();
+        for inst in self.slots.iter_mut().flatten() {
+            if !std::mem::replace(&mut inst.reported, true) {
+                let b = &inst.stats;
+                let stats = b.report(b.current_size, b.chosen_impl, true);
+                due.push((inst.id, inst.ctx, stats));
+            }
+        }
+        due.sort_unstable_by_key(|(id, ..)| *id);
+        due
+    }
+
+    fn retire(&mut self, key: LiveKey) -> LiveInstance {
+        let inst = self.slots[key.slot as usize]
+            .take()
+            .expect("a live handle owns its registry slot");
+        self.free.push(key.slot);
+        inst
     }
 }
 
@@ -266,21 +358,16 @@ struct RuntimeInner {
     clock: SimClock,
     cost: CostModel,
     classes: ClassIds,
-    /// Live-instance registry; the survivor flush walks it in allocation
-    /// (registration id) order, whatever order slots were reused in.
-    live: Mutex<LiveRegistry>,
-    sink: Mutex<Option<Arc<dyn StatsSink>>>,
-    telemetry: Mutex<Option<CollTelemetry>>,
-    // Fast-path guard: lets `report_death` skip the telemetry lock
-    // entirely when no handle was ever attached.
-    telemetry_attached: AtomicBool,
-    // Per-op cost histogram, outside the mutex: `charge` runs on every
-    // collection operation, so its telemetry check must be a single
-    // atomic load when detached (OnceLock::get) or disabled.
-    op_cost: OnceLock<(Telemetry, Histogram)>,
+    live: RefCell<LiveRegistry>,
+    sink: RefCell<Option<Rc<dyn StatsSink>>>,
+    telemetry: RefCell<Option<CollTelemetry>>,
 }
 
-/// Shared collection runtime handle.
+/// Shared collection runtime handle. Single-owner: it lives on the thread
+/// that built it, like the factory and handles that share it.
+///
+/// No `RefCell` borrow of the runtime's state is held across a call into
+/// the sink, so a sink may re-enter the runtime.
 ///
 /// # Examples
 ///
@@ -294,7 +381,7 @@ struct RuntimeInner {
 /// ```
 #[derive(Clone)]
 pub struct Runtime {
-    inner: Arc<RuntimeInner>,
+    inner: Rc<RuntimeInner>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -319,16 +406,14 @@ impl Runtime {
         heap.attach_clock(clock.clone());
         let classes = ClassIds::register(&heap);
         Runtime {
-            inner: Arc::new(RuntimeInner {
+            inner: Rc::new(RuntimeInner {
                 heap,
                 clock,
                 cost,
                 classes,
-                live: Mutex::new(LiveRegistry::default()),
-                sink: Mutex::new(None),
-                telemetry: Mutex::new(None),
-                telemetry_attached: AtomicBool::new(false),
-                op_cost: OnceLock::new(),
+                live: RefCell::default(),
+                sink: RefCell::new(None),
+                telemetry: RefCell::new(None),
             }),
         }
     }
@@ -357,58 +442,69 @@ impl Runtime {
     /// distribution when telemetry is attached and enabled.
     pub fn charge(&self, units: u64) {
         self.inner.clock.charge(units);
-        if let Some((t, h)) = self.inner.op_cost.get() {
-            if t.is_enabled() {
-                h.record(units);
-            }
+        if let Some(tel) = self.enabled_telemetry().as_deref() {
+            tel.op_cost.record(units);
         }
     }
 
     /// Installs the death-statistics sink (normally the profiler).
-    pub fn set_sink(&self, sink: Arc<dyn StatsSink>) {
-        *self.inner.sink.lock() = Some(sink);
+    pub fn set_sink(&self, sink: Rc<dyn StatsSink>) {
+        *self.inner.sink.borrow_mut() = Some(sink);
     }
 
     /// Removes the sink.
     pub fn clear_sink(&self) {
-        *self.inner.sink.lock() = None;
+        *self.inner.sink.borrow_mut() = None;
     }
 
     /// Attaches a telemetry handle (also attaching it to the underlying
-    /// heap). Per-op counters are resolved once, here; death reports then
-    /// fold operation counts into them when the handle is enabled. The
-    /// per-op cost histogram binds to the *first* handle ever attached
-    /// (it lives outside the lock so `charge` stays a single atomic load
-    /// when detached).
+    /// heap), replacing any earlier one. Per-op counters and the per-op
+    /// cost histogram are resolved once, here; death reports then fold
+    /// operation counts into them when the handle is enabled.
     pub fn attach_telemetry(&self, telemetry: &Telemetry) {
         self.inner.heap.attach_telemetry(telemetry);
-        *self.inner.telemetry.lock() = Some(CollTelemetry::new(telemetry));
-        let _ = self.inner.op_cost.set((
-            telemetry.clone(),
-            telemetry.histogram("coll.op_cost_units", &OP_COST_BUCKETS),
-        ));
-        self.inner.telemetry_attached.store(true, Ordering::Release);
+        *self.inner.telemetry.borrow_mut() = Some(CollTelemetry::new(telemetry));
     }
 
     /// The attached telemetry handle, if any (cloned; cheap).
     pub fn telemetry(&self) -> Option<Telemetry> {
-        self.inner.telemetry.lock().as_ref().map(|c| c.t.clone())
+        self.inner.telemetry.borrow().as_ref().map(|c| c.t.clone())
     }
 
-    /// Registers a live instance for the survivor flush; returns the key
-    /// the handle must pass to [`Runtime::deregister_live`] on death.
-    pub(crate) fn register_live(
-        &self,
-        ctx: Option<ContextId>,
-        stats: Arc<Mutex<StatsBuilder>>,
-    ) -> LiveKey {
-        self.inner.live.lock().register(ctx, stats)
+    fn enabled_telemetry(&self) -> Option<Ref<'_, CollTelemetry>> {
+        Ref::filter_map(self.inner.telemetry.borrow(), |tel| {
+            tel.as_ref().filter(|tel| tel.t.is_enabled())
+        })
+        .ok()
     }
 
-    /// Removes a dying instance from the live registry (a no-op when a
-    /// survivor flush already drained it).
-    pub(crate) fn deregister_live(&self, key: LiveKey) {
-        self.inner.live.lock().deregister(key);
+    /// Registers a live instance; returns the key its handle reaches the
+    /// instance's slot with.
+    pub(crate) fn register_live(&self, ctx: Option<ContextId>, stats: StatsBuilder) -> LiveKey {
+        self.inner.live.borrow_mut().register(ctx, stats)
+    }
+
+    /// Runs `f` on a live handle's registry slot.
+    pub(crate) fn with_live<R>(&self, key: LiveKey, f: impl FnOnce(&mut LiveInstance) -> R) -> R {
+        f(self.inner.live.borrow_mut().get(key))
+    }
+
+    /// Records `op` on `key`'s instance if its slot still holds it: an
+    /// iterator may outlive its handle, and the slot may have been reused.
+    pub(crate) fn record_if_live(&self, key: LiveKey, op: Op) {
+        if let Some(inst) = self.inner.live.borrow_mut().get_if(key) {
+            inst.stats.ops.record(op);
+        }
+    }
+
+    /// Frees a dying handle's slot and delivers its statistics, unless a
+    /// survivor flush already did.
+    pub(crate) fn retire_live(&self, key: LiveKey, final_size: usize, chosen_impl: &'static str) {
+        let inst = self.inner.live.borrow_mut().retire(key);
+        if !inst.reported {
+            let stats = inst.stats.report(final_size as u64, chosen_impl, false);
+            self.report_death(inst.ctx, &stats);
+        }
     }
 
     /// Delivers the statistics of every still-live instance to the sink as
@@ -416,60 +512,32 @@ impl Runtime {
     ///
     /// Collections alive at workload end otherwise never reach
     /// [`StatsSink::on_death`], leaving long-lived contexts invisible to
-    /// the profile. Flushed instances are marked reported so a later handle
-    /// drop does not deliver them a second time (the registry itself is
-    /// drained here; handles deregister on death anyway). Returns the
-    /// number of instances flushed.
+    /// the profile. Flushed instances are marked reported in place so a
+    /// later handle drop does not deliver them a second time; each slot
+    /// stays its handle's until that drop. Returns the number of instances
+    /// flushed.
     pub fn flush_survivors(&self) -> usize {
-        // Drain the whole registry first so no lock is held while builders
-        // are locked — a dying handle takes the same locks in the same
-        // order (registry, then builder) and can never deadlock against us.
-        let live = self.inner.live.lock().drain();
-        let mut flushed = 0;
-        for inst in &live {
-            let mut b = inst.stats.lock();
-            if std::mem::replace(&mut b.reported, true) {
-                continue;
-            }
-            let stats = InstanceStats {
-                ops: b.ops,
-                max_size: b.max_size,
-                final_size: b.current_size,
-                initial_capacity: b.initial_capacity,
-                requested_type: b.requested_type,
-                chosen_impl: b.chosen_impl,
-                survivor: true,
-            };
-            drop(b);
-            self.report_death(inst.ctx, &stats);
-            flushed += 1;
+        // Mark and snapshot under one borrow, then report with none held.
+        let due = self.inner.live.borrow_mut().mark_survivors();
+        for (_, ctx, stats) in &due {
+            self.report_death(*ctx, stats);
         }
-        flushed
+        due.len()
     }
 
     /// Delivers death statistics to the sink, if any.
     pub fn report_death(&self, ctx: Option<ContextId>, stats: &InstanceStats) {
-        if self.inner.telemetry_attached.load(Ordering::Acquire) {
-            self.fold_death_telemetry(stats);
-        }
-        if let Some(sink) = self.inner.sink.lock().as_ref() {
-            sink.on_death(ctx, stats);
-        }
-    }
-
-    fn fold_death_telemetry(&self, stats: &InstanceStats) {
-        if let Some(tel) = self
-            .inner
-            .telemetry
-            .lock()
-            .as_ref()
-            .filter(|tel| tel.t.is_enabled())
-        {
+        if let Some(tel) = self.enabled_telemetry().as_deref() {
             tel.deaths.inc();
             tel.max_size.record(stats.max_size);
             for (op, n) in stats.ops.iter_nonzero() {
                 tel.ops[op.index()].add(n);
             }
+        }
+        // Cloned out so no borrow is held while the sink runs.
+        let sink = self.inner.sink.borrow().clone();
+        if let Some(sink) = sink {
+            sink.on_death(ctx, stats);
         }
     }
 }
@@ -478,7 +546,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::ops::Op;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn classes_registered_once() {
@@ -496,15 +564,15 @@ mod tests {
 
     #[test]
     fn sink_receives_death_reports() {
-        struct Counting(AtomicUsize);
+        struct Counting(Cell<usize>);
         impl StatsSink for Counting {
             fn on_death(&self, _ctx: Option<ContextId>, stats: &InstanceStats) {
                 assert_eq!(stats.ops.get(Op::Add), 2);
-                self.0.fetch_add(1, Ordering::Relaxed);
+                self.0.set(self.0.get() + 1);
             }
         }
         let rt = Runtime::new(Heap::new());
-        let sink = Arc::new(Counting(AtomicUsize::new(0)));
+        let sink = Rc::new(Counting(Cell::new(0)));
         rt.set_sink(sink.clone());
         let mut ops = OpCounts::new();
         ops.record_n(Op::Add, 2);
@@ -518,24 +586,38 @@ mod tests {
             survivor: false,
         };
         rt.report_death(None, &stats);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
+        assert_eq!(sink.0.get(), 1);
         rt.clear_sink();
         rt.report_death(None, &stats);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
+        assert_eq!(sink.0.get(), 1);
+    }
+
+    #[test]
+    fn reattached_telemetry_takes_the_op_cost_histogram_along() {
+        let rt = Runtime::new(Heap::new());
+        let (first, second) = (Telemetry::new(), Telemetry::new());
+        let op_cost = |t: &Telemetry| t.histogram("coll.op_cost_units", &OP_COST_BUCKETS);
+        rt.attach_telemetry(&first);
+        rt.charge(3);
+        rt.attach_telemetry(&second);
+        rt.charge(5);
+        rt.charge(7);
+        assert_eq!((op_cost(&first).count(), op_cost(&first).sum()), (1, 3));
+        assert_eq!((op_cost(&second).count(), op_cost(&second).sum()), (2, 12));
     }
 
     #[test]
     fn flush_survivors_reports_live_instances_once() {
         use crate::factory::CollectionFactory;
-        struct Collect(Mutex<Vec<InstanceStats>>);
+        struct Collect(RefCell<Vec<InstanceStats>>);
         impl StatsSink for Collect {
             fn on_death(&self, _ctx: Option<ContextId>, stats: &InstanceStats) {
-                self.0.lock().push(stats.clone());
+                self.0.borrow_mut().push(stats.clone());
             }
         }
         let f = CollectionFactory::new(Runtime::new(Heap::new()));
         let rt = f.runtime().clone();
-        let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+        let sink = Rc::new(Collect(RefCell::new(Vec::new())));
         rt.set_sink(sink.clone());
         let mut long_lived = f.new_list::<i64>(None);
         long_lived.add(1);
@@ -547,7 +629,7 @@ mod tests {
         // One normal death so far; the live list flushes as a survivor.
         assert_eq!(rt.flush_survivors(), 1);
         {
-            let reports = sink.0.lock();
+            let reports = sink.0.borrow();
             assert_eq!(reports.len(), 2);
             assert!(!reports[0].survivor);
             let surv = &reports[1];
@@ -558,7 +640,7 @@ mod tests {
         }
         // Dropping the flushed handle must not report a second time.
         drop(long_lived);
-        assert_eq!(sink.0.lock().len(), 2);
+        assert_eq!(sink.0.borrow().len(), 2);
         // And a repeated flush finds nothing.
         assert_eq!(rt.flush_survivors(), 0);
     }
@@ -569,15 +651,15 @@ mod tests {
         use crate::handle::ListHandle;
         /// Records each report's `(max_size, survivor)`; every list below
         /// gets a distinct size so it can be told apart.
-        struct Collect(Mutex<Vec<(u64, bool)>>);
+        struct Collect(RefCell<Vec<(u64, bool)>>);
         impl StatsSink for Collect {
             fn on_death(&self, _ctx: Option<ContextId>, stats: &InstanceStats) {
-                self.0.lock().push((stats.max_size, stats.survivor));
+                self.0.borrow_mut().push((stats.max_size, stats.survivor));
             }
         }
         let f = CollectionFactory::new(Runtime::new(Heap::new()));
         let rt = f.runtime().clone();
-        let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+        let sink = Rc::new(Collect(RefCell::new(Vec::new())));
         rt.set_sink(sink.clone());
         let list = |n: i64| -> ListHandle<i64> {
             let mut l = f.new_list(None);
@@ -586,31 +668,33 @@ mod tests {
             }
             l
         };
-        let slot_of = |l: &ListHandle<i64>| l.live_key().slot;
-        let take = || std::mem::take(&mut *sink.0.lock());
+        let take = || std::mem::take(&mut *sink.0.borrow_mut());
 
-        let a = list(1);
+        let mut a = list(1);
         let b = list(2);
         assert_eq!(rt.flush_survivors(), 2);
         assert_eq!(take(), [(1, true), (2, true)]);
 
-        // C reuses A's slot; A's late drop must neither free C's slot nor
-        // report again.
-        let c = list(3);
-        assert_eq!(slot_of(&c), a.live_key().slot);
+        // Ops on a flushed survivor still count on its handle but never
+        // reach the sink, and its drop stays silent; so do C and D, which
+        // are live and not yet flushed.
+        for i in 0..8 {
+            a.add(i);
+        }
+        assert_eq!(a.max_size_seen(), 9);
         drop(a);
+        let c = list(3);
         let d = list(4);
-        assert_ne!(slot_of(&d), slot_of(&c), "C's slot stayed taken");
         assert!(take().is_empty());
 
-        // Interleaved deaths: E dies, G takes its slot, so slot order is
+        // Interleaved deaths: E dies and G takes its slot, so slot order is
         // no longer allocation order; the flush still delivers by age.
         let e = list(5);
-        let g_slot = slot_of(&e);
         let f6 = list(6);
+        let e_slot = e.live_key().slot;
         drop(e);
         let g = list(7);
-        assert_eq!(slot_of(&g), g_slot);
+        assert_eq!(g.live_key().slot, e_slot, "G reuses E's slot");
         assert_eq!(take(), [(5, false)]);
         assert_eq!(rt.flush_survivors(), 4);
         assert_eq!(take(), [(3, true), (4, true), (6, true), (7, true)]);

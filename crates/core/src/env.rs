@@ -16,7 +16,7 @@ use chameleon_heap::{Heap, HeapConfig, HeapProfConfig};
 use chameleon_profiler::{ProfileReport, Profiler};
 use chameleon_rules::{PolicyUpdate, Suggestion};
 use chameleon_telemetry::{Telemetry, TraceLane, Tracer};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Environment construction parameters.
 #[derive(Debug, Clone)]
@@ -149,7 +149,7 @@ pub struct Env {
     /// The factory workloads allocate through.
     pub factory: CollectionFactory,
     /// The profiler, when profiling is enabled.
-    pub profiler: Option<Arc<Profiler>>,
+    pub profiler: Option<Rc<Profiler>>,
     /// This environment's trace lane (lane 0 for the parent environment;
     /// partition environments get the owning worker's lane).
     pub(crate) trace: Option<TraceLane>,
@@ -200,7 +200,7 @@ impl Env {
     /// environment's factory.
     pub fn apply_policy(&self, updates: &[PortableUpdate]) {
         let policy = self.factory.policy();
-        let mut policy = policy.lock();
+        let mut policy = policy.borrow_mut();
         for u in updates {
             let ctx = self
                 .heap

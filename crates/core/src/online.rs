@@ -33,9 +33,9 @@ use chameleon_heap::{ContextId, Heap};
 use chameleon_profiler::{ProfileReport, Profiler};
 use chameleon_rules::{PolicyUpdate, RuleEngine};
 use chameleon_telemetry::series::{DriftConfig, SeriesStore};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Online-mode configuration.
@@ -408,8 +408,7 @@ impl DriftTracker {
     }
 }
 
-/// Everything an evaluation mutates under one lock, so concurrent death
-/// deliveries advance the state machine atomically.
+/// Everything an evaluation mutates, borrowed once per evaluation.
 struct AdaptState {
     hysteresis: Hysteresis,
     drift: Option<DriftTracker>,
@@ -419,20 +418,20 @@ struct AdaptState {
 /// the rules on a fixed death cadence. Shared with `core::serve`, which
 /// drives one sink per tenant.
 pub(crate) struct OnlineSink {
-    profiler: Arc<Profiler>,
+    profiler: Rc<Profiler>,
     heap: Heap,
     engine: Arc<RuleEngine>,
-    policy: Arc<Mutex<SelectionPolicy>>,
+    policy: Rc<RefCell<SelectionPolicy>>,
     capture: CaptureController,
-    deaths: AtomicU64,
+    deaths: Cell<u64>,
     every: u64,
-    evaluations: AtomicU64,
-    replacements: AtomicU64,
-    reverts: AtomicU64,
-    drift_events: AtomicU64,
+    evaluations: Cell<u64>,
+    replacements: Cell<u64>,
+    reverts: Cell<u64>,
+    drift_events: Cell<u64>,
     min_potential: u64,
     shutoff: Option<u64>,
-    state: Mutex<AdaptState>,
+    state: RefCell<AdaptState>,
 }
 
 impl OnlineSink {
@@ -443,25 +442,25 @@ impl OnlineSink {
         env: &Env,
         engine: Arc<RuleEngine>,
         config: &OnlineConfig,
-    ) -> Result<Arc<OnlineSink>, OnlineError> {
+    ) -> Result<Rc<OnlineSink>, OnlineError> {
         let Some(profiler) = env.profiler.clone() else {
             return Err(OnlineError::NotProfiling);
         };
-        Ok(Arc::new(OnlineSink {
+        Ok(Rc::new(OnlineSink {
             profiler,
             heap: env.heap.clone(),
             engine,
             policy: env.factory.policy(),
             capture: env.factory.capture_controller(),
-            deaths: AtomicU64::new(0),
+            deaths: Cell::new(0),
             every: config.eval_every_deaths.max(1),
-            evaluations: AtomicU64::new(0),
-            replacements: AtomicU64::new(0),
-            reverts: AtomicU64::new(0),
-            drift_events: AtomicU64::new(0),
+            evaluations: Cell::new(0),
+            replacements: Cell::new(0),
+            reverts: Cell::new(0),
+            drift_events: Cell::new(0),
             min_potential: config.min_potential_bytes,
             shutoff: config.shutoff_below_potential,
-            state: Mutex::new(AdaptState {
+            state: RefCell::new(AdaptState {
                 hysteresis: Hysteresis::new(config.confirm_evals),
                 drift: config.drift.map(DriftTracker::new),
             }),
@@ -469,23 +468,23 @@ impl OnlineSink {
     }
 
     pub(crate) fn death_total(&self) -> u64 {
-        self.deaths.load(Ordering::Relaxed)
+        self.deaths.get()
     }
 
     pub(crate) fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
+        self.evaluations.get()
     }
 
     pub(crate) fn replacements(&self) -> u64 {
-        self.replacements.load(Ordering::Relaxed)
+        self.replacements.get()
     }
 
     pub(crate) fn reverts(&self) -> u64 {
-        self.reverts.load(Ordering::Relaxed)
+        self.reverts.get()
     }
 
     pub(crate) fn drift_events(&self) -> u64 {
-        self.drift_events.load(Ordering::Relaxed)
+        self.drift_events.get()
     }
 
     pub(crate) fn disabled_types(&self) -> Vec<String> {
@@ -494,23 +493,23 @@ impl OnlineSink {
 
     /// Every installed override, ordered by policy slot.
     pub(crate) fn installed_updates(&self) -> Vec<PolicyUpdate> {
-        self.state.lock().hysteresis.installed_updates()
+        self.state.borrow().hysteresis.installed_updates()
     }
 
     /// Per-slot switch counts (kind tag, context, switches).
     pub(crate) fn switch_counts(&self) -> Vec<(u8, ContextId, u64)> {
-        self.state.lock().hysteresis.switch_counts()
+        self.state.borrow().hysteresis.switch_counts()
     }
 
     /// The largest per-slot switch count.
     pub(crate) fn max_switches(&self) -> u64 {
-        self.state.lock().hysteresis.max_switches()
+        self.state.borrow().hysteresis.max_switches()
     }
 
     /// One rule re-evaluation: build the report, apply the §4.2 shutoff,
     /// sample the drift tracker, then advance the hysteresis machine.
     fn evaluate(&self) {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        self.evaluations.set(self.evaluations.get() + 1);
         let report = ProfileReport::build(&self.profiler, &self.heap);
 
         // §4.2 per-type shutoff: if every context of a requested type shows
@@ -530,10 +529,10 @@ impl OnlineSink {
             }
         }
 
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if let Some(tracker) = st.drift.as_mut() {
             if tracker.observe(&report) {
-                self.drift_events.fetch_add(1, Ordering::Relaxed);
+                self.drift_events.set(self.drift_events.get() + 1);
                 // The tenant changed phase: what was learned about quiet
                 // types no longer holds. Re-enable capture for every
                 // shut-off type, restart profiling aggregation, and re-arm
@@ -564,19 +563,20 @@ impl OnlineSink {
             desired.insert(hkey(&u), u);
         }
 
-        let mut policy = self.policy.lock();
-        let step = st.hysteresis.observe(&desired, &mut policy);
+        let step = st
+            .hysteresis
+            .observe(&desired, &mut self.policy.borrow_mut());
         self.replacements
-            .fetch_add(step.installs, Ordering::Relaxed);
-        self.reverts.fetch_add(step.reverts, Ordering::Relaxed);
+            .set(self.replacements.get() + step.installs);
+        self.reverts.set(self.reverts.get() + step.reverts);
     }
 }
 
 impl StatsSink for OnlineSink {
     fn on_death(&self, ctx: Option<ContextId>, stats: &InstanceStats) {
         self.profiler.on_death(ctx, stats);
-        let n = self.deaths.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(self.every) {
+        self.deaths.set(self.deaths.get() + 1);
+        if !self.deaths.get().is_multiple_of(self.every) {
             return;
         }
         self.evaluate();

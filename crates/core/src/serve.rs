@@ -42,6 +42,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Largest `repeat` a `tenant_step` accepts. Dispatch is one loop, so an
@@ -113,7 +114,7 @@ pub struct Reply {
 struct Tenant {
     workload: Box<dyn Workload>,
     env: Env,
-    sink: Arc<OnlineSink>,
+    sink: Rc<OnlineSink>,
     steps: u64,
 }
 

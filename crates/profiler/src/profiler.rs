@@ -8,9 +8,9 @@
 use crate::context_trace::ContextTrace;
 use chameleon_collections::runtime::{InstanceStats, Runtime, StatsSink};
 use chameleon_heap::ContextId;
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Collects per-context trace statistics from dying collections.
 ///
@@ -34,8 +34,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Default)]
 pub struct Profiler {
-    contexts: Mutex<HashMap<Option<ContextId>, ContextTrace>>,
-    deaths: Mutex<u64>,
+    contexts: RefCell<HashMap<Option<ContextId>, ContextTrace>>,
+    deaths: Cell<u64>,
 }
 
 impl Profiler {
@@ -45,8 +45,8 @@ impl Profiler {
     }
 
     /// Creates a profiler and installs it as `rt`'s statistics sink.
-    pub fn install(rt: &Runtime) -> Arc<Profiler> {
-        let p = Arc::new(Profiler::new());
+    pub fn install(rt: &Runtime) -> Rc<Profiler> {
+        let p = Rc::new(Profiler::new());
         rt.set_sink(p.clone());
         p
     }
@@ -54,23 +54,23 @@ impl Profiler {
     /// Number of distinct contexts observed (including the "uncaptured"
     /// bucket if any deaths had no context).
     pub fn context_count(&self) -> usize {
-        self.contexts.lock().len()
+        self.contexts.borrow().len()
     }
 
     /// Total instance deaths observed.
     pub fn death_count(&self) -> u64 {
-        *self.deaths.lock()
+        self.deaths.get()
     }
 
     /// Clones the trace for `ctx`, if observed.
     pub fn trace(&self, ctx: Option<ContextId>) -> Option<ContextTrace> {
-        self.contexts.lock().get(&ctx).cloned()
+        self.contexts.borrow().get(&ctx).cloned()
     }
 
     /// Clones all `(context, trace)` pairs.
     pub fn traces(&self) -> Vec<(Option<ContextId>, ContextTrace)> {
         self.contexts
-            .lock()
+            .borrow()
             .iter()
             .map(|(c, t)| (*c, t.clone()))
             .collect()
@@ -81,27 +81,29 @@ impl Profiler {
     /// profiler's heap. The death counter advances by the trace's instance
     /// count, exactly as if every instance had died here.
     pub fn merge_trace(&self, ctx: Option<ContextId>, trace: &ContextTrace) {
-        let mut map = self.contexts.lock();
-        map.entry(ctx)
+        self.contexts
+            .borrow_mut()
+            .entry(ctx)
             .or_insert_with(|| ContextTrace::new(&trace.requested_type))
             .merge(trace);
-        *self.deaths.lock() += trace.instances;
+        self.deaths.set(self.deaths.get() + trace.instances);
     }
 
     /// Discards all collected data (between runs).
     pub fn reset(&self) {
-        self.contexts.lock().clear();
-        *self.deaths.lock() = 0;
+        self.contexts.borrow_mut().clear();
+        self.deaths.set(0);
     }
 }
 
 impl StatsSink for Profiler {
     fn on_death(&self, ctx: Option<ContextId>, stats: &InstanceStats) {
-        let mut map = self.contexts.lock();
-        map.entry(ctx)
+        self.contexts
+            .borrow_mut()
+            .entry(ctx)
             .or_insert_with(|| ContextTrace::new(stats.requested_type))
             .absorb(stats);
-        *self.deaths.lock() += 1;
+        self.deaths.set(self.deaths.get() + 1);
     }
 }
 

@@ -35,8 +35,8 @@
 //!
 //! # Differences from upstream loom
 //!
-//! * `sync::Mutex::lock` returns its guard directly (`parking_lot` style,
-//!   no poison `Result`), matching the workspace's lock shims.
+//! * `sync::Mutex::lock` returns its guard directly, with no poison
+//!   `Result`.
 //! * [`cell::UnsafeCell`] adds `with_racy`, an intentionally unchecked read
 //!   for seqlock-style readers whose races are resolved by validation.
 //! * Outside a model run every primitive degrades to its plain `std`

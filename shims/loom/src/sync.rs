@@ -4,9 +4,8 @@
 //! kernels use. Inside a model run each operation is a scheduling point
 //! over a per-location store history (so relaxed/acquire loads may observe
 //! stale-but-coherent values); outside one it delegates to the plain std
-//! atomic it wraps. [`Mutex`] follows the workspace's `parking_lot` shim
-//! API (a guard without a poison `Result`) and participates in scheduling
-//! and happens-before tracking.
+//! atomic it wraps. [`Mutex`] hands out a guard without a poison `Result`
+//! and participates in scheduling and happens-before tracking.
 
 use crate::rt;
 use std::ops::{Deref, DerefMut};
@@ -170,7 +169,7 @@ fn recover<T>(r: Result<T, std::sync::TryLockError<T>>) -> Option<T> {
     }
 }
 
-/// Model-aware mutex with the `parking_lot`-style guard API.
+/// Model-aware mutex whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,

@@ -40,7 +40,7 @@ fn factory_with_map_choice(choice: MapChoice) -> CollectionFactory {
         let _g = f.enter("prop.Site:1");
         f.new_map::<i64, i64>(None).ctx().expect("captured")
     };
-    f.policy().lock().set_map(
+    f.policy().borrow_mut().set_map(
         ctx,
         Selection {
             choice,
@@ -132,7 +132,7 @@ fn check_set_equivalence(choice: SetChoice, ops: Vec<SetOp>) {
         let _g = f.enter("prop.SetSite:1");
         f.new_set::<i64>(None).ctx().expect("captured")
     };
-    f.policy().lock().set_set(
+    f.policy().borrow_mut().set_set(
         ctx,
         Selection {
             choice,
@@ -225,7 +225,7 @@ fn check_list_equivalence(choice: ListChoice, ops: Vec<ListOp>) {
         let _g = f.enter("prop.ListSite:1");
         f.new_list::<i64>(None).ctx().expect("captured")
     };
-    f.policy().lock().set_list(
+    f.policy().borrow_mut().set_list(
         ctx,
         Selection {
             choice,
