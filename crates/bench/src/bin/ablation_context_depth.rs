@@ -7,6 +7,8 @@
 //! at depth 1 all seven logical contexts collapse into one — and its merged
 //! statistics blur the per-site size profile.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_collections::factory::CaptureConfig;

@@ -7,6 +7,8 @@
 //! This sweep re-runs the minimal-heap experiment for TVLA and FindBugs
 //! under both layouts.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_bench::pct;

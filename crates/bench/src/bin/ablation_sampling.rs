@@ -6,6 +6,8 @@
 //! reports the overhead/coverage trade: capture cost shrinks linearly while
 //! the top contexts remain discoverable well past 1-in-10 sampling.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_collections::factory::{CaptureConfig, CaptureMethod};

@@ -8,6 +8,8 @@
 //! the gate on and off and measures the time consequence of the ungated
 //! replacement.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_collections::factory::Selection;

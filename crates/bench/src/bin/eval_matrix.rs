@@ -16,6 +16,8 @@
 //! Run from the workspace root:
 //! `cargo run --release -p chameleon-bench --bin eval_matrix`.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::eval::{self, FLAG_KEYS, VALUE_KEYS};
 use std::collections::BTreeMap;
 

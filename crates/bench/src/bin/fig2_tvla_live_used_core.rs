@@ -4,6 +4,8 @@
 //! The paper's figure shows collections at up to ~70% of live data with
 //! used at up to ~40%.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_core::{Env, EnvConfig};

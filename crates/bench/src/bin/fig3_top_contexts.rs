@@ -4,6 +4,8 @@
 //! also showing a small portion of `add` and `remove`; it also prints the
 //! paper's succinct suggestion messages for the top contexts.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_core::{Chameleon, EnvConfig};

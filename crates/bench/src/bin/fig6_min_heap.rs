@@ -6,6 +6,8 @@
 //! alongside, as the paper reports "more than 20% ... by making the lists
 //! into LazyArrayLists".
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_bench::{paper_numbers, pct, run_paper_experiment};

@@ -4,6 +4,8 @@
 //! size, so GC pressure differences count (that is the entire PMD effect:
 //! 16% fewer GCs → 8.33% faster).
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_bench::{paper_numbers, pct, run_paper_experiment};

@@ -4,6 +4,8 @@
 //! consumed by LinkedList$Entry objects allocated as the head of an empty
 //! linked list".
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_core::{Env, EnvConfig};

@@ -11,6 +11,8 @@
 //! (no saving); 16 keeps them array-backed (big saving, linear-probe time
 //! cost); beyond 16 the pre-sized array only adds slack.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_bench::pct;

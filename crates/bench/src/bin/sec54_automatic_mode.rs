@@ -14,6 +14,8 @@
 //! per unit of application work, so it takes the prohibitive slot; see
 //! EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_collections::factory::{CaptureConfig, CaptureMethod};

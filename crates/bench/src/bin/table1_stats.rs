@@ -4,6 +4,8 @@
 //! counts, operation totals, average/deviation of operation counts and of
 //! the maximal size.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_core::{Env, EnvConfig};

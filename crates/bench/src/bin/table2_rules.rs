@@ -1,6 +1,8 @@
 //! Table 2 — the built-in Chameleon selection rules, and which of them
 //! fire on each of the six benchmarks.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_core::Chameleon;

@@ -2,6 +2,8 @@
 //! every GC cycle: live data, collection live/used/core, collection object
 //! number, and the per-type live-size breakdown; printed for the TVLA run.
 
+#![forbid(unsafe_code)]
+
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_core::{Env, EnvConfig};

@@ -5,7 +5,7 @@
 //! Criterion micro-benchmarks validating the cost-model orderings on real
 //! hardware. See EXPERIMENTS.md at the workspace root for the index.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod eval;
 pub mod out;

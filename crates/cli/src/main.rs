@@ -16,6 +16,8 @@
 //! The authoritative subcommand list lives in [`args::SUBCOMMANDS`]; the
 //! `--help` text is generated from it.
 
+#![forbid(unsafe_code)]
+
 mod args;
 
 use args::Invocation;

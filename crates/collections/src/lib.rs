@@ -41,7 +41,7 @@
 //! assert_eq!(cycle.collection.count, 1);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod elem;

@@ -74,9 +74,10 @@ impl Op {
         Op::CopiedInto,
     ];
 
-    /// Dense index of this operation.
+    /// Dense index of this operation: its position in [`Op::ALL`], which
+    /// lists the variants in declaration order.
     pub fn index(self) -> usize {
-        Op::ALL.iter().position(|o| *o == self).expect("op in ALL")
+        self as usize
     }
 
     /// The metric name used by the rule language (e.g. `#get(int)`).

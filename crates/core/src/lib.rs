@@ -35,7 +35,7 @@
 //! assert!(result.min_heap_after <= result.min_heap_before);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod env;
 pub mod experiment;

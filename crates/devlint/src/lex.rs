@@ -35,7 +35,7 @@ pub struct Tok {
 }
 
 /// One comment (line or block) with its position; rules look for
-/// justification markers (`SAFETY:`, `relaxed:`, `hashmap-iter-ok:`)
+/// justification markers (`relaxed:`, `hashmap-iter-ok:`)
 /// in these.
 #[derive(Debug, Clone)]
 pub struct Comment {

@@ -4,7 +4,7 @@
 //! source-level disciplines that `cargo test` can only probe dynamically:
 //! no wall-clock reads on decision paths, no iteration over hash-ordered
 //! containers in deterministic crates, no unexplained `Ordering::Relaxed`,
-//! no `unsafe` outside the audited files, and no thread launches outside
+//! no `unsafe` at all, and no thread launches outside
 //! the runtime. `devlint` enforces all five statically with a token-level
 //! lexer — no syn, no external deps — and renders findings through the
 //! same [`chameleon_rules::diag`] machinery the rule analyzer uses.
@@ -26,20 +26,18 @@
 //!   target of `fetch_add`/`fetch_sub`/`fetch_max`/`fetch_min` in the
 //!   same file) or carry a `// relaxed:` comment explaining why the
 //!   weakest ordering is sound.
-//! * **`unsafe-budget`** — `unsafe` appears only in four audited files,
-//!   each capped at its reviewed count, and every occurrence sits under a
-//!   `SAFETY:` comment. Crate roots must carry
-//!   `#![deny(unsafe_op_in_unsafe_fn)]`.
+//! * **`unsafe-budget`** — the budget is zero: any `unsafe` token is a
+//!   finding, and every crate root must carry `#![forbid(unsafe_code)]`,
+//!   so the compiler refuses one too.
 //! * **`thread-launch`** — `thread::spawn` / `thread::scope` are owned by
 //!   the parallel runtime (`core::parallel`), the evaluation matrix's cell
 //!   runners and the shims;
-//!   ad-hoc threads elsewhere bypass the partition merge and the model
-//!   checker.
+//!   ad-hoc threads elsewhere bypass the partition merge.
 //!
 //! `#[cfg(test)]` items are excluded wholesale: tests may spawn threads,
 //! read clocks and iterate hash maps freely.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use chameleon_rules::diag::{Diagnostic, Severity, Span};
 use std::fmt::Write as _;
@@ -59,7 +57,7 @@ pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
     rules::wallclock(path, &lx, &mut out);
     rules::hashmap_iter(path, src, &lx, &mut out);
     rules::relaxed_justification(path, src, &lx, &mut out);
-    rules::unsafe_budget(path, src, &lx, &mut out);
+    rules::unsafe_budget(path, &lx, &mut out);
     rules::thread_launch(path, &lx, &mut out);
     out
 }

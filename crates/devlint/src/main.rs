@@ -1,6 +1,8 @@
 //! `cargo run -p devlint [root]` — lint the workspace sources and exit
 //! nonzero on any error-severity finding. CI runs this as a gate.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -5,7 +5,7 @@
 //! the shared renderer produces caret snippets. Whitelists are matched
 //! against workspace-relative paths with forward slashes.
 
-use crate::lex::{Lexed, TokKind};
+use crate::lex::Lexed;
 use chameleon_rules::diag::{Diagnostic, Severity, Span};
 
 /// Files allowed to read wall clocks: the telemetry clock plumbing (the
@@ -23,16 +23,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/core/",
     "crates/rules/",
     "crates/profiler/",
-];
-
-/// Audited `unsafe` budget: file → maximum token count. Growing one of
-/// these numbers is a reviewable event — the lint fails until the new
-/// site is audited and the budget updated here.
-const UNSAFE_BUDGET: &[(&str, usize)] = &[
-    ("crates/heap/src/heap.rs", 4),
-    ("crates/telemetry/src/sync.rs", 1),
-    ("crates/telemetry/src/trace.rs", 4),
-    ("shims/loom/src/cell.rs", 1),
 ];
 
 /// Files allowed to launch threads: the parallel runtime's worker pool
@@ -255,68 +245,34 @@ pub fn relaxed_justification(path: &str, _src: &str, lx: &Lexed, out: &mut Vec<D
     }
 }
 
-/// `unsafe-budget`: `unsafe` only in the audited files, within each
-/// file's reviewed count, each occurrence under a `SAFETY:` comment; and
-/// crate roots must deny `unsafe_op_in_unsafe_fn`.
-pub fn unsafe_budget(path: &str, _src: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
-    let budget = UNSAFE_BUDGET
-        .iter()
-        .find(|(p, _)| *p == path)
-        .map(|&(_, n)| n);
-    let mut count = 0usize;
-    let mut first_over: Option<usize> = None;
+/// `unsafe-budget`: no `unsafe` anywhere, and every crate root (a
+/// `src/lib.rs`, `src/main.rs` or `src/bin/*.rs`) must carry
+/// `#![forbid(unsafe_code)]`.
+pub fn unsafe_budget(path: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
     for i in 0..lx.toks.len() {
-        if !lx.active(i) || lx.ident(i) != Some("unsafe") {
-            continue;
-        }
-        count += 1;
-        match budget {
-            None => out.push(Diagnostic::new(
-                Severity::Error,
-                "unsafe-budget",
-                "`unsafe` outside the audited whitelist: move the code into an \
-                 audited file or extend devlint's UNSAFE_BUDGET after review",
-                span(lx, i, i),
-            )),
-            Some(max) if count > max && first_over.is_none() => first_over = Some(i),
-            _ => {}
-        }
-        let line = lx.line_of(lx.toks[i].off);
-        if budget.is_some() && !lx.comment_near("SAFETY:", line, 5) {
+        if lx.active(i) && lx.ident(i) == Some("unsafe") {
             out.push(Diagnostic::new(
                 Severity::Error,
                 "unsafe-budget",
-                "`unsafe` without a `SAFETY:` comment within five lines above",
+                "`unsafe` in a workspace that forbids it: use a safe std \
+                 primitive instead",
                 span(lx, i, i),
             ));
         }
     }
-    if let (Some(max), Some(at)) = (budget, first_over) {
+    let crate_root =
+        path.ends_with("src/lib.rs") || path.ends_with("src/main.rs") || path.contains("src/bin/");
+    let forbids = lx
+        .toks
+        .windows(3)
+        .any(|w| w[0].text == "forbid" && w[2].text == "unsafe_code");
+    if crate_root && !forbids {
         out.push(Diagnostic::new(
             Severity::Error,
             "unsafe-budget",
-            format!(
-                "unsafe count grew to {count}, over the audited budget of {max}: \
-                 audit the new site and update devlint's UNSAFE_BUDGET"
-            ),
-            span(lx, at, at),
+            "crate root lacks `#![forbid(unsafe_code)]`",
+            Span::new(0, 1),
         ));
-    }
-    // Crate roots must deny unsafe_op_in_unsafe_fn so `unsafe fn` bodies
-    // still require explicit unsafe blocks (each with its own SAFETY:).
-    if path.ends_with("/src/lib.rs") || path == "src/lib.rs" {
-        let has_deny = lx
-            .toks
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text == "unsafe_op_in_unsafe_fn");
-        if !has_deny {
-            out.push(Diagnostic::new(
-                Severity::Error,
-                "unsafe-budget",
-                "crate root lacks `#![deny(unsafe_op_in_unsafe_fn)]`",
-                Span::new(0, 1),
-            ));
-        }
     }
 }
 

@@ -82,7 +82,9 @@ fn instant_now_is_caught_outside_the_clock() {
     // matrix report simulated results and leave wall-clock time to the
     // end-to-end benchmark.
     assert!(codes("crates/telemetry/src/trace.rs", src).is_empty());
-    assert_eq!(codes("crates/bench/src/bin/x.rs", src), vec!["wallclock"]);
+    // A bin is a crate root, so it carries the forbid attribute.
+    let bin = format!("#![forbid(unsafe_code)]\n{src}");
+    assert_eq!(codes("crates/bench/src/bin/x.rs", &bin), vec!["wallclock"]);
 }
 
 #[test]
@@ -146,33 +148,21 @@ fn unsafe_outside_whitelist_is_caught() {
 }
 
 #[test]
-fn unsafe_over_budget_is_caught() {
-    // shims/loom/src/cell.rs has a budget of 1; two SAFETY-commented
-    // unsafes still trip the growth gate.
-    let src = "// SAFETY: fine.\n\
-               pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n\
-               // SAFETY: fine.\n\
-               pub fn g(p: *const u8) -> u8 { unsafe { *p } }\n";
-    let diags = check_source("shims/loom/src/cell.rs", src);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("over the audited budget"));
-}
-
-#[test]
-fn unsafe_without_safety_comment_is_caught() {
-    let src = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-    let diags = check_source("shims/loom/src/cell.rs", src);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("SAFETY:"));
-}
-
-#[test]
-fn crate_root_without_deny_is_caught() {
-    let diags = check_source("crates/workloads/src/lib.rs", "pub fn f() {}\n");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("unsafe_op_in_unsafe_fn"));
-    let ok = "#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}\n";
-    assert!(codes("crates/workloads/src/lib.rs", ok).is_empty());
+fn crate_root_without_forbid_is_caught() {
+    for root in [
+        "crates/workloads/src/lib.rs",
+        "crates/cli/src/main.rs",
+        "crates/bench/src/bin/fig2.rs",
+    ] {
+        let diags = check_source(root, "pub fn f() {}\n");
+        assert_eq!(diags.len(), 1, "{root}: {diags:?}");
+        assert!(diags[0].message.contains("forbid(unsafe_code)"));
+        let allow = "#![allow(unsafe_code)]\npub fn f() {}\n";
+        assert_eq!(codes(root, allow), vec!["unsafe-budget"], "{root}");
+        let ok = "#![forbid(unsafe_code)]\npub fn f() {}\n";
+        assert!(codes(root, ok).is_empty(), "{root}");
+    }
+    assert!(codes("crates/workloads/src/gen.rs", "pub fn f() {}\n").is_empty());
 }
 
 // --- thread-launch ---
@@ -183,7 +173,7 @@ fn thread_spawn_outside_runtime_is_caught() {
     assert_eq!(codes("crates/heap/src/x.rs", src), vec!["thread-launch"]);
     assert!(codes("crates/core/src/parallel.rs", src).is_empty());
     assert_eq!(codes("crates/heap/src/gc.rs", src), vec!["thread-launch"]);
-    assert!(codes("shims/loom/src/rt.rs", src).is_empty());
+    assert!(codes("shims/rand/src/x.rs", src).is_empty());
 }
 
 #[test]

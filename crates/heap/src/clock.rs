@@ -7,8 +7,8 @@
 //! (Fig. 7, §5.4) reproducible bit-for-bit. One unit is nominally one
 //! nanosecond, but only ratios are ever reported.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// A shared, monotonically increasing cost counter.
 ///
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    units: Arc<AtomicU64>,
+    units: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -37,18 +37,18 @@ impl SimClock {
 
     /// Adds `units` of simulated cost.
     pub fn charge(&self, units: u64) {
-        self.units.fetch_add(units, Ordering::Relaxed);
+        self.units.set(self.units.get() + units);
     }
 
     /// Current accumulated cost.
     pub fn now(&self) -> u64 {
-        self.units.load(Ordering::Relaxed)
+        self.units.get()
     }
 
     /// Resets the clock to zero (e.g. between the profiling run and the
     /// measured re-run).
     pub fn reset(&self) {
-        self.units.store(0, Ordering::Relaxed);
+        self.units.set(0);
     }
 }
 

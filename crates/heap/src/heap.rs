@@ -36,19 +36,17 @@
 //!
 //! # Single-mutator contract
 //!
-//! Every heap has exactly one mutator at a time. Its state lives in a
-//! single-mutator cell guarded by one atomic entry flag, not a mutex:
-//! each operation wins the flag with an `Acquire` swap and clears it with
-//! a `Release` store on exit (unwinds included), so a handle may move to
-//! another thread and see everything the previous occupant wrote.
-//! Entering a heap while another thread is inside it panics instead of
-//! blocking — the contract made loud, naming the operation and (with
+//! Every heap has exactly one mutator. Its state lives in a
+//! single-mutator cell: a `RefCell` behind an `Rc`, so a [`Heap`] is
+//! neither `Send` nor `Sync` and the compiler keeps it on the thread that
+//! built it. Each operation borrows the state mutably for its duration
+//! (unwinds release the borrow). Entering a heap from inside one of its
+//! own operations panics, naming the operation and (with
 //! [`HeapConfig::shard_index`]) the partition. Each environment owns its
 //! heap — sequential runs, minimal-heap trials, parallel partitions and
-//! serve tenants alike — so no workload ever enters one heap from two
-//! threads. The allocation-context table lives in the cell too: every
-//! capture enters the heap like any other operation, between the
-//! mutator's allocations.
+//! serve tenants alike. The allocation-context table lives in the cell
+//! too: every capture enters the heap like any other operation, between
+//! the mutator's allocations.
 
 use crate::clock::SimClock;
 use crate::context::{ContextExport, ContextId, ContextTable, FrameId};
@@ -58,14 +56,13 @@ use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRa
 use crate::semantic::{ClassRegistry, SemanticMap};
 use crate::snapshot::{HeapProfConfig, HeapProfState, HeapSnapshot};
 use crate::stats::CycleStats;
-use crate::sync::{AtomicBool, Ordering, UnsafeCell};
 use crate::telemetry::HeapTelemetry;
 use chameleon_telemetry::{Telemetry, TraceLane};
+use std::cell::{RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Panic payload used for the simulated `OutOfMemoryError`.
 ///
@@ -136,9 +133,9 @@ pub struct HeapConfig {
     pub gc_interval_bytes: Option<u64>,
     /// Collector configuration.
     pub gc: GcConfig,
-    /// Partition index of this heap, named in the concurrent-entry panic
-    /// message so a single-mutator contract violation reports *which*
-    /// partition was entered twice. The parallel runner and the serve
+    /// Partition index of this heap, named in the re-entry panic message
+    /// so a single-mutator contract violation reports *which* partition
+    /// was entered twice. The parallel runner and the serve
     /// tenants set it; `None` leaves the partition out of the message.
     pub shard_index: Option<usize>,
 }
@@ -214,56 +211,17 @@ pub(crate) struct HeapInner {
     pub(crate) adt_cache: Vec<AdtCached>,
 }
 
-/// Single-mutator cell behind every [`Heap`]: entry wins the `busy` swap
-/// or panics, so at most one `&mut HeapInner` ever exists.
+/// Single-mutator cell behind every [`Heap`]: entry borrows `inner`
+/// mutably or panics, so at most one `&mut HeapInner` ever exists. The
+/// cell is `!Send` and `!Sync` (it sits behind an `Rc` and holds a
+/// `RefCell`), so the compiler keeps every heap on the thread that built
+/// it.
 struct HeapCell {
-    busy: AtomicBool,
     /// Partition index this heap belongs to (from
-    /// [`HeapConfig::shard_index`]); names the partition in the
-    /// concurrent-entry panic so the report points at a partition, not
-    /// just "a heap".
+    /// [`HeapConfig::shard_index`]); names the partition in the re-entry
+    /// panic so the report points at a partition, not just "a heap".
     index: Option<usize>,
-    inner: UnsafeCell<HeapInner>,
-}
-
-// `busy` is an atomic and `index` immutable `Copy` data, both safe to share.
-// SAFETY: all access to `inner` goes through `Heap::try_lock_inner`, which
-// admits exactly one guard at a time via the `busy` flag (acquire on
-// entry, release on guard drop). `HeapInner` itself is `Send` (asserted
-// below), so handing it from one occupant thread to the next is sound.
-unsafe impl Send for HeapCell {}
-unsafe impl Sync for HeapCell {}
-
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<HeapInner>();
-};
-
-/// The entry-flag guard: derefs to the heap state and clears the busy flag
-/// on drop (including the simulated-OOM unwind path).
-struct HeapGuard<'a> {
-    cell: &'a HeapCell,
-}
-
-impl Drop for HeapGuard<'_> {
-    fn drop(&mut self) {
-        self.cell.busy.store(false, Ordering::Release);
-    }
-}
-
-impl Deref for HeapGuard<'_> {
-    type Target = HeapInner;
-    fn deref(&self) -> &HeapInner {
-        // SAFETY: the busy flag guarantees this is the only guard.
-        self.cell.inner.with(|p| unsafe { &*p })
-    }
-}
-
-impl DerefMut for HeapGuard<'_> {
-    fn deref_mut(&mut self) -> &mut HeapInner {
-        // SAFETY: the busy flag guarantees this is the only guard.
-        self.cell.inner.with_mut(|p| unsafe { &mut *p })
-    }
+    inner: RefCell<HeapInner>,
 }
 
 /// Cloneable handle to a simulated heap (see the module docs for the
@@ -284,9 +242,23 @@ impl DerefMut for HeapGuard<'_> {
 /// assert_eq!(before - after, 1);
 /// let _ = ElemKind::Ref; // arrays work the same way via `alloc_array`
 /// ```
+///
+/// A heap never leaves the thread that built it: it is not `Send`
+///
+/// ```compile_fail
+/// fn f<T: Send>() {}
+/// f::<chameleon_heap::Heap>();
+/// ```
+///
+/// and not `Sync`.
+///
+/// ```compile_fail
+/// fn f<T: Sync>() {}
+/// f::<chameleon_heap::Heap>();
+/// ```
 #[derive(Clone)]
 pub struct Heap {
-    cell: Arc<HeapCell>,
+    cell: Rc<HeapCell>,
 }
 
 impl fmt::Debug for Heap {
@@ -351,48 +323,38 @@ impl Heap {
             adt_cache: Vec::new(),
         };
         Heap {
-            cell: Arc::new(HeapCell {
-                busy: AtomicBool::new(false),
+            cell: Rc::new(HeapCell {
                 index: config.shard_index,
-                inner: UnsafeCell::new(inner),
+                inner: RefCell::new(inner),
             }),
         }
     }
 
-    /// Enters the heap by winning its entry flag.
+    /// Enters the heap by borrowing its state mutably.
     ///
     /// `op` names the heap operation being entered; it appears in the
-    /// concurrent-entry panic so a violation report says which operation
+    /// re-entry panic so a violation report says which operation
     /// collided on which partition.
     ///
     /// # Panics
     ///
-    /// Panics if the heap is entered while another thread (or an
-    /// enclosing operation on this thread) is inside it (single-mutator
-    /// contract).
-    fn lock(&self, op: &'static str) -> HeapGuard<'_> {
+    /// Panics if the heap is entered while an enclosing operation is
+    /// still inside it (single-mutator contract).
+    fn lock(&self, op: &'static str) -> RefMut<'_, HeapInner> {
         if let Some(guard) = self.try_lock_inner() {
             return guard;
         }
         match self.cell.index {
-            Some(i) => panic!(
-                "heap of partition {i} entered concurrently during `{op}` \
-                 (single-mutator contract)"
-            ),
-            None => panic!("heap entered concurrently during `{op}` (single-mutator contract)"),
+            Some(i) => {
+                panic!("heap of partition {i} re-entered during `{op}` (single-mutator contract)")
+            }
+            None => panic!("heap re-entered during `{op}` (single-mutator contract)"),
         }
     }
 
-    /// Non-panicking entry; `None` when the heap is already entered (by
-    /// any thread, including the current one).
-    fn try_lock_inner(&self) -> Option<HeapGuard<'_>> {
-        let cell = &*self.cell;
-        // Build the guard only on a won swap: dropping one clears the flag.
-        if cell.busy.swap(true, Ordering::Acquire) {
-            None
-        } else {
-            Some(HeapGuard { cell })
-        }
+    /// Non-panicking entry; `None` when the heap is already entered.
+    fn try_lock_inner(&self) -> Option<RefMut<'_, HeapInner>> {
+        self.cell.inner.try_borrow_mut().ok()
     }
 
     /// Creates a heap capped at `capacity` bytes (allocations GC on
@@ -1541,7 +1503,7 @@ mod tests {
     }
 
     #[test]
-    fn oom_unwind_releases_the_entry_flag() {
+    fn oom_unwind_releases_the_heap_borrow() {
         let heap = Heap::with_capacity(256);
         let class = heap.register_class("Obj", None);
         let big = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1549,7 +1511,7 @@ mod tests {
         }));
         let err = big.expect_err("over-capacity allocation must OOM");
         assert!(err.downcast_ref::<OutOfMemory>().is_some());
-        // The guard dropped during the unwind: the heap is enterable again.
+        // The borrow ended during the unwind: the heap is enterable again.
         assert_eq!(heap.gc().live_objects, 0);
         assert!(format!("{heap:?}").contains("objects"), "unlocked form");
         let small = heap.alloc_scalar(class, 0, 24, None);
@@ -1557,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_entry_panics_naming_partition_and_op() {
+    fn reentry_panics_naming_partition_and_op() {
         let heap = Heap::with_config(HeapConfig {
             shard_index: Some(7),
             ..HeapConfig::default()
@@ -1574,11 +1536,11 @@ mod tests {
         ];
         for (op, probe) in probes {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(probe))
-                .expect_err("second entry must panic");
+                .expect_err("re-entry must panic");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("partition 7") && msg.contains(op), "{msg}");
         }
-        // The losing entry must not clear the winner's flag.
+        // The refused entry must not release the outer operation's borrow.
         assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
         drop(guard);
         assert_eq!(heap.root_count(), 0);

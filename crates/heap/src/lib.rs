@@ -48,7 +48,7 @@
 //! assert!(cycle.collection.used < cycle.collection.live); // 7 empty slots
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod context;
@@ -60,7 +60,6 @@ pub mod object;
 pub mod semantic;
 pub mod snapshot;
 pub mod stats;
-mod sync;
 mod telemetry;
 
 pub use clock::SimClock;

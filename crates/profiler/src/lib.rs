@@ -36,7 +36,7 @@
 //! assert!(report.contexts[0].label.contains("App.load:7"));
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod context_trace;
 pub mod heapprof;

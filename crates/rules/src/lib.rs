@@ -36,7 +36,7 @@
 //! engine.set_param("SMALL", 12.0);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod ast;

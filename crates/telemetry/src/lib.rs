@@ -38,13 +38,12 @@
 //! chameleon_telemetry::json::validate_jsonl(&log, &["ev", "t"]).unwrap();
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod json;
 pub mod metrics;
 pub mod series;
-pub mod sync;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, MetricSnapshot};

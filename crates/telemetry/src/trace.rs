@@ -1,4 +1,4 @@
-//! Causal execution spans recorded into per-lane lock-free ring buffers.
+//! Causal execution spans recorded into per-lane ring buffers.
 //!
 //! A [`Tracer`] owns one fixed-capacity [`TraceRing`] per *lane* (lane 0 is
 //! the environment/coordinator thread, lane `w + 1` is mutator worker `w`).
@@ -25,20 +25,19 @@
 //!   charges the `SimClock`, so simulated results are bit-identical with
 //!   tracing absent, armed, or exported.
 //!
-//! Each ring is single-writer by construction (a lane belongs to exactly
-//! one thread at a time: workers own their lane for the duration of the
-//! worker scope, and the parent adopts child records only after the worker
-//! threads have been joined). A `writer` flag enforces this defensively —
-//! a racing writer *drops* its record rather than corrupting the ring —
-//! and each slot carries a sequence counter so readers discard records
-//! that were mid-overwrite while being copied (the flight-recorder dump
-//! path reads rings that may still be live).
+//! Each ring is one `Mutex` around its slots and head. A lane has one
+//! writer at a time (workers own their lane for the duration of the
+//! worker scope, and the parent adopts child records only after the
+//! worker threads have been joined), so a push takes an uncontended lock.
+//! Readers lock each lane once and copy a consistent window; the
+//! flight-recorder dump reads rings that may still be live, and recovers
+//! a poisoned lock instead of panicking.
 
 use crate::chrome;
-use crate::sync::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering, UnsafeCell};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Maximum number of key-value arguments carried by one span.
@@ -108,58 +107,38 @@ impl SpanRecord {
     }
 }
 
-/// One ring slot: a sequence counter (odd while being written) plus the
-/// record payload.
-struct Slot {
-    seq: AtomicU32,
-    rec: UnsafeCell<SpanRecord>,
-    /// Model-only redundant copies of the record's write generation
-    /// (`seq / 2`), stored between the same fences that bracket `rec`.
-    /// The record payload is non-atomic, so the model's weak-memory
-    /// explorer cannot serve stale values of it — these atomic mirrors
-    /// carry the observable staleness instead, and the reader asserts
-    /// their consistency after accepting a snapshot. See `snapshot_into`.
-    #[cfg(feature = "model")]
-    mirror: [AtomicU64; 2],
+/// Locks `m`, recovering the data of a poisoned lock: span rings and
+/// the flight directory hold plain data that no panic leaves half
+/// written, and a flight dump runs inside panic hooks, so it must never
+/// panic itself.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Fixed-capacity overwrite-oldest span ring for one lane.
 pub struct TraceRing {
     lane: u32,
-    /// Records ever pushed; slot index is `head % capacity`.
-    head: AtomicU64,
     /// Innermost open span id on this lane (0 = none); maintained by
     /// [`TraceScope`] begin/end so nested scopes link causally.
     current: AtomicU64,
-    /// Defensive single-writer flag: a second concurrent writer drops its
-    /// record instead of corrupting a slot.
-    writer: AtomicBool,
-    slots: Box<[Slot]>,
+    state: Mutex<RingState>,
 }
 
-// SAFETY: `rec` slots are written only while holding the `writer` flag
-// (one writer at a time) between odd/even `seq` transitions; readers copy
-// a slot and discard the copy when `seq` changed around the read, so a
-// torn snapshot is never *used*. See `push` / `snapshot_into`.
-unsafe impl Send for TraceRing {}
-unsafe impl Sync for TraceRing {}
+struct RingState {
+    /// Records ever pushed; slot index is `head % capacity`.
+    head: u64,
+    slots: Box<[SpanRecord]>,
+}
 
 impl TraceRing {
     fn new(lane: u32, capacity: usize) -> Self {
-        let slots = (0..capacity.max(1))
-            .map(|_| Slot {
-                seq: AtomicU32::new(0),
-                rec: UnsafeCell::new(SpanRecord::empty()),
-                #[cfg(feature = "model")]
-                mirror: [AtomicU64::new(0), AtomicU64::new(0)],
-            })
-            .collect();
         TraceRing {
             lane,
-            head: AtomicU64::new(0),
             current: AtomicU64::new(0),
-            writer: AtomicBool::new(false),
-            slots,
+            state: Mutex::new(RingState {
+                head: 0,
+                slots: vec![SpanRecord::empty(); capacity].into_boxed_slice(),
+            }),
         }
     }
 
@@ -170,91 +149,25 @@ impl TraceRing {
 
     /// Records ever pushed (≥ the number currently held).
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        lock(&self.state).head
     }
 
     fn push(&self, rec: SpanRecord) {
-        if self.writer.swap(true, Ordering::Acquire) {
-            // A second writer raced onto this lane (contract violation);
-            // drop the record rather than tear a slot.
-            return;
-        }
-        let h = self.head.load(Ordering::Relaxed); // relaxed: only this writer moves head
-        let slot = &self.slots[(h % self.slots.len() as u64) as usize];
-        let seq = slot.seq.load(Ordering::Relaxed); // relaxed: only this writer moves seq
-                                                    // relaxed: odd marks in-progress; the Release fence below orders it.
-        slot.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: the `writer` flag admits exactly one writer, and readers
-        // validate `seq` around their copy, discarding torn records.
-        slot.rec.with_mut(|p| unsafe { *p = rec });
-        #[cfg(feature = "model")]
-        {
-            // relaxed: generation mirrors are ordered by the bracketing
-            // fences, exactly like the payload they stand in for.
-            let gen = u64::from(seq.wrapping_add(2) >> 1);
-            slot.mirror[0].store(gen, Ordering::Relaxed); // relaxed: fenced, as above
-            slot.mirror[1].store(gen, Ordering::Relaxed); // relaxed: fenced, as above
-        }
-        fence(Ordering::Release);
-        // relaxed: even marks stable; the Release fence above orders it.
-        slot.seq.store(seq.wrapping_add(2), Ordering::Relaxed);
-        self.head.store(h + 1, Ordering::Release);
-        self.writer.store(false, Ordering::Release);
+        let mut st = lock(&self.state);
+        let cap = st.slots.len() as u64;
+        let i = (st.head % cap) as usize;
+        st.slots[i] = rec;
+        st.head += 1;
     }
 
-    /// Copies up to the newest `tail` stable records (oldest first) into
-    /// `out`. Safe against a concurrent writer: records whose slot was
-    /// overwritten mid-copy are skipped, so this is exact once the lane's
-    /// writer has quiesced and best-effort (never corrupt) otherwise.
+    /// Copies up to the newest `tail` records (oldest first) into `out`,
+    /// under the ring's lock, so the window is consistent even while the
+    /// lane's writer runs.
     fn snapshot_into(&self, tail: usize, out: &mut Vec<SpanRecord>) {
-        let cap = self.slots.len() as u64;
-        let head = self.head.load(Ordering::Acquire);
-        // The slot `head` maps to may be mid-overwrite; staying one short
-        // of full capacity keeps the window clear of the write frontier.
-        let window = (cap - 1).min(tail as u64).min(head);
-        for h in (head - window)..head {
-            let slot = &self.slots[(h % cap) as usize];
-            let s0 = slot.seq.load(Ordering::Acquire);
-            if s0 & 1 == 1 {
-                continue; // being written right now
-            }
-            // SAFETY: copy is discarded below unless `seq` stayed stable
-            // across it (no writer touched this slot during the read).
-            let rec = slot
-                .rec
-                .with_racy(|p| unsafe { std::ptr::read_volatile(p) });
-            // relaxed: the acquire fence below orders these reads before
-            // the seq recheck (the seqlock validation edge).
-            #[cfg(feature = "model")]
-            let mirror = (
-                slot.mirror[0].load(Ordering::Relaxed), // relaxed: fenced, as above
-                slot.mirror[1].load(Ordering::Relaxed), // relaxed: fenced, as above
-            );
-            fence(Ordering::Acquire);
-            // relaxed: the Acquire fence above gives this recheck its edge.
-            if slot.seq.load(Ordering::Relaxed) != s0 || rec.name.is_empty() {
-                continue;
-            }
-            // Model invariant: an accepted snapshot is untorn and belongs
-            // to exactly the generation the seq word advertised. Both
-            // asserts depend on the fences above — remove either release
-            // fence in `push` (or the acquire fence here) and the explorer
-            // finds a schedule where a stale mirror slips through.
-            #[cfg(feature = "model")]
-            if loom::is_modeling() {
-                assert_eq!(
-                    mirror.0, mirror.1,
-                    "seqlock accepted a torn record (mirror words disagree)"
-                );
-                assert_eq!(
-                    mirror.0,
-                    u64::from(s0 >> 1),
-                    "seqlock accepted a stale record (generation != seq/2)"
-                );
-            }
-            out.push(rec);
-        }
+        let st = lock(&self.state);
+        let cap = st.slots.len() as u64;
+        let window = cap.min(tail as u64).min(st.head);
+        out.extend((st.head - window..st.head).map(|h| st.slots[(h % cap) as usize]));
     }
 }
 
@@ -288,7 +201,7 @@ impl fmt::Debug for Tracer {
         f.debug_struct("Tracer")
             .field("armed", &self.is_armed())
             .field("capacity", &self.inner.capacity)
-            .field("lanes", &self.inner.lanes.lock().unwrap().len())
+            .field("lanes", &lock(&self.inner.lanes).len())
             .finish()
     }
 }
@@ -321,7 +234,7 @@ impl Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
                 armed: AtomicBool::new(armed),
-                capacity: capacity.max(2),
+                capacity: capacity.max(1),
                 default_lane,
                 next_id: AtomicU64::new(1),
                 epoch,
@@ -364,7 +277,7 @@ impl Tracer {
     /// Handle for `lane`, creating its ring on first use. The hot path
     /// never comes back here: a [`TraceLane`] caches the ring `Arc`.
     pub fn lane(&self, lane: u32) -> TraceLane {
-        let mut lanes = self.inner.lanes.lock().unwrap();
+        let mut lanes = lock(&self.inner.lanes);
         let ring = match lanes.iter().find(|r| r.lane == lane) {
             Some(r) => Arc::clone(r),
             None => {
@@ -386,14 +299,14 @@ impl Tracer {
         Tracer::build(self.inner.capacity, self.is_armed(), lane, self.inner.epoch)
     }
 
-    /// All stable records across every lane, oldest-first per lane, lanes
-    /// in ascending order. Exact once writers have quiesced.
+    /// The records held across every lane, oldest-first per lane, lanes
+    /// in ascending order. Each lane's window is copied under its lock.
     pub fn records(&self) -> Vec<SpanRecord> {
         self.collect_tail(usize::MAX)
     }
 
     fn collect_tail(&self, tail: usize) -> Vec<SpanRecord> {
-        let mut rings: Vec<Arc<TraceRing>> = self.inner.lanes.lock().unwrap().clone();
+        let mut rings: Vec<Arc<TraceRing>> = lock(&self.inner.lanes).clone();
         rings.sort_by_key(|r| r.lane);
         let mut out = Vec::new();
         for ring in rings {
@@ -430,7 +343,7 @@ impl Tracer {
     /// Directs flight-recorder dumps (panic hook, GC anomaly trigger) to
     /// `dir`; without a directory, [`Tracer::flight_dump`] is a no-op.
     pub fn set_flight_dir(&self, dir: impl AsRef<Path>) {
-        *self.inner.flight_dir.lock().unwrap() = Some(dir.as_ref().to_path_buf());
+        *lock(&self.inner.flight_dir) = Some(dir.as_ref().to_path_buf());
     }
 
     /// Dumps the last [`DEFAULT_FLIGHT_TAIL`] spans of every lane to a
@@ -442,7 +355,7 @@ impl Tracer {
         if !self.is_armed() {
             return None;
         }
-        let dir = self.inner.flight_dir.lock().ok()?.clone()?;
+        let dir = lock(&self.inner.flight_dir).clone()?;
         let records = self.collect_tail(self.inner.flight_tail);
         let stamp = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -658,10 +571,9 @@ mod tests {
             lane.instant("e", &[("i", i)]);
         }
         let recs = t.records();
-        // Capacity 8, one slot kept clear of the write frontier.
-        assert_eq!(recs.len(), 7);
+        assert_eq!(recs.len(), 8);
         let is: Vec<u64> = recs.iter().map(|r| r.key_values()[0].1).collect();
-        assert_eq!(is, (13..20).collect::<Vec<_>>(), "newest window survives");
+        assert_eq!(is, (12..20).collect::<Vec<_>>(), "newest window survives");
         assert!(recs.iter().all(|r| r.lane == 3));
     }
 
@@ -680,10 +592,10 @@ mod tests {
     }
 
     #[test]
-    fn capacity_one_ring_counts_pushes_but_snapshots_nothing() {
-        // Degenerate edge: with one slot the reader window (capacity − 1)
-        // is empty, because the only slot is always the write frontier.
-        // Pushes must still be counted and must never wedge the ring.
+    fn capacity_one_ring_counts_pushes_and_keeps_the_newest() {
+        // Degenerate edge: a one-slot ring overwrites its only record on
+        // every push. Pushes must still be counted, and the window is
+        // the newest record.
         let ring = TraceRing::new(0, 1);
         for i in 0..5 {
             ring.push(rec(i + 1, "e"));
@@ -691,59 +603,45 @@ mod tests {
         assert_eq!(ring.pushed(), 5);
         let mut out = Vec::new();
         ring.snapshot_into(usize::MAX, &mut out);
-        assert!(out.is_empty(), "window must stay clear of the frontier");
-        // The public constructor refuses the degenerate ring: capacity is
-        // clamped to 2, so a "capacity-1" tracer still keeps one record.
-        let t = Tracer::with_capacity(1);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].id, 5);
+        // The public constructor clamps a zero capacity to one slot.
+        let t = Tracer::with_capacity(0);
         let lane = t.lane(0);
         lane.instant("i", &[]);
         lane.instant("j", &[]);
         let recs = t.records();
-        assert_eq!(recs.len(), 1, "clamped ring keeps a one-record window");
+        assert_eq!(recs.len(), 1, "one-slot ring keeps a one-record window");
         assert_eq!(recs[0].name, "j");
     }
 
     #[test]
-    fn seq_rollover_keeps_accepting_records() {
-        // The per-slot seq word is u32 and gains 2 per overwrite; force it
-        // to the wrap boundary and check the odd/even protocol survives
-        // `u32::MAX − 1 → u32::MAX (odd, in progress) → 0 (even, stable)`.
-        let ring = TraceRing::new(0, 2);
-        for slot in ring.slots.iter() {
-            slot.seq.store(u32::MAX - 1, Ordering::Release);
+    fn reader_sees_whole_records_while_a_writer_wraps_the_lane() {
+        const SPANS: u64 = 10_000;
+        let t = Tracer::with_capacity(64);
+        let lane = t.lane(1);
+        let writer = std::thread::spawn(move || {
+            for _ in 0..SPANS {
+                let scope = lane.scope("w").unwrap();
+                let id = scope.id();
+                drop(scope.arg("id", id).arg("twice", 2 * id));
+            }
+        });
+        let check = |recs: &[SpanRecord]| {
+            assert!(recs.len() <= 64);
+            for r in recs {
+                assert!(!r.name.is_empty() && r.id != 0, "{r:?}");
+                assert_eq!(r.key_values(), &[("id", r.id), ("twice", 2 * r.id)]);
+            }
+        };
+        while !writer.is_finished() {
+            check(&t.records());
         }
-        ring.push(rec(1, "wrap"));
-        assert_eq!(ring.slots[0].seq.load(Ordering::Acquire), 0, "seq wrapped");
-        let mut out = Vec::new();
-        ring.snapshot_into(usize::MAX, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].name, "wrap");
-        // The next overwrite of the same slot restarts the even ladder.
-        ring.push(rec(2, "a"));
-        ring.push(rec(3, "b"));
-        assert_eq!(ring.slots[0].seq.load(Ordering::Acquire), 2);
-    }
-
-    #[test]
-    fn reader_skips_slot_held_mid_write() {
-        // A slot whose seq is odd is mid-write; the reader must skip it
-        // (not block, not surface a half-written record) and still return
-        // the stable neighbours.
-        let ring = TraceRing::new(0, 4);
-        ring.push(rec(1, "a"));
-        ring.push(rec(2, "b"));
-        ring.push(rec(3, "c"));
-        let held = &ring.slots[1];
-        let seq = held.seq.load(Ordering::Acquire);
-        held.seq.store(seq.wrapping_add(1), Ordering::Release); // odd: writer parked
-        let mut out = Vec::new();
-        ring.snapshot_into(usize::MAX, &mut out);
-        let names: Vec<_> = out.iter().map(|r| r.name).collect();
-        assert_eq!(names, ["a", "c"], "mid-write slot must be skipped");
-        held.seq.store(seq.wrapping_add(2), Ordering::Release); // even again
-        out.clear();
-        ring.snapshot_into(usize::MAX, &mut out);
-        assert_eq!(out.len(), 3, "slot returns once the write completes");
+        writer.join().unwrap();
+        let recs = t.records();
+        check(&recs);
+        let ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (SPANS - 63..=SPANS).collect::<Vec<_>>());
     }
 
     #[test]

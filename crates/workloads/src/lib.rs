@@ -14,7 +14,7 @@
 //! the full Chameleon pipeline (profile → rules → apply → re-run) can be
 //! driven end to end.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod bloat;
 pub mod findbugs;

@@ -9,7 +9,7 @@
 //! group header naming the host's core count. No plots, no statistics
 //! files — just honest numbers so benches still run offline.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

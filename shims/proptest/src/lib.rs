@@ -11,7 +11,7 @@
 //! failure message names the case that reproduces it. No shrinking — the
 //! failing input is printed verbatim instead.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Debug;
 use std::marker::PhantomData;

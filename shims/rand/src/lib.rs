@@ -5,7 +5,7 @@
 //! gen_ratio, gen_bool}`) backed by xoshiro256++ with SplitMix64 seeding.
 //! Deterministic for a given seed, which is all the simulation needs.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

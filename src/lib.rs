@@ -20,7 +20,7 @@
 //! See `examples/quickstart.rs` for the five-minute tour and the
 //! `chameleon-bench` crate for every table/figure harness.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub use chameleon_collections as collections;
 pub use chameleon_core as core;
