@@ -180,12 +180,22 @@ impl Invocation {
     ///
     /// Returns a message when the value does not parse.
     pub fn num(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("option --{key} expects a number, got `{v}`")),
-        }
+        Ok(self.opt_num(key)?.unwrap_or(default))
+    }
+
+    /// Numeric option without a default (`None` when absent).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the value does not parse.
+    pub fn opt_num(&self, key: &str) -> Result<Option<u64>, String> {
+        self.options
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("option --{key} expects a number, got `{v}`"))
+            })
+            .transpose()
     }
 
     /// Numeric option that must be at least 1 (`--every`, `--threads`).

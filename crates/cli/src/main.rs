@@ -363,12 +363,9 @@ fn write_heapprof_artifacts(
 }
 
 fn cmd_optimize(inv: &Invocation) -> Result<(), String> {
-    let name = inv
-        .positional
-        .first()
-        .ok_or_else(|| "missing workload name".to_owned())?
-        .clone();
-    let w: Box<dyn Workload> = if name == "bloat" && inv.flag("manual-lazy") {
+    let manual_bloat =
+        inv.flag("manual-lazy") && inv.positional.first().is_some_and(|n| n == "bloat");
+    let w: Box<dyn Workload> = if manual_bloat {
         Box::new(Bloat {
             manual_lazy: true,
             ..Bloat::default()
@@ -377,9 +374,8 @@ fn cmd_optimize(inv: &Invocation) -> Result<(), String> {
         required_workload(inv, 0)?
     };
     let mut chameleon = Chameleon::new().with_profile_config(env_from(inv)?);
-    if let Some(k) = inv.options.get("top") {
-        let k: usize = k.parse().map_err(|_| "bad --top".to_owned())?;
-        chameleon = chameleon.with_top_k(k);
+    if let Some(k) = inv.opt_num("top")? {
+        chameleon = chameleon.with_top_k(k as usize);
     }
     let r = chameleon.optimize(w.as_ref());
     println!(
@@ -410,12 +406,7 @@ fn cmd_online(inv: &Invocation) -> Result<(), String> {
     let cfg = OnlineConfig {
         env: env_from(inv)?,
         eval_every_deaths: inv.num("eval-every", 64)?,
-        shutoff_below_potential: inv
-            .options
-            .get("shutoff-below")
-            .map(|v| v.parse::<u64>())
-            .transpose()
-            .map_err(|_| "bad --shutoff-below".to_owned())?,
+        shutoff_below_potential: inv.opt_num("shutoff-below")?,
         confirm_evals: inv.num_at_least_one("confirm", 2)?,
         min_potential_bytes: inv.num("min-potential", 0)?,
         ..OnlineConfig::default()
@@ -459,12 +450,7 @@ fn cmd_serve(inv: &Invocation) -> Result<(), String> {
         eval_every_deaths: inv.num("eval-every", 64)?,
         confirm_evals: inv.num_at_least_one("confirm", 2)?,
         min_potential_bytes: inv.num("min-potential", 0)?,
-        shutoff_below_potential: inv
-            .options
-            .get("shutoff-below")
-            .map(|v| v.parse::<u64>())
-            .transpose()
-            .map_err(|_| "bad --shutoff-below".to_owned())?,
+        shutoff_below_potential: inv.opt_num("shutoff-below")?,
         ..ServeConfig::default()
     };
     let mut server = Server::new(RuleEngine::builtin(), &cfg, Box::new(workload));
@@ -726,6 +712,20 @@ mod tests {
         let err = run_str("profile synthetic --to 3").expect_err("typo");
         assert!(err.contains("unknown option --to"), "{err}");
         assert!(err.contains("--top"), "{err}");
+        // Every numeric option reports a bad value the same way.
+        for (cmd, key, value) in [
+            ("optimize synthetic --top x", "top", "x"),
+            ("online synthetic --shutoff-below 1k", "shutoff-below", "1k"),
+            ("serve --stdin --shutoff-below -1", "shutoff-below", "-1"),
+        ] {
+            let err = run_str(cmd).expect_err(cmd);
+            assert_eq!(
+                err,
+                format!("option --{key} expects a number, got `{value}`")
+            );
+        }
+        let err = run_str("optimize --manual-lazy").expect_err("no workload");
+        assert!(err.contains("missing workload name"), "{err}");
     }
 
     #[test]

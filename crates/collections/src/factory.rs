@@ -296,12 +296,10 @@ impl CollectionFactory {
 
     /// Marks a workload phase boundary in the telemetry event stream (a
     /// `phase` event stamped with the current SimClock reading). A no-op
-    /// without an enabled telemetry handle on the runtime.
+    /// without a telemetry handle on the runtime.
     pub fn phase(&self, name: &str) {
-        if let Some(t) = self.rt.telemetry().filter(|t| t.is_enabled()) {
-            if let Some(mut e) = t.event("phase", self.rt.clock().now()) {
-                e.str("name", name);
-            }
+        if let Some(t) = self.rt.telemetry() {
+            t.event("phase", self.rt.clock().now()).str("name", name);
         }
     }
 
@@ -772,25 +770,31 @@ mod tests {
     }
 
     #[test]
-    fn warm_capture_interns_nothing_with_disabled_telemetry() {
+    fn warm_capture_interns_nothing_with_telemetry_attached() {
         use chameleon_telemetry::Telemetry;
-        // Attaching a disabled telemetry handle must preserve the
-        // zero-allocation warm capture path: the instrumented sites only
-        // check the enabled flag, nothing else.
+        // An attached telemetry handle must preserve the zero-allocation
+        // warm capture path: the instrumented sites bump counters, nothing
+        // else.
         let f = factory();
-        let t = Telemetry::disabled();
+        let t = Telemetry::new();
         f.runtime().attach_telemetry(&t);
         let heap = f.runtime().heap().clone();
         let _g = f.enter("Hot.site:7");
         let _warmup = f.new_map::<i64, i64>(None);
         let (frame_misses, ctx_misses) = heap.context_intern_misses();
+        let hits = t.counter("heap.context.hits").get();
         for _ in 0..1000 {
             let _m = f.new_map::<i64, i64>(None);
         }
         assert_eq!(heap.context_intern_misses(), (frame_misses, ctx_misses));
-        assert_eq!(t.event_count(), 0, "disabled telemetry stayed silent");
-        f.phase("warm"); // disabled: must not emit
-        assert_eq!(t.event_count(), 0);
+        assert_eq!(
+            t.counter("heap.context.hits").get() - hits,
+            1000,
+            "every warm capture is a counted hit"
+        );
+        assert_eq!(t.event_count(), 0, "captures emit no events");
+        f.phase("warm");
+        assert_eq!(t.event_count(), 1);
     }
 
     #[test]

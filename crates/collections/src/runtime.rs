@@ -12,7 +12,7 @@ use crate::ops::{Op, OpCounts};
 use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
 use chameleon_heap::{ClassId, ContextId, Heap, SimClock};
 use chameleon_telemetry::{Counter, Histogram, Telemetry};
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Histogram bounds for logical collection sizes (`max_size` at death).
@@ -439,10 +439,10 @@ impl Runtime {
     }
 
     /// Charges `units` to the clock, recording the per-op cost
-    /// distribution when telemetry is attached and enabled.
+    /// distribution when telemetry is attached.
     pub fn charge(&self, units: u64) {
         self.inner.clock.charge(units);
-        if let Some(tel) = self.enabled_telemetry().as_deref() {
+        if let Some(tel) = self.inner.telemetry.borrow().as_ref() {
             tel.op_cost.record(units);
         }
     }
@@ -460,7 +460,7 @@ impl Runtime {
     /// Attaches a telemetry handle (also attaching it to the underlying
     /// heap), replacing any earlier one. Per-op counters and the per-op
     /// cost histogram are resolved once, here; death reports then fold
-    /// operation counts into them when the handle is enabled.
+    /// operation counts into them.
     pub fn attach_telemetry(&self, telemetry: &Telemetry) {
         self.inner.heap.attach_telemetry(telemetry);
         *self.inner.telemetry.borrow_mut() = Some(CollTelemetry::new(telemetry));
@@ -469,13 +469,6 @@ impl Runtime {
     /// The attached telemetry handle, if any (cloned; cheap).
     pub fn telemetry(&self) -> Option<Telemetry> {
         self.inner.telemetry.borrow().as_ref().map(|c| c.t.clone())
-    }
-
-    fn enabled_telemetry(&self) -> Option<Ref<'_, CollTelemetry>> {
-        Ref::filter_map(self.inner.telemetry.borrow(), |tel| {
-            tel.as_ref().filter(|tel| tel.t.is_enabled())
-        })
-        .ok()
     }
 
     /// Registers a live instance; returns the key its handle reaches the
@@ -527,7 +520,7 @@ impl Runtime {
 
     /// Delivers death statistics to the sink, if any.
     pub fn report_death(&self, ctx: Option<ContextId>, stats: &InstanceStats) {
-        if let Some(tel) = self.enabled_telemetry().as_deref() {
+        if let Some(tel) = self.inner.telemetry.borrow().as_ref() {
             tel.deaths.inc();
             tel.max_size.record(stats.max_size);
             for (op, n) in stats.ops.iter_nonzero() {

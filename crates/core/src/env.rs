@@ -34,19 +34,20 @@ pub struct EnvConfig {
     /// Object layout model (the paper's 32-bit JVM by default).
     pub model: chameleon_heap::MemoryModel,
     /// Telemetry sink to attach to the heap and runtime (None = no
-    /// observability; the hot paths stay branch-only).
+    /// observability; the hot paths pay one `Option` check). An attached
+    /// handle always records.
     pub telemetry: Option<Telemetry>,
     /// Continuous heap profiling: capture a [`chameleon_heap::HeapSnapshot`]
     /// every `every` GC cycles (None = off; simulation results are
     /// bit-identical either way).
     pub heapprof: Option<HeapProfConfig>,
-    /// Execution tracer for causal spans (None = tracing compiled out of
-    /// the run; with a disarmed tracer the hot path is one relaxed load).
-    /// Tracing never charges the simulated clock, so results are
-    /// bit-identical with tracing absent, armed, or exporting.
+    /// Execution tracer for causal spans (None = no tracing; the hot paths
+    /// pay one `Option` check). An attached tracer always records. Tracing
+    /// never charges the simulated clock, so results are bit-identical
+    /// with tracing absent, attached, or exporting.
     pub tracer: Option<Tracer>,
     /// Partition index forwarded to [`chameleon_heap::HeapConfig::shard_index`]
-    /// so the heap's concurrent-entry panic names its partition. The
+    /// so the heap's re-entry panic names its partition. The
     /// parallel runner sets it per partition, serve per tenant.
     pub shard_index: Option<usize>,
     /// Portable policy installed at construction ([`Env::apply_policy`]).
@@ -216,7 +217,7 @@ impl Env {
     /// Runs `workload` to completion and performs a final GC so end-of-run
     /// live data is recorded, bracketed by [`Env::run_bracketed`].
     pub fn run(&self, workload: &dyn Workload) {
-        let _span = self.trace.as_ref().and_then(|l| l.scope("workload"));
+        let _span = self.trace.as_ref().map(|l| l.scope("workload"));
         self.run_bracketed(workload.name(), || {
             workload.run(&self.factory);
             self.heap.gc();
@@ -228,30 +229,28 @@ impl Env {
         });
     }
 
-    /// Runs `body` as the workload `name`. When telemetry is attached and
-    /// enabled, the run is bracketed by `workload_begin` / `workload_end`
+    /// Runs `body` as the workload `name`. When telemetry is attached, the
+    /// run is bracketed by `workload_begin` / `workload_end`
     /// events on the shared `SimClock`; the end event carries the run's
     /// headline metrics. [`Env::run`] and [`Env::run_parallel`] share it,
     /// so both execution modes log the same bracket.
     pub(crate) fn run_bracketed(&self, name: &str, body: impl FnOnce()) {
-        let telemetry = self.rt.telemetry().filter(|t| t.is_enabled());
+        let telemetry = self.rt.telemetry();
         if let Some(t) = &telemetry {
-            if let Some(mut e) = t.event("workload_begin", self.rt.clock().now()) {
-                e.str("name", name);
-            }
+            t.event("workload_begin", self.rt.clock().now())
+                .str("name", name);
         }
         body();
         if let Some(t) = &telemetry {
             let m = self.metrics();
-            if let Some(mut e) = t.event("workload_end", m.sim_time) {
-                e.str("name", name)
-                    .num("sim_time", m.sim_time)
-                    .num("peak_live_bytes", m.peak_live_bytes)
-                    .num("gc_count", m.gc_count)
-                    .num("allocated_bytes", m.total_allocated_bytes)
-                    .num("allocated_objects", m.total_allocated_objects)
-                    .num("capture_count", m.capture_count);
-            }
+            t.event("workload_end", m.sim_time)
+                .str("name", name)
+                .num("sim_time", m.sim_time)
+                .num("peak_live_bytes", m.peak_live_bytes)
+                .num("gc_count", m.gc_count)
+                .num("allocated_bytes", m.total_allocated_bytes)
+                .num("allocated_objects", m.total_allocated_objects)
+                .num("capture_count", m.capture_count);
         }
     }
 

@@ -127,9 +127,10 @@ struct PartitionOutcome {
 }
 
 /// Runs one partition to completion in a fresh hermetic environment and
-/// extracts its portable outcome. The partition records into a child of
-/// the parent's telemetry. `trace` is `(parent tracer, worker lane)` when
-/// tracing is armed: the partition gets a `partition` span on the
+/// extracts its portable outcome. The partition records into a fresh
+/// telemetry handle the parent adopts when the parent has one. `trace` is
+/// `(parent tracer, worker lane)` when a tracer is attached: the partition
+/// gets a `partition` span on the
 /// worker's lane, and runs against a *child* tracer whose
 /// records the parent adopts during the deterministic merge — so worker
 /// rings stay single-writer and the trace is causal across the fork/join.
@@ -145,15 +146,15 @@ fn run_partition(
             let span = tr
                 .lane(lane_id)
                 .scope("partition")
-                .map(|s| s.arg("partition", index as u64));
-            (span, Some(tr.child(lane_id)))
+                .arg("partition", index as u64);
+            (Some(span), Some(tr.child(lane_id)))
         }
         None => (None, None),
     };
-    let telemetry = config.telemetry.as_ref().map(Telemetry::child);
+    let telemetry = config.telemetry.as_ref().map(|_| Telemetry::new());
     let env = Env::new(&EnvConfig {
         // Name the partition in the heap's single-mutator machinery so a
-        // concurrent-entry panic reports which partition was entered twice.
+        // re-entry panic reports which partition's heap was re-entered.
         shard_index: Some(index),
         telemetry: telemetry.clone(),
         tracer: child_tracer.clone(),
@@ -249,16 +250,13 @@ impl Env {
         // Each partition records into a child telemetry and a child tracer
         // the parent adopts at merge time (worker lane w runs on trace lane
         // w+1; lane 0 is the parent).
-        let tracer = self.config.tracer.clone().filter(|tr| tr.is_armed());
+        let tracer = self.config.tracer.clone();
         let workers = threads.min(tasks.len());
-        let run_span = self
-            .trace
-            .as_ref()
-            .and_then(|l| l.scope("run_parallel"))
-            .map(|s| {
-                s.arg("partitions", tasks.len() as u64)
-                    .arg("threads", workers as u64)
-            });
+        let run_span = self.trace.as_ref().map(|l| {
+            l.scope("run_parallel")
+                .arg("partitions", tasks.len() as u64)
+                .arg("threads", workers as u64)
+        });
         // Every worker claims the next unclaimed partition index from one
         // shared counter until the plan is exhausted. Which worker runs
         // which partition is scheduling noise; the index-ordered placement
@@ -269,8 +267,7 @@ impl Env {
             let lane_id = (w + 1) as u32;
             let _worker_span = tracer
                 .as_ref()
-                .and_then(|tr| tr.lane(lane_id).scope("worker"))
-                .map(|sp| sp.arg("worker", w as u64));
+                .map(|tr| tr.lane(lane_id).scope("worker").arg("worker", w as u64));
             let mut done = Vec::new();
             loop {
                 // relaxed: the counter publishes no data (tasks are shared
@@ -308,14 +305,13 @@ impl Env {
             .map(|(i, s)| s.unwrap_or_else(|| panic!("partition {i} never ran")));
 
         // ----- deterministic merge, partition-index order --------------------
-        let telemetry = self.rt.telemetry().filter(|t| t.is_enabled());
+        let telemetry = self.rt.telemetry();
         let mut survivors = 0usize;
         for (index, outcome) in outcomes.enumerate() {
             let merge_span = self
                 .trace
                 .as_ref()
-                .and_then(|l| l.scope("merge_partition"))
-                .map(|s| s.arg("partition", index as u64));
+                .map(|l| l.scope("merge_partition").arg("partition", index as u64));
             let base_units = self.rt.clock().now();
             let base_cycles = self.heap.gc_count();
             self.rt.clock().charge(outcome.sim_time);
@@ -391,30 +387,28 @@ impl Env {
                     .iter()
                     .map(|(_, trace)| trace.all_ops_total())
                     .sum();
-                if let Some(mut e) = t.event("mutator_partition", self.rt.clock().now()) {
-                    e.str("name", &outcome.name)
-                        .num("index", index as u64)
-                        .num("sim_time", outcome.sim_time)
-                        .num("cycles", cycle_count)
-                        .num("ops", ops)
-                        .num("allocated_bytes", outcome.allocated_bytes)
-                        .num("allocated_objects", outcome.allocated_objects)
-                        .num("captures", outcome.captures)
-                        .num("survivors", outcome.survivors as u64)
-                        .num("wall_ns", outcome.wall_ns);
-                }
+                t.event("mutator_partition", self.rt.clock().now())
+                    .str("name", &outcome.name)
+                    .num("index", index as u64)
+                    .num("sim_time", outcome.sim_time)
+                    .num("cycles", cycle_count)
+                    .num("ops", ops)
+                    .num("allocated_bytes", outcome.allocated_bytes)
+                    .num("allocated_objects", outcome.allocated_objects)
+                    .num("captures", outcome.captures)
+                    .num("survivors", outcome.survivors as u64)
+                    .num("wall_ns", outcome.wall_ns);
             }
             drop(merge_span);
         }
         drop(run_span);
 
         if let Some(t) = &telemetry {
-            if let Some(mut e) = t.event("parallel_run_end", self.rt.clock().now()) {
-                e.str("name", name)
-                    .num("partitions", tasks.len() as u64)
-                    .num("threads", workers as u64)
-                    .num("survivors", survivors as u64);
-            }
+            t.event("parallel_run_end", self.rt.clock().now())
+                .str("name", name)
+                .num("partitions", tasks.len() as u64)
+                .num("threads", workers as u64)
+                .num("survivors", survivors as u64);
         }
     }
 }

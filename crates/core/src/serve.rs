@@ -1,12 +1,11 @@
 //! Multi-tenant online-adaptation server (`chameleon serve`).
 //!
-//! ROADMAP item 2's millions-of-users story scaled down to one process: a
-//! long-running [`Server`] hosts N named tenant environments, each a
-//! workload instance with its own hermetic heap / factory / profiler
-//! (the same isolation contract as `core::parallel`'s partition
-//! environments, including single-mutator shard heaps). Every tenant runs
-//! the fully-automatic online mode (§3.3.2) with the hysteresis policy
-//! and drift trigger from [`crate::online`].
+//! One process serving many adapting programs: a long-running [`Server`]
+//! hosts N named tenant environments, each a workload instance with its
+//! own hermetic heap / factory / profiler (the same isolation contract as
+//! `core::parallel`'s partition environments). Every tenant runs the
+//! fully-automatic online mode (§3.3.2) with the hysteresis policy and
+//! drift trigger from [`crate::online`].
 //!
 //! The server speaks JSONL: one command object per line in, one response
 //! object per line out, both through `telemetry::json`. Commands:
@@ -14,11 +13,15 @@
 //! | command         | fields                           | effect |
 //! |-----------------|----------------------------------|--------|
 //! | `tenant_open`   | `tenant`, `workload`             | build a tenant environment, refused once [`MAX_TENANTS`] are open |
-//! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times, 1 to [`MAX_REPEAT`]; a step that panics closes the tenant with an error reply |
+//! | `tenant_step`   | `tenant`, `phase?`, `repeat?`    | run the workload (or one named phase) `repeat` times, 1 to [`MAX_REPEAT`] |
 //! | `tenant_report` | `tenant`                         | per-tenant adaptation summary |
 //! | `tenant_close`  | `tenant`                         | final GC + survivor flush, converged policy, teardown |
 //! | `fleet_report`  | —                                | all tenant summaries + fleet aggregates |
 //! | `shutdown`      | —                                | acknowledge and stop the stream loop |
+//!
+//! A command that panics (a simulated `OutOfMemory` under
+//! `heap_capacity`, or a workload bug) gets an error reply; if it names a
+//! tenant, that tenant is closed, and the other tenants go on.
 //!
 //! Blank lines and `#`-prefixed comment lines are skipped, so recorded
 //! session scripts can be annotated. A line that is not UTF-8 or is longer
@@ -270,15 +273,34 @@ impl Server {
     /// Handles one command line and produces one response line. Invalid
     /// input never panics or kills the server: it yields an
     /// `{"ok":false,"error":...}` response so a misbehaving client cannot
-    /// take down the other tenants. A tenant whose step panics is closed
-    /// with such a response; later commands for it get "unknown tenant".
+    /// take down the other tenants. A command that panics gets such a
+    /// response too, and the tenant it names is closed; later commands for
+    /// that tenant get "unknown tenant".
     pub fn handle_line(&mut self, line: &str) -> Reply {
-        match self.dispatch(line) {
-            Ok((value, shutdown)) => Reply {
+        match catch_unwind(AssertUnwindSafe(|| self.dispatch(line))) {
+            Ok(Ok((value, shutdown))) => Reply {
                 text: json::render(&value),
                 shutdown,
             },
-            Err(msg) => error_reply(msg),
+            Ok(Err(msg)) => error_reply(msg),
+            Err(payload) => error_reply(self.close_after_panic(line, payload.as_ref())),
+        }
+    }
+
+    /// Closes the tenant a panicked command names, if any, and returns the
+    /// error message for its reply.
+    fn close_after_panic(&mut self, line: &str, payload: &(dyn Any + Send)) -> String {
+        let msg = panic_message(payload);
+        let tenant = json::parse(line)
+            .ok()
+            .and_then(|v| Self::tenant_name(&v).ok());
+        match tenant {
+            Some(name) => {
+                // Dropping the tenant drops its workload, which may panic too.
+                let _ = catch_unwind(AssertUnwindSafe(|| drop(self.tenants.remove(&name))));
+                format!("tenant {name:?} failed: {msg}")
+            }
+            None => format!("command failed: {msg}"),
         }
     }
 
@@ -415,27 +437,16 @@ impl Server {
             }
             None => None,
         };
-        // A step that panics (a simulated `OutOfMemory` under
-        // `heap_capacity`, or a workload bug) ends only its own tenant.
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            for _ in 0..repeat {
-                match &phases {
-                    Some(task) => task.run(&t.env.factory),
-                    None => t.workload.run(&t.env.factory),
-                }
-                // A GC per step keeps heap statistics (and thus
-                // potential-bytes evidence) flowing between commands; the
-                // survivor flush waits for tenant_close so long-lived state
-                // is not double-counted across steps.
-                t.env.heap.gc();
+        for _ in 0..repeat {
+            match &phases {
+                Some(task) => task.run(&t.env.factory),
+                None => t.workload.run(&t.env.factory),
             }
-        }));
-        if let Err(payload) = ran {
-            self.tenants.remove(&name);
-            return Err(format!(
-                "tenant {name:?} failed: {}",
-                panic_message(payload.as_ref())
-            ));
+            // A GC per step keeps heap statistics (and thus
+            // potential-bytes evidence) flowing between commands; the
+            // survivor flush waits for tenant_close so long-lived state
+            // is not double-counted across steps.
+            t.env.heap.gc();
         }
         t.steps += repeat;
         Ok(obj(vec![
@@ -690,11 +701,34 @@ mod tests {
         }
     }
 
+    /// Runs like `Steady` once and panics on every later step; panics
+    /// again when dropped, so closing it panics too.
+    #[derive(Default)]
+    struct PanicOnDrop {
+        runs: std::cell::Cell<u32>,
+    }
+    impl Workload for PanicOnDrop {
+        fn name(&self) -> &'static str {
+            "panic-on-drop"
+        }
+        fn run(&self, f: &CollectionFactory) {
+            self.runs.set(self.runs.get() + 1);
+            assert!(self.runs.get() == 1, "workload step failed");
+            map_heavy(f);
+        }
+    }
+    impl Drop for PanicOnDrop {
+        fn drop(&mut self) {
+            panic!("workload teardown failed");
+        }
+    }
+
     fn resolver() -> WorkloadResolver {
         Box::new(|name| match name {
             "two-phase" => Some(Box::new(TwoPhase)),
             "steady" => Some(Box::new(Steady)),
             "faulty" => Some(Box::<Faulty>::default()),
+            "panic-on-drop" => Some(Box::<PanicOnDrop>::default()),
             _ => None,
         })
     }
@@ -936,6 +970,37 @@ mod tests {
         assert_eq!(ok(5), Some(true), "the other tenant still steps: {output}");
         assert_eq!(ok(6), Some(true), "{output}");
         let tenants = replies[6].get("tenants").and_then(Value::as_obj).unwrap();
+        assert_eq!(tenants.keys().collect::<Vec<_>>(), ["good"], "{output}");
+    }
+
+    #[test]
+    fn a_tenant_that_panics_on_close_gets_an_error_and_the_fleet_goes_on() {
+        // `a` panics in its teardown at tenant_close; `b` panics in its
+        // second step, and again in the teardown that closes it.
+        const CLOSE: &str = r#"
+{"cmd":"tenant_open","tenant":"a","workload":"panic-on-drop"}
+{"cmd":"tenant_open","tenant":"b","workload":"panic-on-drop"}
+{"cmd":"tenant_open","tenant":"good","workload":"steady"}
+{"cmd":"tenant_step","tenant":"a"}
+{"cmd":"tenant_close","tenant":"a"}
+{"cmd":"tenant_step","tenant":"b"}
+{"cmd":"tenant_step","tenant":"b"}
+{"cmd":"fleet_report"}
+{"cmd":"shutdown"}
+"#;
+        let output = run_session(CLOSE);
+        let replies: Vec<Value> = output.lines().map(|l| json::parse(l).unwrap()).collect();
+        let ok = |k: usize| replies[k].get("ok").and_then(Value::as_bool);
+        let error = |k: usize| replies[k].get("error").and_then(Value::as_str);
+        assert_eq!(ok(3), Some(true), "{output}");
+        assert_eq!(
+            error(4),
+            Some("tenant \"a\" failed: workload teardown failed")
+        );
+        assert_eq!(ok(5), Some(true), "{output}");
+        assert_eq!(error(6), Some("tenant \"b\" failed: workload step failed"));
+        assert_eq!(ok(7), Some(true), "{output}");
+        let tenants = replies[7].get("tenants").and_then(Value::as_obj).unwrap();
         assert_eq!(tenants.keys().collect::<Vec<_>>(), ["good"], "{output}");
     }
 

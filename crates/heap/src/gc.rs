@@ -60,14 +60,13 @@ use std::ops::Range;
 
 /// Runs one full collection cycle on the heap.
 pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
-    // Wall-clock phase timing happens only with telemetry or tracing on;
-    // the simulated results below never depend on it.
-    let lane = inner.tracer.clone().filter(|l| l.armed());
-    let timed = inner.telemetry.as_ref().is_some_and(|ht| ht.on()) || lane.is_some();
+    // Wall-clock phase timing happens only with telemetry or tracing
+    // attached; the simulated results below never depend on it.
+    let lane = inner.tracer.clone();
+    let timed = inner.telemetry.is_some() || lane.is_some();
     let _gc_span = lane
         .as_ref()
-        .and_then(|l| l.scope("gc"))
-        .map(|s| s.arg("cycle", inner.gc_count + 1));
+        .map(|l| l.scope("gc").arg("cycle", inner.gc_count + 1));
 
     // Snapshot capture is due on cycles 1, 1+every, 1+2*every, ... after
     // profiling was enabled. One Option check per cycle when disabled.
@@ -85,7 +84,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     }
 
     let mut cache = std::mem::take(&mut inner.adt_cache);
-    let mark_span = lane.as_ref().and_then(|l| l.scope("gc_mark"));
+    let mark_span = lane.as_ref().map(|l| l.scope("gc_mark"));
     let mark_timer = timed.then(SpanTimer::start);
     mark(inner, &mut cache, &mut marks, epoch);
     // Heap profiling needs every live object's edges, so a snapshot-due
@@ -97,7 +96,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     drop(mark_span);
 
     // ----- fused live/semantic/sweep scan ---------------------------------------
-    let scan_span = lane.as_ref().and_then(|l| l.scope("gc_scan"));
+    let scan_span = lane.as_ref().map(|l| l.scope("gc_scan"));
     let scan_timer = timed.then(SpanTimer::start);
     let n_contexts = inner.contexts.len();
     let ScanAcc {
@@ -119,7 +118,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
 
     // ----- apply the sweep ------------------------------------------------------
     // The sweep list is ascending, so slots are freed in ascending index order.
-    let sweep_span = lane.as_ref().and_then(|l| l.scope("gc_sweep"));
+    let sweep_span = lane.as_ref().map(|l| l.scope("gc_sweep"));
     let sweep_timer = timed.then(SpanTimer::start);
     for &i in &sweep_list {
         inner.release_slot(i as usize);
@@ -152,8 +151,8 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     // Purely observational: compares the deterministic pause cost against the
     // running median of recent cycles and dumps the trace rings to disk when
     // a pause exceeds `anomaly_factor` times that median. The history itself
-    // is deterministic data, so it is maintained whether or not tracing is
-    // armed; only the dump requires an armed tracer.
+    // is deterministic data, so it is maintained whether or not a tracer is
+    // attached; only the dump requires one.
     if let Some(l) = &lane {
         if cfg.anomaly_factor > 0 && inner.pause_history.len() >= ANOMALY_WARMUP {
             let mut sorted: Vec<u64> = inner.pause_history.iter().copied().collect();
@@ -173,9 +172,10 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     // Pure read-side work: the scan's accumulator plus virtual-root edges
     // resolved against the (already swept, but roots are live) slab. Never
     // touches the clock or the cycle statistics.
-    let snap_span = snap_due
-        .then(|| lane.as_ref().and_then(|l| l.scope("heap_snapshot_capture")))
-        .flatten();
+    let snap_span = lane
+        .as_ref()
+        .filter(|_| snap_due)
+        .map(|l| l.scope("heap_snapshot_capture"));
     let snapshot = snap.map(|mut acc| {
         let root_node = (n_contexts + 1) as u32;
         for id in inner.root_ids() {
@@ -221,37 +221,35 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         type_distribution,
     };
 
-    if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
+    if let Some(ht) = &inner.telemetry {
         ht.gc_cycles.inc();
         ht.gc_pause_units.record(pause_cost_units);
         ht.gc_marked_objects.add(live_objects);
         ht.gc_swept_objects.add(swept_objects);
-        if let Some(mut e) = ht.t.event("gc_cycle", at_units) {
-            e.num("cycle", stats.cycle)
-                .num("live_bytes", live_bytes)
-                .num("live_objects", live_objects)
-                .num("swept_bytes", swept_bytes)
-                .num("swept_objects", swept_objects)
-                .num("pause_units", pause_cost_units)
-                .num("mark_ns", mark_ns)
-                .num("scan_ns", scan_ns)
-                .num("sweep_ns", sweep_ns)
-                .num("coll_live", stats.collection.live)
-                .num("coll_used", stats.collection.used)
-                .num("coll_core", stats.collection.core)
-                .num("coll_count", stats.collection.count)
-                .num("coll_cached", coll_cached)
-                .num("summarized_objects", summarized_objects);
-        }
+        ht.t.event("gc_cycle", at_units)
+            .num("cycle", stats.cycle)
+            .num("live_bytes", live_bytes)
+            .num("live_objects", live_objects)
+            .num("swept_bytes", swept_bytes)
+            .num("swept_objects", swept_objects)
+            .num("pause_units", pause_cost_units)
+            .num("mark_ns", mark_ns)
+            .num("scan_ns", scan_ns)
+            .num("sweep_ns", sweep_ns)
+            .num("coll_live", stats.collection.live)
+            .num("coll_used", stats.collection.used)
+            .num("coll_core", stats.collection.core)
+            .num("coll_count", stats.collection.count)
+            .num("coll_cached", coll_cached)
+            .num("summarized_objects", summarized_objects);
         if let Some(s) = &snapshot {
             ht.prof_snapshots.inc();
-            if let Some(mut e) = ht.t.event("heap_snapshot", at_units) {
-                e.num("cycle", s.cycle)
-                    .num("live_bytes", s.live_bytes)
-                    .num("live_objects", s.live_objects)
-                    .num("retained_root", s.retained_root)
-                    .num("contexts", s.contexts.len() as u64);
-            }
+            ht.t.event("heap_snapshot", at_units)
+                .num("cycle", s.cycle)
+                .num("live_bytes", s.live_bytes)
+                .num("live_objects", s.live_objects)
+                .num("retained_root", s.retained_root)
+                .num("contexts", s.contexts.len() as u64);
         }
     }
 
@@ -1031,23 +1029,24 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_gc_cycles_only_when_enabled() {
+    fn telemetry_records_gc_cycles_without_perturbing_them() {
         use chameleon_telemetry::{json, Telemetry};
-        let heap = Heap::new();
-        let t = Telemetry::disabled();
-        heap.attach_telemetry(&t);
-        let class = heap.register_class("A", None);
-        let o = heap.alloc_scalar(class, 0, 0, None);
-        heap.add_root(o);
-
-        let disabled_stats = heap.gc();
-        assert_eq!(t.event_count(), 0, "disabled telemetry emits nothing");
-        assert_eq!(t.counter("heap.gc.cycles").get(), 0);
-
-        t.set_enabled(true);
-        let enabled_stats = heap.gc();
+        let run = |t: Option<&Telemetry>| {
+            let heap = Heap::new();
+            if let Some(t) = t {
+                heap.attach_telemetry(t);
+            }
+            let class = heap.register_class("A", None);
+            let o = heap.alloc_scalar(class, 0, 0, None);
+            heap.add_root(o);
+            heap.gc()
+        };
+        let absent = run(None);
+        let t = Telemetry::new();
+        let attached = run(Some(&t));
         assert_eq!(
-            disabled_stats.pause_cost_units, enabled_stats.pause_cost_units,
+            (absent.pause_cost_units, absent.live_objects),
+            (attached.pause_cost_units, attached.live_objects),
             "telemetry must not perturb simulated results"
         );
         assert_eq!(t.counter("heap.gc.cycles").get(), 1);
@@ -1058,11 +1057,11 @@ mod tests {
         assert_eq!(ev.get("ev").unwrap().as_str(), Some("gc_cycle"));
         assert_eq!(
             ev.get("pause_units").unwrap().as_u64(),
-            Some(enabled_stats.pause_cost_units)
+            Some(attached.pause_cost_units)
         );
         assert_eq!(
             ev.get("live_objects").unwrap().as_u64(),
-            Some(enabled_stats.live_objects)
+            Some(attached.live_objects)
         );
     }
 

@@ -373,11 +373,10 @@ impl Heap {
     }
 
     /// Attaches a telemetry handle. Metric handles are resolved once, here;
-    /// afterwards the allocation/capture/GC paths pay one enabled-check when
-    /// the handle is disabled and lock-free atomics when enabled. Telemetry
-    /// never charges the [`SimClock`], so simulated results are identical
-    /// with it on, off, or absent. The allocation, GC and context-capture
-    /// counters all resolve from this one handle.
+    /// afterwards the allocation/capture/GC paths record into lock-free
+    /// atomics. Telemetry never charges the [`SimClock`], so simulated
+    /// results are identical with it attached or absent. The allocation,
+    /// GC and context-capture counters all resolve from this one handle.
     pub fn attach_telemetry(&self, telemetry: &Telemetry) {
         self.lock("attach_telemetry").telemetry = Some(HeapTelemetry::new(telemetry));
     }
@@ -385,7 +384,7 @@ impl Heap {
     /// Attaches an execution-trace lane: GC cycles record causal phase
     /// spans (mark, scan, sweep, snapshot capture). Tracing reads only the
     /// wall clock and never charges the [`SimClock`], so simulated results
-    /// are bit-identical with it absent, armed, or exporting. Also arms the
+    /// are bit-identical with it absent, attached, or exporting. Also arms the
     /// flight-recorder anomaly trigger (see [`GcConfig::anomaly_factor`]).
     pub fn attach_tracer(&self, lane: &TraceLane) {
         self.lock("attach_tracer").tracer = Some(lane.clone());
@@ -476,7 +475,7 @@ impl Heap {
         let known = inner.contexts.frame_misses();
         let id = inner.contexts.intern_frame(name);
         if inner.contexts.frame_misses() > known {
-            if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
+            if let Some(ht) = &inner.telemetry {
                 ht.frame_misses.inc();
             }
         }
@@ -506,7 +505,7 @@ impl Heap {
         let inner = &mut *guard;
         let known = inner.contexts.len();
         let ctx = inner.contexts.intern(src_type, frames, depth);
-        if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
+        if let Some(ht) = &inner.telemetry {
             if inner.contexts.len() > known {
                 ht.ctx_misses.inc();
             } else {
@@ -691,7 +690,7 @@ impl Heap {
         let model = inner.model;
         let sizes = reqs.map(|r| r.size(&model));
         let batch_bytes: u64 = sizes.iter().map(|s| u64::from(*s)).sum();
-        if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
+        if let Some(ht) = &inner.telemetry {
             ht.alloc_batch_bytes.record(batch_bytes);
         }
         inner.ensure_room(batch_bytes);

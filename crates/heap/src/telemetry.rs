@@ -2,9 +2,8 @@
 //!
 //! [`Heap::attach_telemetry`](crate::Heap::attach_telemetry) resolves every
 //! metric once into this bundle; the allocation, context-capture and GC
-//! paths then pay a single `is_enabled()` branch when telemetry is off and
-//! lock-free atomic ops when it is on. With no bundle attached (the
-//! default) the paths are exactly as before.
+//! paths then pay lock-free atomic ops. With no bundle attached (the
+//! default) they pay one `Option` check and are otherwise uninstrumented.
 
 use chameleon_telemetry::{Counter, Histogram, Telemetry, BYTE_BUCKETS, UNIT_BUCKETS};
 
@@ -45,11 +44,5 @@ impl HeapTelemetry {
             prof_snapshots: t.counter("heap.prof.snapshots"),
             t: t.clone(),
         }
-    }
-
-    /// The hot-path guard: one relaxed load.
-    #[inline]
-    pub(crate) fn on(&self) -> bool {
-        self.t.is_enabled()
     }
 }

@@ -183,7 +183,7 @@ impl RuleEngine {
 
     /// Like [`RuleEngine::evaluate`], additionally emitting one
     /// `rule_decision` audit event per examined context to `telemetry`
-    /// (when enabled): the metric values the engine saw, whether a rule
+    /// (when attached): the metric values the engine saw, whether a rule
     /// fired, and — if one did — the rule text and the rendered suggestion.
     /// The paper's §4 reports become reconstructible from the event log.
     pub fn evaluate_traced(
@@ -191,7 +191,6 @@ impl RuleEngine {
         report: &ProfileReport,
         telemetry: Option<&Telemetry>,
     ) -> Vec<Suggestion> {
-        let telemetry = telemetry.filter(|t| t.is_enabled());
         if let Some(t) = telemetry {
             self.emit_lint_findings(t);
         }
@@ -260,25 +259,24 @@ impl RuleEngine {
             }
             if let Some(t) = telemetry {
                 let fired = out.len() > before;
-                if let Some(mut e) = t.event("rule_decision", 0) {
-                    e.str("label", &profile.label)
-                        .str("src_type", &profile.src_type)
-                        .num("instances", profile.trace.instances)
-                        .num("potential_bytes", profile.potential_bytes)
-                        .float("max_size_avg", profile.trace.max_size_avg())
-                        .num("max_size_peak", profile.trace.max_size_peak)
-                        .float("all_ops_avg", profile.trace.all_ops_avg())
-                        .float("never_used_fraction", profile.trace.never_used_fraction())
-                        .bool("size_stable", size_stable)
-                        .bool("fired", fired);
-                    if let Some(s) = fired.then(|| out.last()).flatten() {
-                        e.str("rule_text", &s.rule_text)
-                            .str("category", &format!("{:?}", s.category))
-                            .str("current_impl", &s.current_impl)
-                            .str("suggestion", &s.to_string());
-                        if let Some(c) = s.resolved_capacity {
-                            e.num("resolved_capacity", u64::from(c));
-                        }
+                let mut e = t.event("rule_decision", 0);
+                e.str("label", &profile.label)
+                    .str("src_type", &profile.src_type)
+                    .num("instances", profile.trace.instances)
+                    .num("potential_bytes", profile.potential_bytes)
+                    .float("max_size_avg", profile.trace.max_size_avg())
+                    .num("max_size_peak", profile.trace.max_size_peak)
+                    .float("all_ops_avg", profile.trace.all_ops_avg())
+                    .float("never_used_fraction", profile.trace.never_used_fraction())
+                    .bool("size_stable", size_stable)
+                    .bool("fired", fired);
+                if let Some(s) = fired.then(|| out.last()).flatten() {
+                    e.str("rule_text", &s.rule_text)
+                        .str("category", &format!("{:?}", s.category))
+                        .str("current_impl", &s.current_impl)
+                        .str("suggestion", &s.to_string());
+                    if let Some(c) = s.resolved_capacity {
+                        e.num("resolved_capacity", u64::from(c));
                     }
                 }
             }
@@ -294,14 +292,13 @@ impl RuleEngine {
             .swap(self.lint_reports.len(), Ordering::AcqRel);
         for (report, src) in self.lint_reports.iter().skip(start) {
             for d in &report.diagnostics {
-                if let Some(mut e) = t.event("lint_finding", 0) {
-                    let (line, column) = line_col(src, d.span.start);
-                    e.str("severity", d.severity.name())
-                        .str("code", d.code)
-                        .str("message", &d.message)
-                        .num("line", line as u64)
-                        .num("column", column as u64);
-                }
+                let (line, column) = line_col(src, d.span.start);
+                t.event("lint_finding", 0)
+                    .str("severity", d.severity.name())
+                    .str("code", d.code)
+                    .str("message", &d.message)
+                    .num("line", line as u64)
+                    .num("column", column as u64);
             }
         }
     }
@@ -525,12 +522,6 @@ mod tests {
             }
         }
         assert_eq!(reconstructed, expected);
-
-        // Disabled telemetry records nothing and still returns suggestions.
-        let off = Telemetry::disabled();
-        let quiet = engine.evaluate_traced(&report, Some(&off));
-        assert_eq!(quiet.len(), expected.len());
-        assert_eq!(off.event_count(), 0);
     }
 
     #[test]

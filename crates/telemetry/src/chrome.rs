@@ -135,11 +135,11 @@ mod tests {
     fn sample_records() -> Vec<SpanRecord> {
         let t = Tracer::new();
         let lane0 = t.lane(0);
-        let w = lane0.scope("workload").unwrap().arg("sites", 4);
+        let w = lane0.scope("workload").arg("sites", 4);
         lane0.instant("marker", &[("partition", 2)]);
         drop(lane0.scope("gc_mark"));
         drop(w);
-        drop(t.lane(3).scope("partition").map(|s| s.arg("partition", 1)));
+        drop(t.lane(3).scope("partition").arg("partition", 1));
         t.records()
     }
 

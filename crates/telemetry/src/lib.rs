@@ -5,20 +5,20 @@
 //! * [`metrics`] — an atomic metrics registry (counters, gauges,
 //!   fixed-bucket histograms) that instrumented components pre-resolve into
 //!   cheap cloneable handles, so the hot path pays one relaxed atomic add;
-//! * [`Telemetry`] — the shared handle bundling the registry, a global
-//!   enabled flag (one relaxed load on every instrumented fast path) and a
-//!   structured JSONL event sink; a sub-run records into a
-//!   [`Telemetry::child`] the parent later [`Telemetry::adopt`]s, the same
+//! * [`Telemetry`] — the shared handle bundling the registry and a
+//!   structured JSONL event sink; a sub-run records into its own fresh
+//!   handle that the parent later [`Telemetry::adopt`]s, the same
 //!   fork/adopt pair [`Tracer`] has;
 //! * [`json`] — a hand-rolled JSON writer (escaping) and a minimal parser
 //!   used to validate emitted event logs and to reconstruct decision audits
 //!   in tests, keeping the workspace free of external dependencies.
 //!
 //! The contract instrumented crates follow (documented in DESIGN.md §8):
-//! with no `Telemetry` attached — or one attached but disabled — the
-//! instrumented hot paths (allocation, context capture, GC) perform **zero
-//! extra allocations**; everything beyond the enabled-check happens only
-//! when telemetry is on.
+//! a component holds an `Option<Telemetry>`, and an attached handle is a
+//! recording one. With none attached, the instrumented hot paths
+//! (allocation, context capture, GC) perform **zero extra allocations**;
+//! everything beyond the `Option` check happens only when a handle is
+//! attached.
 //!
 //! # Examples
 //!
@@ -28,10 +28,7 @@
 //! let t = Telemetry::new();
 //! let gcs = t.counter("gc.cycles");
 //! gcs.inc();
-//! if let Some(mut e) = t.event("gc_cycle", 1234) {
-//!     e.num("cycle", 1);
-//!     e.str("heap", "main");
-//! }
+//! t.event("gc_cycle", 1234).num("cycle", 1).str("heap", "main");
 //! assert_eq!(t.event_count(), 1);
 //! let log = t.events_snapshot();
 //! assert!(log.contains("\"ev\":\"gc_cycle\""));
@@ -52,7 +49,7 @@ pub use trace::{SpanKind, SpanRecord, TraceLane, TraceScope, Tracer};
 
 use metrics::Registry;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -86,7 +83,6 @@ pub const UNIT_BUCKETS: [u64; 10] = [
 ];
 
 struct Inner {
-    enabled: AtomicBool,
     registry: Registry,
     events: Mutex<EventSink>,
     event_count: AtomicU64,
@@ -97,7 +93,7 @@ struct EventSink {
     buf: String,
 }
 
-/// Shared telemetry handle: registry + enabled flag + JSONL event sink.
+/// Shared telemetry handle: metrics registry + JSONL event sink.
 ///
 /// Cloning is a reference-count bump; all clones observe the same state.
 #[derive(Clone)]
@@ -114,18 +110,16 @@ impl Default for Telemetry {
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.is_enabled())
             .field("events", &self.event_count())
             .finish()
     }
 }
 
 impl Telemetry {
-    /// Creates an enabled telemetry handle.
+    /// Creates a recording telemetry handle.
     pub fn new() -> Self {
         Telemetry {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(true),
                 registry: Registry::new(),
                 events: Mutex::new(EventSink::default()),
                 event_count: AtomicU64::new(0),
@@ -133,23 +127,7 @@ impl Telemetry {
         }
     }
 
-    /// Creates a handle that starts disabled (attachable everywhere at zero
-    /// cost beyond the enabled-check; flip on with [`Telemetry::set_enabled`]).
-    pub fn disabled() -> Self {
-        let t = Telemetry::new();
-        t.set_enabled(false);
-        t
-    }
-
-    /// An empty handle for a sub-run (a parallel partition) with this
-    /// handle's enabled state. Fold it back with [`Telemetry::adopt`].
-    pub fn child(&self) -> Telemetry {
-        let child = Telemetry::new();
-        child.set_enabled(self.is_enabled());
-        child
-    }
-
-    /// Folds a finished [`Telemetry::child`] into this handle. Counters
+    /// Folds a sub-run's finished handle into this one. Counters
     /// add; histograms add bucket counts, count and sum (one name means one
     /// set of bounds); gauges take the max. The child's events are appended
     /// in order, re-based onto this run the way merged `CycleStats` are:
@@ -178,19 +156,6 @@ impl Telemetry {
             .fetch_add(child.event_count(), Ordering::Relaxed);
     }
 
-    /// Switches event and metric recording on or off.
-    pub fn set_enabled(&self, enabled: bool) {
-        // relaxed: advisory flag; a stale read delays the toggle by one event.
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// The cheap enabled-check every instrumented fast path performs first.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        // relaxed: advisory flag; a stale read delays the toggle by one event.
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
     // ----- metrics --------------------------------------------------------------
 
     /// Resolves (registering on first use) the counter `name`.
@@ -217,16 +182,12 @@ impl Telemetry {
     // ----- events ---------------------------------------------------------------
 
     /// Starts a structured event of `kind` at simulated time `t` (cost
-    /// units; 0 when no clock governs the emitting component). Returns
-    /// `None` when disabled — instrumented sites do all field formatting
-    /// inside the `if let`, keeping the disabled path free.
-    pub fn event(&self, kind: &str, t: u64) -> Option<Event<'_>> {
-        if !self.is_enabled() {
-            return None;
-        }
+    /// units; 0 when no clock governs the emitting component). The line
+    /// is complete when the returned builder drops.
+    pub fn event(&self, kind: &str, t: u64) -> Event<'_> {
         let guard = self.inner.events.lock().unwrap_or_else(|e| e.into_inner());
         self.inner.event_count.fetch_add(1, Ordering::Relaxed);
-        Some(Event::begin(guard, kind, t))
+        Event::begin(guard, kind, t)
     }
 
     /// Number of events recorded so far.
@@ -416,21 +377,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_emits_nothing() {
-        let t = Telemetry::disabled();
-        assert!(t.event("x", 0).is_none());
-        assert_eq!(t.event_count(), 0);
-        t.set_enabled(true);
-        t.event("x", 1).unwrap().num("n", 2);
-        assert_eq!(t.event_count(), 1);
-        assert_eq!(t.events_snapshot(), "{\"ev\":\"x\",\"t\":1,\"n\":2}\n");
-    }
-
-    #[test]
     fn event_fields_are_escaped_json() {
         let t = Telemetry::new();
         t.event("decision", 7)
-            .unwrap()
             .str("label", "HashMap:\"A\".m:1\\x")
             .inum("delta", -3)
             .float("pct", 12.5)
@@ -464,19 +413,14 @@ mod tests {
         parent.counter("c").add(2);
         parent.gauge("g").set(9);
         parent.histogram("h", &[10, 100]).record(5);
-        let child = parent.child();
-        assert!(child.is_enabled() && child.event_count() == 0);
+        let child = Telemetry::new();
         child.counter("c").add(3);
         child.gauge("g").set(4);
         for v in [50, 500] {
             child.histogram("h", &[10, 100]).record(v);
         }
         let ev = |kind, t, cycle| {
-            child
-                .event(kind, t)
-                .unwrap()
-                .num("cycle", cycle)
-                .num("a_ns", 7);
+            child.event(kind, t).num("cycle", cycle).num("a_ns", 7);
         };
         ev("gc_cycle", 20, 0);
         ev("heap_snapshot", 20, 1);
@@ -501,19 +445,6 @@ mod tests {
              {\"ev\":\"phase\",\"t\":1030,\"cycle\":5,\"a_ns\":7}\n",
             "t always re-bases, cycle only on gc_cycle/heap_snapshot, *_ns never"
         );
-    }
-
-    #[test]
-    fn disabled_child_records_nothing() {
-        let parent = Telemetry::disabled();
-        let child = parent.child();
-        assert!(!child.is_enabled());
-        assert!(child.event("gc_cycle", 1).is_none());
-        parent.set_enabled(true);
-        parent.adopt(&child, 10, 10);
-        assert_eq!(parent.event_count(), 0);
-        assert!(parent.events_snapshot().is_empty());
-        assert!(parent.metrics_snapshot().is_empty());
     }
 
     #[test]

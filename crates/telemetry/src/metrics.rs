@@ -3,7 +3,7 @@
 //! Instrumented components resolve their metrics once (at telemetry attach
 //! time) into cloneable handles; recording is then a relaxed atomic
 //! operation with no lock and no allocation — cheap enough to sit behind a
-//! single enabled-check on hot paths.
+//! single `Option` check on hot paths.
 
 use crate::json;
 use std::collections::BTreeMap;

@@ -10,9 +10,9 @@
 //!
 //! The recording invariants mirror the telemetry layer's (DESIGN.md §8/§14):
 //!
-//! * **Disarmed cost is one relaxed load.** [`TraceLane::scope`] returns
-//!   `None` after a single relaxed atomic read when the tracer is not
-//!   armed; nothing else happens.
+//! * **Absent costs one `Option` check.** Components hold an
+//!   `Option<TraceLane>`; with no tracer attached nothing else happens,
+//!   and an attached tracer always records.
 //! * **Zero allocation on the hot path.** Span names and argument keys are
 //!   `&'static str`, argument values are `u64`, and rings are allocated
 //!   up-front — recording a span writes one fixed-size slot.
@@ -23,7 +23,7 @@
 //! * **Never touches the simulation.** Timestamps come from a wall-clock
 //!   [`Instant`] epoch shared by parent and child tracers; no span ever
 //!   charges the `SimClock`, so simulated results are bit-identical with
-//!   tracing absent, armed, or exported.
+//!   tracing absent, attached, or exported.
 //!
 //! Each ring is one `Mutex` around its slots and head. A lane has one
 //! writer at a time (workers own their lane for the duration of the
@@ -36,7 +36,7 @@
 use crate::chrome;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -172,7 +172,6 @@ impl TraceRing {
 }
 
 struct TracerInner {
-    armed: AtomicBool,
     capacity: usize,
     default_lane: u32,
     /// Next span id (starts at 1; 0 means "no span").
@@ -199,7 +198,6 @@ pub struct Tracer {
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
-            .field("armed", &self.is_armed())
             .field("capacity", &self.inner.capacity)
             .field("lanes", &lock(&self.inner.lanes).len())
             .finish()
@@ -213,27 +211,19 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// An armed tracer with the default per-lane capacity.
+    /// A tracer with the default per-lane capacity.
     pub fn new() -> Self {
         Tracer::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// An armed tracer holding up to `capacity` records per lane.
+    /// A tracer holding up to `capacity` records per lane.
     pub fn with_capacity(capacity: usize) -> Self {
-        Tracer::build(capacity, true, 0, Instant::now())
+        Tracer::build(capacity, 0, Instant::now())
     }
 
-    /// A disarmed tracer: every [`TraceLane::scope`] call returns `None`
-    /// after one relaxed load. Useful for overhead comparisons; arm it
-    /// later with [`Tracer::set_armed`].
-    pub fn disarmed() -> Self {
-        Tracer::build(DEFAULT_RING_CAPACITY, false, 0, Instant::now())
-    }
-
-    fn build(capacity: usize, armed: bool, default_lane: u32, epoch: Instant) -> Self {
+    fn build(capacity: usize, default_lane: u32, epoch: Instant) -> Self {
         Tracer {
             inner: Arc::new(TracerInner {
-                armed: AtomicBool::new(armed),
                 capacity: capacity.max(1),
                 default_lane,
                 next_id: AtomicU64::new(1),
@@ -243,19 +233,6 @@ impl Tracer {
                 flight_tail: DEFAULT_FLIGHT_TAIL,
             }),
         }
-    }
-
-    /// Whether spans are being recorded (one relaxed load).
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        // relaxed: advisory flag; a stale read delays arming by one event.
-        self.inner.armed.load(Ordering::Relaxed)
-    }
-
-    /// Arms or disarms recording.
-    pub fn set_armed(&self, armed: bool) {
-        // relaxed: advisory flag; a stale read delays arming by one event.
-        self.inner.armed.store(armed, Ordering::Relaxed);
     }
 
     /// The lane handles of this tracer default to (0 for a root tracer,
@@ -293,10 +270,10 @@ impl Tracer {
     }
 
     /// A hermetic child tracer for worker `lane`: fresh rings and id
-    /// space, same epoch and capacity, armed iff this tracer is armed.
-    /// Fold its records back with [`Tracer::adopt`].
+    /// space, same epoch and capacity. Fold its records back with
+    /// [`Tracer::adopt`].
     pub fn child(&self, lane: u32) -> Tracer {
-        Tracer::build(self.inner.capacity, self.is_armed(), lane, self.inner.epoch)
+        Tracer::build(self.inner.capacity, lane, self.inner.epoch)
     }
 
     /// The records held across every lane, oldest-first per lane, lanes
@@ -348,13 +325,10 @@ impl Tracer {
 
     /// Dumps the last [`DEFAULT_FLIGHT_TAIL`] spans of every lane to a
     /// timestamped Chrome-trace file in the configured flight directory.
-    /// Returns the file path, or `None` when disarmed, unconfigured, or
-    /// the write failed (a flight dump must never panic — it runs inside
-    /// panic hooks).
+    /// Returns the file path, or `None` when unconfigured or the write
+    /// failed (a flight dump must never panic — it runs inside panic
+    /// hooks).
     pub fn flight_dump(&self, reason: &str) -> Option<PathBuf> {
-        if !self.is_armed() {
-            return None;
-        }
         let dir = lock(&self.inner.flight_dir).clone()?;
         let records = self.collect_tail(self.inner.flight_tail);
         let stamp = std::time::SystemTime::now()
@@ -402,18 +376,11 @@ impl fmt::Debug for TraceLane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceLane")
             .field("lane", &self.ring.lane)
-            .field("armed", &self.armed())
             .finish()
     }
 }
 
 impl TraceLane {
-    /// Whether spans are being recorded (one relaxed load).
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.tracer.is_armed()
-    }
-
     /// This handle's lane id.
     pub fn lane(&self) -> u32 {
         self.ring.lane
@@ -429,17 +396,14 @@ impl TraceLane {
         self.tracer.now_ns()
     }
 
-    /// Opens a span; `None` (after one relaxed load) when disarmed. The
-    /// span closes — and its record is written — when the returned scope
-    /// drops. Nested scopes on the same lane link parent→child.
-    pub fn scope(&self, name: &'static str) -> Option<TraceScope> {
-        if !self.armed() {
-            return None;
-        }
+    /// Opens a span. The span closes — and its record is written — when
+    /// the returned scope drops. Nested scopes on the same lane link
+    /// parent→child.
+    pub fn scope(&self, name: &'static str) -> TraceScope {
         let id = self.tracer.alloc_id();
         // relaxed: `current` is lane-local (single mutator per lane).
         let parent = self.ring.current.swap(id, Ordering::Relaxed);
-        Some(TraceScope {
+        TraceScope {
             lane: self.clone(),
             id,
             parent,
@@ -447,14 +411,11 @@ impl TraceLane {
             name,
             args: [("", 0); MAX_SPAN_ARGS],
             nargs: 0,
-        })
+        }
     }
 
     /// Records a point event under the currently open span.
     pub fn instant(&self, name: &'static str, args: &[(&'static str, u64)]) {
-        if !self.armed() {
-            return;
-        }
         let now = self.now_ns();
         let mut rec = SpanRecord {
             id: self.tracer.alloc_id(),
@@ -527,25 +488,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_scope_is_none_and_records_nothing() {
-        let t = Tracer::disarmed();
-        let lane = t.lane(0);
-        assert!(lane.scope("x").is_none());
-        lane.instant("i", &[("k", 1)]);
-        assert!(t.records().is_empty());
-        t.set_armed(true);
-        drop(lane.scope("x"));
-        assert_eq!(t.records().len(), 1);
-    }
-
-    #[test]
     fn nested_scopes_link_parent_to_child() {
         let t = Tracer::new();
         let lane = t.lane(0);
-        let outer = lane.scope("outer").unwrap();
+        let outer = lane.scope("outer");
         let outer_id = outer.id();
         {
-            let inner = lane.scope("inner").unwrap().arg("k", 7);
+            let inner = lane.scope("inner").arg("k", 7);
             assert_eq!(inner.id(), outer_id + 1);
         }
         lane.instant("tick", &[]);
@@ -622,7 +571,7 @@ mod tests {
         let lane = t.lane(1);
         let writer = std::thread::spawn(move || {
             for _ in 0..SPANS {
-                let scope = lane.scope("w").unwrap();
+                let scope = lane.scope("w");
                 let id = scope.id();
                 drop(scope.arg("id", id).arg("twice", 2 * id));
             }
@@ -648,13 +597,13 @@ mod tests {
     fn child_adoption_remaps_ids_and_reparents_roots() {
         let t = Tracer::new();
         let lane0 = t.lane(0);
-        let parent_span = lane0.scope("partition").unwrap();
+        let parent_span = lane0.scope("partition");
         let parent_id = parent_span.id();
 
         let child = t.child(2);
         let clane = child.lane(2);
         {
-            let outer = clane.scope("c_outer").unwrap();
+            let outer = clane.scope("c_outer");
             drop(clane.scope("c_inner"));
             drop(outer);
         }
@@ -678,7 +627,7 @@ mod tests {
     #[test]
     fn flight_dump_writes_timestamped_chrome_json() {
         let t = Tracer::new();
-        drop(t.lane(0).scope("s").map(|s| s.arg("n", 1)));
+        drop(t.lane(0).scope("s").arg("n", 1));
         assert!(t.flight_dump("test").is_none(), "no dir configured yet");
         let dir = std::env::temp_dir().join(format!("chameleon-flight-{}", std::process::id()));
         t.set_flight_dir(&dir);

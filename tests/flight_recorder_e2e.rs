@@ -4,7 +4,7 @@
 
 use chameleon_collections::CollectionFactory;
 use chameleon_core::{Env, EnvConfig, ParallelConfig, PartitionTask, Workload};
-use chameleon_heap::{ElemKind, GcConfig, Heap, HeapConfig};
+use chameleon_heap::{ClassId, ElemKind, GcConfig, Heap, HeapConfig};
 use chameleon_telemetry::{json, Tracer};
 use std::collections::BTreeSet;
 use std::fs;
@@ -120,11 +120,9 @@ fn panic_hook_dumps_spans_from_all_worker_lanes() {
     panic!("no flight dump covered both worker lanes in 5 attempts");
 }
 
-#[test]
-fn gc_anomaly_trigger_dumps_when_a_pause_blows_past_the_median() {
-    let dir = flight_dir("anomaly");
-    let tracer = Tracer::new();
-    tracer.set_flight_dir(&dir);
+/// A heap whose anomaly trigger fires at twice the running median pause,
+/// tracing GC spans into `tracer`'s lane 0.
+fn anomaly_heap(tracer: &Tracer) -> Heap {
     let heap = Heap::with_config(HeapConfig {
         gc: GcConfig {
             anomaly_factor: 2,
@@ -133,27 +131,43 @@ fn gc_anomaly_trigger_dumps_when_a_pause_blows_past_the_median() {
         ..HeapConfig::default()
     });
     heap.attach_tracer(&tracer.lane(0));
-    let class = heap.register_class("Blob", None);
+    heap
+}
 
-    // Warm up the pause history with near-empty cycles: each pause is
-    // ~cost_per_cycle, so the running median settles there.
+/// Warms up the pause history with near-empty cycles: each pause is
+/// ~cost_per_cycle, so the running median settles there.
+fn steady_cycles(heap: &Heap, class: ClassId) {
     for _ in 0..10 {
         let _ = heap.alloc_scalar(class, 0, 8, None);
         heap.gc();
     }
-    assert!(
-        dumps(&dir, "gc-anomaly").is_empty(),
-        "steady-state cycles must not trip the anomaly trigger"
-    );
+}
 
-    // Now root ~200 KiB of live data: the next pause charges
-    // live_kib * cost_per_live_kib, far beyond 2x the median.
+/// Roots ~200 KiB of live data and collects: the pause charges
+/// live_kib * cost_per_live_kib, far beyond 2x the median.
+fn pause_spike(heap: &Heap, class: ClassId) {
     for _ in 0..200 {
         let arr = heap.alloc_array(class, ElemKind::Prim { bytes_per_elem: 1 }, 1024, None);
         heap.add_root(arr);
     }
     heap.gc();
+}
 
+#[test]
+fn gc_anomaly_trigger_dumps_when_a_pause_blows_past_the_median() {
+    let dir = flight_dir("anomaly");
+    let tracer = Tracer::new();
+    tracer.set_flight_dir(&dir);
+    let heap = anomaly_heap(&tracer);
+    let class = heap.register_class("Blob", None);
+
+    steady_cycles(&heap, class);
+    assert!(
+        dumps(&dir, "gc-anomaly").is_empty(),
+        "steady-state cycles must not trip the anomaly trigger"
+    );
+
+    pause_spike(&heap, class);
     let files = dumps(&dir, "gc-anomaly");
     assert_eq!(files.len(), 1, "exactly one anomaly dump: {files:?}");
     let body = fs::read_to_string(&files[0]).expect("read dump");
@@ -168,10 +182,18 @@ fn gc_anomaly_trigger_dumps_when_a_pause_blows_past_the_median() {
 }
 
 #[test]
-fn disarmed_tracer_never_dumps() {
-    let dir = flight_dir("disarmed");
-    let tracer = Tracer::disarmed();
-    tracer.set_flight_dir(&dir);
+fn tracer_without_flight_dir_never_dumps() {
+    // The same pause spike trips the trigger, but with no flight
+    // directory configured the dump is a no-op.
+    let tracer = Tracer::new();
+    let heap = anomaly_heap(&tracer);
+    let class = heap.register_class("Blob", None);
+    steady_cycles(&heap, class);
+    pause_spike(&heap, class);
     assert!(tracer.flight_dump("manual").is_none());
-    assert!(dumps(&dir, "manual").is_empty());
+
+    let dir = flight_dir("no-dir");
+    tracer.set_flight_dir(&dir);
+    assert!(tracer.flight_dump("manual").is_some());
+    assert_eq!(dumps(&dir, "manual").len(), 1);
 }

@@ -2,7 +2,7 @@
 //! the parallel runtime, Chrome timeline export shape, the
 //! bit-identical-under-tracing determinism contract, the per-partition
 //! telemetry accounting and the plan `parallel_run_end` reports, and the
-//! armed-ring overhead bound.
+//! attached-tracer overhead bound.
 
 use chameleon_core::{Env, EnvConfig, ParallelConfig};
 use chameleon_telemetry::{chrome, json, Telemetry, Tracer};
@@ -154,8 +154,8 @@ fn results_bit_identical_with_tracing_absent_armed_exporting() {
 
     for run in [&run_seq as &dyn Fn(Option<Tracer>) -> _, &run_par] {
         let absent = run(None);
-        let armed = run(Some(Tracer::new()));
-        assert_eq!(absent, armed, "armed tracer must not perturb results");
+        let attached = run(Some(Tracer::new()));
+        assert_eq!(absent, attached, "attached tracer must not perturb results");
 
         let exporting = Tracer::new();
         let with_export = run(Some(exporting.clone()));
@@ -172,7 +172,6 @@ fn partition_event_counts_sum_to_parent_totals() {
     // on 8 workers; `parallel_run_end` must report that plan.
     for requested in [4u64, 16] {
         let t = Telemetry::new();
-        t.set_enabled(true);
         let env = Env::new(&EnvConfig {
             telemetry: Some(t.clone()),
             ..small_env()
@@ -286,6 +285,6 @@ fn armed_tracing_overhead_under_five_percent() {
     }
     assert!(
         best_pct < 5.0,
-        "armed-tracing GC-cycle overhead must stay under 5%, measured {best_pct:.2}%"
+        "tracing GC-cycle overhead must stay under 5%, measured {best_pct:.2}%"
     );
 }
