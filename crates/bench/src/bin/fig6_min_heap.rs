@@ -11,7 +11,7 @@
 use chameleon_bench::out::Out;
 use chameleon_bench::outln;
 use chameleon_bench::{paper_numbers, pct, run_paper_experiment};
-use chameleon_core::min_heap_size;
+use chameleon_core::{min_heap_size, EnvConfig};
 use chameleon_workloads::{paper_benchmarks, Bloat};
 
 fn main() {
@@ -54,7 +54,12 @@ fn main() {
                 manual_lazy: true,
                 ..Bloat::default()
             };
-            let manual_after = min_heap_size(&manual, &result.applied, result.min_heap_before);
+            let manual_after = min_heap_size(
+                &manual,
+                &result.applied,
+                result.min_heap_before,
+                &EnvConfig::default(),
+            );
             if manual_after < after {
                 after = manual_after;
                 improvement =

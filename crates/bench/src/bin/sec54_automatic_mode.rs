@@ -103,8 +103,9 @@ fn main() {
         .filter(|s| s.auto_applicable())
         .collect();
     let policy = portable_updates(&applicable, &penv.heap);
-    let baseline_min = min_heap_size(&w, &[], 128 * 1024);
-    let offline_min = min_heap_size(&w, &policy, 128 * 1024);
+    let template = EnvConfig::default();
+    let baseline_min = min_heap_size(&w, &[], 128 * 1024, &template);
+    let offline_min = min_heap_size(&w, &policy, 128 * 1024, &template);
 
     // Online: one run that converges on a policy; measure the minimal heap
     // under the converged decisions.
@@ -117,7 +118,7 @@ fn main() {
         drift: None,
     };
     let online = run_online(&w, Arc::new(RuleEngine::builtin()), &cfg).expect("online run");
-    let online_min = min_heap_size(&w, &online.converged_policy, 128 * 1024);
+    let online_min = min_heap_size(&w, &online.converged_policy, 128 * 1024, &template);
 
     outln!(out, "  original min heap: {baseline_min} B");
     outln!(

@@ -9,7 +9,7 @@
 
 use crate::env::{portable_updates, Env, EnvConfig, PortableUpdate};
 use crate::metrics::{Improvement, RunMetrics};
-use crate::minheap::min_heap_size_with;
+use crate::minheap::min_heap_size;
 use crate::parallel::{ParallelConfig, ParallelError};
 use crate::workload::Workload;
 use chameleon_profiler::ProfileReport;
@@ -89,10 +89,11 @@ pub fn run_experiment(
     let applied = portable_updates(&applicable, &env.heap);
 
     // Step 4: minimal heap before/after (under the same layout/cost model
-    // as the profiling run).
+    // as the profiling run). Each search is one probe run and one elastic
+    // run, byte-identical to the bisection seeded with the same hint.
     let hint = report.peak_live().max(64 * 1024);
-    let min_heap_before = min_heap_size_with(workload, &[], hint, profile_config);
-    let min_heap_after = min_heap_size_with(workload, &applied, hint, profile_config);
+    let min_heap_before = min_heap_size(workload, &[], hint, profile_config);
+    let min_heap_after = min_heap_size(workload, &applied, hint, profile_config);
 
     // Step 5: measured runs at the original minimal heap size. The paper
     // finds the minimum at -Xmx granularity, which leaves slack; our search

@@ -3,9 +3,35 @@
 //! The paper evaluates space savings as "the minimal heap size required to
 //! run the program" (§5.2): shrink the heap until the program throws
 //! `OutOfMemoryError`. Here the simulated heap panics with an
-//! [`OutOfMemory`] payload; the search runs
-//! workload under a capacity via `catch_unwind` and binary-searches the
-//! smallest capacity that completes.
+//! [`OutOfMemory`] payload when an allocation does not fit after a GC.
+//!
+//! [`min_heap_size_with`] is the literal search and the test oracle: it
+//! doubles a completing upper bound from `hint`, then bisects down to
+//! [`MIN_HEAP_STEP`], running the workload once per probe under
+//! `catch_unwind`.
+//!
+//! [`min_heap_size`] finds the same number in two runs, and never unwinds.
+//! A measured run at capacity `C` checks every allocation of `size` bytes
+//! against `C`, collecting first if the heap is full, and fails iff
+//! `live + size > C` after that collection. So it completes iff `C ≥ T`,
+//! where `T` is the largest `reachable + size` over all allocations. This
+//! rests on one condition: the mutator's allocations and what they keep
+//! reachable do not depend on when the GC runs. Measured runs satisfy it
+//! (no profiler, static capture, no GC-driven decisions), and the oracle
+//! tests check it on every paper workload. Given it, the bisection is a
+//! function of `T` alone; it returns `g(T)`, where `g(v)` is the smallest
+//! point `≥ v` of its own grid (the leaf bounds of the doubling and
+//! bisection for `hint`). The two runs:
+//!
+//! 1. *Probe*: no capacity, a GC every [`PROBE_GC_INTERVAL`] bytes. Its
+//!    [`Heap::peak_need`](chameleon_heap::Heap::peak_need) `L` is a
+//!    `reachable + size` at some allocations, so `L ≤ T`.
+//! 2. *Elastic run*: capacity `g(L)`; an allocation that does not fit after
+//!    its GC raises the capacity to `g(live + size)` instead of panicking
+//!    ([`Heap::set_capacity_raise`](chameleon_heap::Heap::set_capacity_raise)).
+//!    Every capacity it holds is a grid point `≤ g(T)`, and the allocation
+//!    that attains `T` leaves it `≥ T`, so it ends at exactly `g(T)`:
+//!    the bisection's answer, whether the run raised or not.
 
 use crate::env::{Env, EnvConfig, PortableUpdate};
 use crate::workload::Workload;
@@ -16,9 +42,14 @@ use std::sync::Once;
 /// Granularity of the search in bytes.
 pub const MIN_HEAP_STEP: u64 = 1024;
 
+/// GC interval of the probe run of [`min_heap_size`]: the smaller it is,
+/// the closer the probe's lower bound sits to the answer and the fewer
+/// raises the elastic run needs, at one more GC per interval.
+const PROBE_GC_INTERVAL: u64 = 32 * 1024;
+
 /// Installs (once per process) a panic hook that stays silent for the
 /// simulated `OutOfMemoryError` — those panics are the expected signal of
-/// the minimal-heap search — and delegates everything else to the previous
+/// the bisection oracle — and delegates everything else to the previous
 /// hook.
 pub fn silence_oom_panics() {
     static ONCE: Once = Once::new();
@@ -43,6 +74,16 @@ pub fn completes_under(workload: &dyn Workload, policy: &[PortableUpdate], capac
     completes_under_with(workload, policy, capacity, &EnvConfig::default())
 }
 
+/// The measured-run configuration at `capacity` under `template`'s layout
+/// and cost models.
+fn trial_config(capacity: u64, template: &EnvConfig) -> EnvConfig {
+    EnvConfig {
+        model: template.model,
+        cost: template.cost,
+        ..EnvConfig::measured(capacity)
+    }
+}
+
 /// [`completes_under`] with an environment template (layout model and
 /// cost model are taken from `template`; capacity, capture and profiling
 /// follow the measured-run protocol).
@@ -53,11 +94,7 @@ pub fn completes_under_with(
     template: &EnvConfig,
 ) -> bool {
     silence_oom_panics();
-    let env = Env::new(&EnvConfig {
-        model: template.model,
-        cost: template.cost,
-        ..EnvConfig::measured(capacity)
-    });
+    let env = Env::new(&trial_config(capacity, template));
     env.apply_policy(policy);
     let result = catch_unwind(AssertUnwindSafe(|| env.run(workload)));
     match result {
@@ -72,26 +109,71 @@ pub fn completes_under_with(
     }
 }
 
+/// The minimal heap capacity (to [`MIN_HEAP_STEP`] granularity) at which
+/// `workload` completes with `policy` applied, under `template`'s layout
+/// and cost models: one probe run and one elastic run (see the module
+/// docs). Equals [`min_heap_size_with`] for the same arguments.
+///
+/// `hint` seeds the search grid (e.g. the profiling run's peak live bytes).
+///
+/// # Panics
+///
+/// Panics if the workload needs a heap of 1 TiB or more.
+pub fn min_heap_size(
+    workload: &dyn Workload,
+    policy: &[PortableUpdate],
+    hint: u64,
+    template: &EnvConfig,
+) -> u64 {
+    let probe = Env::new(&EnvConfig {
+        heap_capacity: None,
+        gc_interval_bytes: Some(PROBE_GC_INTERVAL),
+        ..trial_config(0, template)
+    });
+    probe.apply_policy(policy);
+    probe.run(workload);
+    let floor = probe.heap.peak_need();
+    drop(probe);
+
+    let env = Env::new(&trial_config(grid_point(hint, floor), template));
+    env.apply_policy(policy);
+    env.heap
+        .set_capacity_raise(Some(Box::new(move |need| grid_point(hint, need))));
+    env.run(workload);
+    env.heap.capacity().expect("the elastic run is capped")
+}
+
 /// Binary-searches the minimal heap capacity (to [`MIN_HEAP_STEP`]
-/// granularity) at which `workload` completes with `policy` applied.
+/// granularity) at which `workload` completes with `policy` applied, one
+/// [`completes_under_with`] trial per probe. This is the oracle
+/// [`min_heap_size`] is tested against.
 ///
 /// `hint` seeds the upper bound (e.g. the profiling run's peak live bytes);
 /// the bound doubles until the workload completes.
-pub fn min_heap_size(workload: &dyn Workload, policy: &[PortableUpdate], hint: u64) -> u64 {
-    min_heap_size_with(workload, policy, hint, &EnvConfig::default())
-}
-
-/// [`min_heap_size`] with an environment template (see
-/// [`completes_under_with`]).
 pub fn min_heap_size_with(
     workload: &dyn Workload,
     policy: &[PortableUpdate],
     hint: u64,
     template: &EnvConfig,
 ) -> u64 {
-    // Establish a completing upper bound.
+    bisect(hint, |capacity| {
+        completes_under_with(workload, policy, capacity, template)
+    })
+}
+
+/// The smallest point `≥ need` of the grid [`min_heap_size_with`] searches
+/// for `hint`: what it returns for a workload that completes exactly at
+/// capacities `≥ need`.
+fn grid_point(hint: u64, need: u64) -> u64 {
+    bisect(hint, |capacity| capacity >= need)
+}
+
+/// Doubles an upper bound from `hint` (at least 64 KiB) until `completes`
+/// holds, then bisects `[0, bound]` down to [`MIN_HEAP_STEP`] and returns
+/// the smallest probed capacity that completed.
+fn bisect(hint: u64, mut completes: impl FnMut(u64) -> bool) -> u64 {
     let mut hi = hint.max(64 * 1024);
-    while !completes_under_with(workload, policy, hi, template) {
+    while !completes(hi) {
         hi = hi.saturating_mul(2);
         assert!(
             hi < (1 << 40),
@@ -102,7 +184,7 @@ pub fn min_heap_size_with(
     // Invariant: completes at hi, not at lo.
     while hi - lo > MIN_HEAP_STEP {
         let mid = lo + (hi - lo) / 2;
-        if completes_under_with(workload, policy, mid, template) {
+        if completes(mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -131,6 +213,19 @@ mod tests {
         })
     }
 
+    /// Asserts that the two-run search equals the bisection oracle and
+    /// returns their common answer.
+    fn assert_matches_oracle(w: &dyn Workload, policy: &[PortableUpdate], hint: u64) -> u64 {
+        let template = EnvConfig::default();
+        let oracle = min_heap_size_with(w, policy, hint, &template);
+        assert_eq!(
+            min_heap_size(w, policy, hint, &template),
+            oracle,
+            "two-run search disagrees with the bisection (hint {hint})"
+        );
+        oracle
+    }
+
     #[test]
     fn completes_detects_oom() {
         let w = pinned_maps(50);
@@ -139,9 +234,58 @@ mod tests {
     }
 
     #[test]
+    fn two_run_search_matches_oracle_on_pinned_maps() {
+        for n in [20, 100, 3000] {
+            assert_matches_oracle(&pinned_maps(n), &[], 64 * 1024);
+        }
+    }
+
+    #[test]
+    fn two_run_search_matches_oracle_when_the_grid_doubles() {
+        // 3000 pinned maps need far more than the 64 KiB the hint floors
+        // at, so both searches double the bound several times.
+        let min = assert_matches_oracle(&pinned_maps(3000), &[], 1);
+        assert!(min > 4 * 64 * 1024, "the grid did not double: {min}");
+    }
+
+    #[test]
+    fn two_run_search_matches_oracle_with_a_hint_far_above() {
+        assert_matches_oracle(&pinned_maps(20), &[], 64 * 1024 * 1024);
+    }
+
+    #[test]
+    fn two_run_search_matches_oracle_on_an_empty_workload() {
+        let w = ("empty", |_: &CollectionFactory| {});
+        assert_eq!(assert_matches_oracle(&w, &[], 64 * 1024), MIN_HEAP_STEP);
+    }
+
+    #[test]
+    fn two_run_search_matches_oracle_when_one_request_sets_the_peak() {
+        // A small live set, then one 64k-slot backing array: the peak is
+        // the array request, not the live set before it.
+        let w = ("one-big-array", |f: &CollectionFactory| {
+            let _g = f.enter("Big.site:1");
+            let mut keep = Vec::new();
+            for i in 0..20 {
+                let mut m = f.new_map::<i64, i64>(None);
+                m.put(i, i);
+                keep.push(m);
+            }
+            let mut big = f.new_list::<i64>(Some(64 * 1024));
+            big.add(1);
+        });
+        let min = assert_matches_oracle(&w, &[], 64 * 1024);
+        assert!(
+            min > 256 * 1024,
+            "the array request must set the peak: {min}"
+        );
+    }
+
+    #[test]
     fn min_heap_scales_with_live_data() {
-        let small = min_heap_size(&pinned_maps(20), &[], 64 * 1024);
-        let large = min_heap_size(&pinned_maps(100), &[], 64 * 1024);
+        let template = EnvConfig::default();
+        let small = min_heap_size(&pinned_maps(20), &[], 64 * 1024, &template);
+        let large = min_heap_size(&pinned_maps(100), &[], 64 * 1024, &template);
         assert!(
             large > small + 3 * MIN_HEAP_STEP,
             "5x live data must need a bigger heap: {small} vs {large}"
@@ -159,7 +303,6 @@ mod tests {
         use chameleon_collections::factory::Selection;
         use chameleon_collections::MapChoice;
         let w = pinned_maps(100);
-        let before = min_heap_size(&w, &[], 64 * 1024);
         let policy = vec![PortableUpdate {
             src_type: "HashMap".to_owned(),
             frames: vec!["P.site:1".to_owned()],
@@ -168,7 +311,8 @@ mod tests {
                 capacity: Some(4),
             }),
         }];
-        let after = min_heap_size(&w, &policy, 64 * 1024);
+        let before = assert_matches_oracle(&w, &[], 64 * 1024);
+        let after = assert_matches_oracle(&w, &policy, 64 * 1024);
         assert!(
             after < before,
             "ArrayMap policy must shrink the minimal heap ({before} -> {after})"

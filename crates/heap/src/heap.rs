@@ -67,8 +67,13 @@ use std::rc::Rc;
 /// Panic payload used for the simulated `OutOfMemoryError`.
 ///
 /// [`Heap`] panics with this payload when an allocation does not fit under
-/// the configured capacity even after a full GC; harnesses that search for
-/// the minimal heap size catch it with `std::panic::catch_unwind`.
+/// the configured capacity even after a full GC and no capacity raise is
+/// set ([`Heap::set_capacity_raise`]). Of the minimal-heap searches, only
+/// the bisection oracle (`completes_under_with` in `chameleon-core`)
+/// catches it, with `std::panic::catch_unwind`, to learn that a capacity
+/// is too small; the production search raises the capacity instead and
+/// never unwinds. Elsewhere (a serve tenant, a parallel partition) it is
+/// an ordinary panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfMemory {
     /// Bytes the failing allocation requested.
@@ -179,6 +184,13 @@ pub(crate) struct HeapInner {
     pub(crate) capacity: Option<u64>,
     pub(crate) gc_interval_bytes: Option<u64>,
     pub(crate) bytes_since_gc: u64,
+    /// Largest live-after-GC plus request over the collections
+    /// `ensure_room` ran: a lower bound on the capacity a run needs.
+    pub(crate) peak_need: u64,
+    /// Capacity raise rule: an allocation that still does not fit after
+    /// its GC sets the capacity to `raise(live + request)` instead of
+    /// panicking with [`OutOfMemory`].
+    raise: Option<Box<dyn Fn(u64) -> u64>>,
     /// Root registrations per slot, parallel to `slab` (0 = not a root).
     pub(crate) root_counts: Vec<u32>,
     pub(crate) classes: ClassRegistry,
@@ -305,6 +317,8 @@ impl Heap {
             capacity: config.capacity,
             gc_interval_bytes: config.gc_interval_bytes,
             bytes_since_gc: 0,
+            peak_need: 0,
+            raise: None,
             root_counts: Vec::new(),
             classes: ClassRegistry::new(),
             contexts: ContextTable::new(),
@@ -433,9 +447,24 @@ impl Heap {
         self.lock("model").model
     }
 
-    /// Changes the capacity cap (used by the minimal-heap search).
+    /// Changes the capacity cap.
     pub fn set_capacity(&self, capacity: Option<u64>) {
         self.lock("set_capacity").capacity = capacity;
+    }
+
+    /// The current capacity cap (`None` = unbounded).
+    pub fn capacity(&self) -> Option<u64> {
+        self.lock("capacity").capacity
+    }
+
+    /// Makes a capped heap elastic (with `Some`) or strict again (with
+    /// `None`). While elastic, an allocation that does not fit even after
+    /// its GC sets the capacity to `raise(live + request)` and proceeds,
+    /// where a strict heap panics with [`OutOfMemory`]; `raise` must
+    /// return at least its argument. The minimal-heap search reads the
+    /// final capacity after one elastic run.
+    pub fn set_capacity_raise(&self, raise: Option<Box<dyn Fn(u64) -> u64>>) {
+        self.lock("set_capacity_raise").raise = raise;
     }
 
     // ----- classes and contexts -------------------------------------------------
@@ -919,6 +948,14 @@ impl Heap {
         self.lock("gc_count").gc_count
     }
 
+    /// Largest live-after-GC plus request over the collections an
+    /// allocation ran (interval or capacity pressure; an explicit
+    /// [`Heap::gc`] has no request and does not count). A capped run of
+    /// the same mutator needs at least this capacity.
+    pub fn peak_need(&self) -> u64 {
+        self.lock("peak_need").peak_need
+    }
+
     /// Number of objects currently in the table (live + garbage).
     pub fn object_count(&self) -> usize {
         let inner = self.lock("object_count");
@@ -1033,23 +1070,42 @@ impl HeapInner {
     fn ensure_room(&mut self, size: u64) {
         if let Some(interval) = self.gc_interval_bytes {
             if self.bytes_since_gc + size > interval {
-                gc::collect(self);
-                self.bytes_since_gc = 0;
+                self.collect_for(size);
             }
         }
         let Some(cap) = self.capacity else { return };
         if self.heap_bytes + size <= cap {
             return;
         }
-        gc::collect(self);
-        self.bytes_since_gc = 0;
-        if self.heap_bytes + size > cap {
-            std::panic::panic_any(OutOfMemory {
+        let need = self.collect_for(size);
+        if need <= cap {
+            return;
+        }
+        match &self.raise {
+            Some(raise) => {
+                let raised = raise(need);
+                assert!(
+                    raised >= need,
+                    "capacity raise {need} -> {raised} still does not fit"
+                );
+                self.capacity = Some(raised);
+            }
+            None => std::panic::panic_any(OutOfMemory {
                 requested: size,
                 capacity: cap,
                 live_after_gc: self.heap_bytes,
-            });
+            }),
         }
+    }
+
+    /// Runs the GC an allocation of `size` bytes asked for and returns
+    /// what the allocation needs now: live bytes plus `size`.
+    fn collect_for(&mut self, size: u64) -> u64 {
+        gc::collect(self);
+        self.bytes_since_gc = 0;
+        let need = self.heap_bytes + size;
+        self.peak_need = self.peak_need.max(need);
+        need
     }
 
     /// Takes a `len`-slot range from the ref pool: exact-size free-bucket
@@ -1411,6 +1467,39 @@ mod tests {
             .downcast_ref::<OutOfMemory>()
             .expect("payload is OutOfMemory");
         assert_eq!(oom.capacity, 256);
+    }
+
+    #[test]
+    fn capacity_raise_replaces_oom() {
+        let heap = Heap::with_capacity(256);
+        heap.set_capacity_raise(Some(Box::new(|need: u64| need.next_multiple_of(1024))));
+        let class = heap.register_class("Obj", None);
+        for _ in 0..100 {
+            let o = heap.alloc_scalar(class, 0, 24, None); // 32 B each
+            heap.add_root(o);
+        }
+        // The 97th pinned 32 B object needed 3104 B and raised the
+        // capacity to 4096 B, which the remaining three fit under.
+        assert_eq!(heap.capacity(), Some(4096));
+        assert_eq!(heap.peak_need(), 3104);
+        assert_eq!(heap.heap_bytes(), 3200);
+    }
+
+    #[test]
+    fn peak_need_tracks_live_plus_request_at_interval_gcs() {
+        let heap = Heap::with_config(HeapConfig {
+            gc_interval_bytes: Some(1024),
+            ..HeapConfig::default()
+        });
+        let class = heap.register_class("Obj", None);
+        let pinned = heap.alloc_scalar(class, 0, 24, None);
+        heap.add_root(pinned);
+        for _ in 0..100 {
+            let _ = heap.alloc_scalar(class, 0, 24, None);
+        }
+        // Each interval GC leaves the pinned object; the request adds one.
+        assert!(heap.gc_count() > 0);
+        assert_eq!(heap.peak_need(), 64);
     }
 
     #[test]

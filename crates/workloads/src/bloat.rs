@@ -180,7 +180,8 @@ mod tests {
 
     #[test]
     fn manual_lazy_fix_halves_min_heap() {
-        let before = min_heap_size(&small(), &[], 64 * 1024);
+        let template = EnvConfig::default();
+        let before = min_heap_size(&small(), &[], 64 * 1024, &template);
         let after = min_heap_size(
             &Bloat {
                 manual_lazy: true,
@@ -188,6 +189,7 @@ mod tests {
             },
             &[],
             64 * 1024,
+            &template,
         );
         let reduction = 100.0 * (before - after) as f64 / before as f64;
         assert!(

@@ -136,8 +136,9 @@ fn online_mode_converges_to_offline_quality() {
     )
     .expect("online run");
     assert!(online.replacements > 0, "online mode must install policies");
-    let baseline = min_heap_size(&w, &[], 64 * 1024);
-    let online_min = min_heap_size(&w, &online.converged_policy, 64 * 1024);
+    let template = EnvConfig::default();
+    let baseline = min_heap_size(&w, &[], 64 * 1024, &template);
+    let online_min = min_heap_size(&w, &online.converged_policy, 64 * 1024, &template);
     assert!(
         (online_min as f64) < baseline as f64 * 0.75,
         "converged online policy must save space: {baseline} -> {online_min}"

@@ -1,0 +1,67 @@
+//! Release-mode oracle gate for the minimal-heap search: the two-run
+//! search (`min_heap_size`) must return exactly what the bisection
+//! (`min_heap_size_with`) returns on every search the paper's figures
+//! make — the 12 of `run_experiment` (6 workloads, each without a policy
+//! and with the builtin rules' policy) and Fig. 6's bloat manual-lazy
+//! search.
+//!
+//! The bisection runs each workload ~26 times, so the gate is ignored by
+//! default; run it with
+//! `cargo test --release --test minheap_oracle -- --ignored --nocapture`
+//! (the output lists both searches' wall-clock time per search).
+
+use chameleon_core::{
+    min_heap_size, min_heap_size_with, portable_updates, Env, EnvConfig, PortableUpdate, Workload,
+};
+use chameleon_rules::{RuleEngine, Suggestion};
+use chameleon_workloads::{paper_benchmarks, Bloat};
+use std::time::Instant;
+
+/// Runs both searches, prints their times and asserts they agree.
+fn check(label: &str, w: &dyn Workload, policy: &[PortableUpdate], hint: u64) -> u64 {
+    let template = EnvConfig::default();
+    let t = Instant::now();
+    let oracle = min_heap_size_with(w, policy, hint, &template);
+    let oracle_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let two_run = min_heap_size(w, policy, hint, &template);
+    let two_run_ms = t.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "{label:<24} {oracle:>10} B  bisection {oracle_ms:>8.1} ms  two-run {two_run_ms:>8.1} ms"
+    );
+    assert_eq!(
+        two_run, oracle,
+        "{label}: two-run search disagrees with the bisection"
+    );
+    oracle
+}
+
+#[test]
+#[ignore = "runs every paper workload ~60 times; run in release with --ignored"]
+fn two_run_search_matches_bisection_on_every_paper_search() {
+    let engine = RuleEngine::builtin();
+    for w in paper_benchmarks() {
+        // The profile, policy and hint of `run_experiment`'s step 4.
+        let env = Env::new(&EnvConfig::default());
+        env.run(w.as_ref());
+        let report = env.report();
+        let applicable: Vec<Suggestion> = engine
+            .evaluate(&report)
+            .into_iter()
+            .filter(|s| s.auto_applicable())
+            .collect();
+        let policy = portable_updates(&applicable, &env.heap);
+        let hint = report.peak_live().max(64 * 1024);
+        let name = w.name();
+        let before = check(name, w.as_ref(), &[], hint);
+        check(&format!("{name} + policy"), w.as_ref(), &policy, hint);
+        if name == "bloat" {
+            // Fig. 6 seeds the manual-lazy search with the original minimum.
+            let manual = Bloat {
+                manual_lazy: true,
+                ..Bloat::default()
+            };
+            check("bloat manual-lazy", &manual, &policy, before);
+        }
+    }
+}
