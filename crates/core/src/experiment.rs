@@ -89,8 +89,8 @@ pub fn run_experiment(
     let applied = portable_updates(&applicable, &env.heap);
 
     // Step 4: minimal heap before/after (under the same layout/cost model
-    // as the profiling run). Each search is one probe run and one elastic
-    // run, byte-identical to the bisection seeded with the same hint.
+    // as the profiling run). Each search is one uncapped lifetime run,
+    // byte-identical to the bisection seeded with the same hint.
     let hint = report.peak_live().max(64 * 1024);
     let min_heap_before = min_heap_size(workload, &[], hint, profile_config);
     let min_heap_after = min_heap_size(workload, &applied, hint, profile_config);

@@ -10,7 +10,7 @@
 //! [`MIN_HEAP_STEP`], running the workload once per probe under
 //! `catch_unwind`.
 //!
-//! [`min_heap_size`] finds the same number in two runs, and never unwinds.
+//! [`min_heap_size`] finds the same number in one run, and never unwinds.
 //! A measured run at capacity `C` checks every allocation of `size` bytes
 //! against `C`, collecting first if the heap is full, and fails iff
 //! `live + size > C` after that collection. So it completes iff `C ≥ T`,
@@ -21,17 +21,24 @@
 //! tests check it on every paper workload. Given it, the bisection is a
 //! function of `T` alone; it returns `g(T)`, where `g(v)` is the smallest
 //! point `≥ v` of its own grid (the leaf bounds of the doubling and
-//! bisection for `hint`). The two runs:
+//! bisection for `hint`).
 //!
-//! 1. *Probe*: no capacity, a GC every [`PROBE_GC_INTERVAL`] bytes. Its
-//!    [`Heap::peak_need`](chameleon_heap::Heap::peak_need) `L` is a
-//!    `reachable + size` at some allocations, so `L ≤ T`.
-//! 2. *Elastic run*: capacity `g(L)`; an allocation that does not fit after
-//!    its GC raises the capacity to `g(live + size)` instead of panicking
-//!    ([`Heap::set_capacity_raise`](chameleon_heap::Heap::set_capacity_raise)).
-//!    Every capacity it holds is a grid point `≤ g(T)`, and the allocation
-//!    that attains `T` leaves it `≥ T`, so it ends at exactly `g(T)`:
-//!    the bisection's answer, whether the run raised or not.
+//! The *lifetime run* computes `T` exactly. It runs uncapped, a GC every
+//! [`LIFETIME_GC_INTERVAL`] bytes, with a Merlin lifetime trace
+//! ([`Heap::record_lifetimes`](chameleon_heap::Heap::record_lifetimes);
+//! Hertz et al., TOPLAS 2006). Time is the allocation count `k`. Each
+//! object records the allocation `a` it followed and a stamp, raised to
+//! the current `k` whenever it loses a reference or a root. Each GC gives
+//! every object it sweeps the largest stamp `d` of any swept object that
+//! reaches it: the allocation at which the last path to it was cut. The
+//! object is then reachable exactly at the allocations `a < k ≤ d`, so a
+//! difference array over `k` sums to `reachable(k)`, and
+//! `T = max_k reachable(k) + size(k)`. This is exact under the same
+//! condition: an object unreachable at one allocation is never written or
+//! linked to again, so the dead edges that reach it are frozen until its
+//! sweep. For the same reason `T` does not depend on the GC interval,
+//! which only sets how many dead objects each GC walks (the heap's module
+//! `lifetime` has the full argument).
 
 use crate::env::{Env, EnvConfig, PortableUpdate};
 use crate::workload::Workload;
@@ -42,10 +49,10 @@ use std::sync::Once;
 /// Granularity of the search in bytes.
 pub const MIN_HEAP_STEP: u64 = 1024;
 
-/// GC interval of the probe run of [`min_heap_size`]: the smaller it is,
-/// the closer the probe's lower bound sits to the answer and the fewer
-/// raises the elastic run needs, at one more GC per interval.
-const PROBE_GC_INTERVAL: u64 = 32 * 1024;
+/// GC interval of the lifetime run of [`min_heap_size`]. `T` does not
+/// depend on it; it bounds the slab and the dead objects each GC walks
+/// (the profiling run's default interval).
+const LIFETIME_GC_INTERVAL: u64 = 256 * 1024;
 
 /// Installs (once per process) a panic hook that stays silent for the
 /// simulated `OutOfMemoryError` — those panics are the expected signal of
@@ -111,8 +118,8 @@ pub fn completes_under_with(
 
 /// The minimal heap capacity (to [`MIN_HEAP_STEP`] granularity) at which
 /// `workload` completes with `policy` applied, under `template`'s layout
-/// and cost models: one probe run and one elastic run (see the module
-/// docs). Equals [`min_heap_size_with`] for the same arguments.
+/// and cost models: one uncapped lifetime run (see the module docs).
+/// Equals [`min_heap_size_with`] for the same arguments.
 ///
 /// `hint` seeds the search grid (e.g. the profiling run's peak live bytes).
 ///
@@ -125,22 +132,15 @@ pub fn min_heap_size(
     hint: u64,
     template: &EnvConfig,
 ) -> u64 {
-    let probe = Env::new(&EnvConfig {
+    let env = Env::new(&EnvConfig {
         heap_capacity: None,
-        gc_interval_bytes: Some(PROBE_GC_INTERVAL),
+        gc_interval_bytes: Some(LIFETIME_GC_INTERVAL),
         ..trial_config(0, template)
     });
-    probe.apply_policy(policy);
-    probe.run(workload);
-    let floor = probe.heap.peak_need();
-    drop(probe);
-
-    let env = Env::new(&trial_config(grid_point(hint, floor), template));
+    env.heap.record_lifetimes();
     env.apply_policy(policy);
-    env.heap
-        .set_capacity_raise(Some(Box::new(move |need| grid_point(hint, need))));
     env.run(workload);
-    env.heap.capacity().expect("the elastic run is capped")
+    grid_point(hint, env.heap.lifetime_peak())
 }
 
 /// Binary-searches the minimal heap capacity (to [`MIN_HEAP_STEP`]
@@ -213,7 +213,7 @@ mod tests {
         })
     }
 
-    /// Asserts that the two-run search equals the bisection oracle and
+    /// Asserts that the one-run search equals the bisection oracle and
     /// returns their common answer.
     fn assert_matches_oracle(w: &dyn Workload, policy: &[PortableUpdate], hint: u64) -> u64 {
         let template = EnvConfig::default();
@@ -221,7 +221,7 @@ mod tests {
         assert_eq!(
             min_heap_size(w, policy, hint, &template),
             oracle,
-            "two-run search disagrees with the bisection (hint {hint})"
+            "one-run search disagrees with the bisection (hint {hint})"
         );
         oracle
     }
@@ -234,14 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn two_run_search_matches_oracle_on_pinned_maps() {
+    fn one_run_search_matches_oracle_on_pinned_maps() {
         for n in [20, 100, 3000] {
             assert_matches_oracle(&pinned_maps(n), &[], 64 * 1024);
         }
     }
 
     #[test]
-    fn two_run_search_matches_oracle_when_the_grid_doubles() {
+    fn one_run_search_matches_oracle_when_the_grid_doubles() {
         // 3000 pinned maps need far more than the 64 KiB the hint floors
         // at, so both searches double the bound several times.
         let min = assert_matches_oracle(&pinned_maps(3000), &[], 1);
@@ -249,18 +249,18 @@ mod tests {
     }
 
     #[test]
-    fn two_run_search_matches_oracle_with_a_hint_far_above() {
+    fn one_run_search_matches_oracle_with_a_hint_far_above() {
         assert_matches_oracle(&pinned_maps(20), &[], 64 * 1024 * 1024);
     }
 
     #[test]
-    fn two_run_search_matches_oracle_on_an_empty_workload() {
+    fn one_run_search_matches_oracle_on_an_empty_workload() {
         let w = ("empty", |_: &CollectionFactory| {});
         assert_eq!(assert_matches_oracle(&w, &[], 64 * 1024), MIN_HEAP_STEP);
     }
 
     #[test]
-    fn two_run_search_matches_oracle_when_one_request_sets_the_peak() {
+    fn one_run_search_matches_oracle_when_one_request_sets_the_peak() {
         // A small live set, then one 64k-slot backing array: the peak is
         // the array request, not the live set before it.
         let w = ("one-big-array", |f: &CollectionFactory| {

@@ -120,6 +120,10 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     // The sweep list is ascending, so slots are freed in ascending index order.
     let sweep_span = lane.as_ref().map(|l| l.scope("gc_sweep"));
     let sweep_timer = timed.then(SpanTimer::start);
+    if let Some(mut lifetimes) = inner.lifetimes.take() {
+        lifetimes.propagate(inner, &marks, epoch, &sweep_list);
+        inner.lifetimes = Some(lifetimes);
+    }
     for &i in &sweep_list {
         inner.release_slot(i as usize);
         inner.free.push(i);

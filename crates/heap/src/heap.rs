@@ -52,6 +52,7 @@ use crate::clock::SimClock;
 use crate::context::{ContextExport, ContextId, ContextTable, FrameId};
 use crate::gc::{self, AdtCached};
 use crate::layout::MemoryModel;
+use crate::lifetime::Lifetimes;
 use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRange};
 use crate::semantic::{ClassRegistry, SemanticMap};
 use crate::snapshot::{HeapProfConfig, HeapProfState, HeapSnapshot};
@@ -67,13 +68,12 @@ use std::rc::Rc;
 /// Panic payload used for the simulated `OutOfMemoryError`.
 ///
 /// [`Heap`] panics with this payload when an allocation does not fit under
-/// the configured capacity even after a full GC and no capacity raise is
-/// set ([`Heap::set_capacity_raise`]). Of the minimal-heap searches, only
-/// the bisection oracle (`completes_under_with` in `chameleon-core`)
-/// catches it, with `std::panic::catch_unwind`, to learn that a capacity
-/// is too small; the production search raises the capacity instead and
-/// never unwinds. Elsewhere (a serve tenant, a parallel partition) it is
-/// an ordinary panic.
+/// the configured capacity even after a full GC. Only the minimal-heap
+/// bisection oracle (`completes_under_with` in `chameleon-core`) catches
+/// it, with `std::panic::catch_unwind`, to learn that a capacity is too
+/// small; the production search runs uncapped and reads the capacity it
+/// needs from a lifetime trace ([`Heap::record_lifetimes`]). Elsewhere (a
+/// serve tenant, a parallel partition) it is an ordinary panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfMemory {
     /// Bytes the failing allocation requested.
@@ -187,10 +187,9 @@ pub(crate) struct HeapInner {
     /// Largest live-after-GC plus request over the collections
     /// `ensure_room` ran: a lower bound on the capacity a run needs.
     pub(crate) peak_need: u64,
-    /// Capacity raise rule: an allocation that still does not fit after
-    /// its GC sets the capacity to `raise(live + request)` instead of
-    /// panicking with [`OutOfMemory`].
-    raise: Option<Box<dyn Fn(u64) -> u64>>,
+    /// Merlin lifetime trace; `None` (the default) keeps allocation and
+    /// the reference barriers free of it.
+    pub(crate) lifetimes: Option<Lifetimes>,
     /// Root registrations per slot, parallel to `slab` (0 = not a root).
     pub(crate) root_counts: Vec<u32>,
     pub(crate) classes: ClassRegistry,
@@ -318,7 +317,7 @@ impl Heap {
             gc_interval_bytes: config.gc_interval_bytes,
             bytes_since_gc: 0,
             peak_need: 0,
-            raise: None,
+            lifetimes: None,
             root_counts: Vec::new(),
             classes: ClassRegistry::new(),
             contexts: ContextTable::new(),
@@ -445,26 +444,6 @@ impl Heap {
     /// The layout model this heap uses.
     pub fn model(&self) -> MemoryModel {
         self.lock("model").model
-    }
-
-    /// Changes the capacity cap.
-    pub fn set_capacity(&self, capacity: Option<u64>) {
-        self.lock("set_capacity").capacity = capacity;
-    }
-
-    /// The current capacity cap (`None` = unbounded).
-    pub fn capacity(&self) -> Option<u64> {
-        self.lock("capacity").capacity
-    }
-
-    /// Makes a capped heap elastic (with `Some`) or strict again (with
-    /// `None`). While elastic, an allocation that does not fit even after
-    /// its GC sets the capacity to `raise(live + request)` and proceeds,
-    /// where a strict heap panics with [`OutOfMemory`]; `raise` must
-    /// return at least its argument. The minimal-heap search reads the
-    /// final capacity after one elastic run.
-    pub fn set_capacity_raise(&self, raise: Option<Box<dyn Fn(u64) -> u64>>) {
-        self.lock("set_capacity_raise").raise = raise;
     }
 
     // ----- classes and contexts -------------------------------------------------
@@ -768,8 +747,11 @@ impl Heap {
         };
         for &(src, field, dst) in links {
             let src = id(src);
-            let range = inner.resolve(src).body.ref_range();
-            inner.ref_pool[range.slot(field)] = dst.map(id);
+            let slot = inner.resolve(src).body.ref_range().slot(field);
+            if inner.lifetimes.is_some() {
+                inner.stamp_target(slot);
+            }
+            inner.ref_pool[slot] = dst.map(id);
             inner.flags[src.index as usize] |= F_DIRTY;
         }
         for &root in roots {
@@ -791,7 +773,11 @@ impl Heap {
             ObjBody::Scalar { refs, .. } => refs,
             ObjBody::Array { .. } => panic!("set_ref on array object; use set_elem"),
         };
-        inner.ref_pool[range.slot(field)] = target;
+        let slot = range.slot(field);
+        if inner.lifetimes.is_some() {
+            inner.stamp_target(slot);
+        }
+        inner.ref_pool[slot] = target;
         inner.flags[obj.index as usize] |= F_DIRTY;
     }
 
@@ -812,7 +798,11 @@ impl Heap {
             ObjBody::Array { slots, .. } => slots,
             ObjBody::Scalar { .. } => panic!("set_elem on scalar object; use set_ref"),
         };
-        inner.ref_pool[range.slot(idx)] = target;
+        let slot = range.slot(idx);
+        if inner.lifetimes.is_some() {
+            inner.stamp_target(slot);
+        }
+        inner.ref_pool[slot] = target;
         inner.flags[arr.index as usize] |= F_DIRTY;
     }
 
@@ -892,6 +882,9 @@ impl Heap {
         if let Some(i) = inner.live_slot(obj) {
             let n = &mut inner.root_counts[i];
             *n = n.saturating_sub(1);
+            if let Some(lt) = &mut inner.lifetimes {
+                lt.touch(i);
+            }
         }
     }
 
@@ -954,6 +947,50 @@ impl Heap {
     /// the same mutator needs at least this capacity.
     pub fn peak_need(&self) -> u64 {
         self.lock("peak_need").peak_need
+    }
+
+    /// Starts a Merlin lifetime trace (see the `lifetime` module): from
+    /// now on the heap records when each object is allocated and, at each
+    /// GC, when each swept object was last reachable, so
+    /// [`Heap::lifetime_peak`] can tell from this one run the capacity a
+    /// capped run of the same mutator needs. Objects already on the heap
+    /// count as allocated before the first allocation. Restarting discards
+    /// the trace so far.
+    pub fn record_lifetimes(&self) {
+        let mut inner = self.lock("record_lifetimes");
+        inner.lifetimes = Some(Lifetimes::new(inner.slab.len()));
+    }
+
+    /// Collects, ends the lifetime trace and returns `T`: the largest
+    /// live-plus-request over every allocation since
+    /// [`Heap::record_lifetimes`] (0 if there was none). A capped run of
+    /// the same mutator completes iff its capacity is at least `T`,
+    /// provided the mutator never touches an object a GC at an earlier
+    /// allocation would have swept, and then `T` does not depend on this
+    /// run's GC schedule. A run that collects before every allocation
+    /// (`gc_interval_bytes: Some(0)`) reports the same `T` as its
+    /// [`Heap::peak_need`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no lifetime trace is being recorded.
+    pub fn lifetime_peak(&self) -> u64 {
+        self.lifetime_needs().into_iter().max().unwrap_or(0)
+    }
+
+    /// Collects, ends the lifetime trace and returns live-plus-request at
+    /// every allocation since [`Heap::record_lifetimes`], in order: what a
+    /// heap that collects before every allocation needs at each one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no lifetime trace is being recorded.
+    pub(crate) fn lifetime_needs(&self) -> Vec<u64> {
+        let mut inner = self.lock("lifetime_needs");
+        assert!(inner.lifetimes.is_some(), "no lifetime trace is recorded");
+        gc::collect(&mut inner);
+        let lifetimes = inner.lifetimes.take().expect("checked above");
+        lifetimes.needs(&inner)
     }
 
     /// Number of objects currently in the table (live + garbage).
@@ -1068,6 +1105,9 @@ impl BatchAlloc {
 
 impl HeapInner {
     fn ensure_room(&mut self, size: u64) {
+        if let Some(lt) = &mut self.lifetimes {
+            lt.request(size);
+        }
         if let Some(interval) = self.gc_interval_bytes {
             if self.bytes_since_gc + size > interval {
                 self.collect_for(size);
@@ -1077,24 +1117,12 @@ impl HeapInner {
         if self.heap_bytes + size <= cap {
             return;
         }
-        let need = self.collect_for(size);
-        if need <= cap {
-            return;
-        }
-        match &self.raise {
-            Some(raise) => {
-                let raised = raise(need);
-                assert!(
-                    raised >= need,
-                    "capacity raise {need} -> {raised} still does not fit"
-                );
-                self.capacity = Some(raised);
-            }
-            None => std::panic::panic_any(OutOfMemory {
+        if self.collect_for(size) > cap {
+            std::panic::panic_any(OutOfMemory {
                 requested: size,
                 capacity: cap,
                 live_after_gc: self.heap_bytes,
-            }),
+            });
         }
     }
 
@@ -1106,6 +1134,16 @@ impl HeapInner {
         let need = self.heap_bytes + size;
         self.peak_need = self.peak_need.max(need);
         need
+    }
+
+    /// Stamps the object ref-pool `slot` points at, which is about to lose
+    /// that reference, as reachable now (lifetime trace only).
+    #[cold]
+    fn stamp_target(&mut self, slot: usize) {
+        let old = self.ref_pool[slot].and_then(|old| self.live_slot(old));
+        if let (Some(i), Some(lt)) = (old, &mut self.lifetimes) {
+            lt.touch(i);
+        }
     }
 
     /// Takes a `len`-slot range from the ref pool: exact-size free-bucket
@@ -1189,12 +1227,15 @@ impl HeapInner {
             self.root_counts.push(0);
             (self.slab.len() - 1) as u32
         };
+        if let Some(lt) = &mut self.lifetimes {
+            lt.born(index as usize);
+        }
         ObjId { index, generation }
     }
 
     /// Slot index of `obj` if it is live: occupied, with a matching
     /// generation.
-    fn live_slot(&self, obj: ObjId) -> Option<usize> {
+    pub(crate) fn live_slot(&self, obj: ObjId) -> Option<usize> {
         let i = obj.index as usize;
         (self.flags.get(i).is_some_and(|f| f & F_OCCUPIED != 0)
             && self.slab[i].generation == obj.generation)
@@ -1467,22 +1508,6 @@ mod tests {
             .downcast_ref::<OutOfMemory>()
             .expect("payload is OutOfMemory");
         assert_eq!(oom.capacity, 256);
-    }
-
-    #[test]
-    fn capacity_raise_replaces_oom() {
-        let heap = Heap::with_capacity(256);
-        heap.set_capacity_raise(Some(Box::new(|need: u64| need.next_multiple_of(1024))));
-        let class = heap.register_class("Obj", None);
-        for _ in 0..100 {
-            let o = heap.alloc_scalar(class, 0, 24, None); // 32 B each
-            heap.add_root(o);
-        }
-        // The 97th pinned 32 B object needed 3104 B and raised the
-        // capacity to 4096 B, which the remaining three fit under.
-        assert_eq!(heap.capacity(), Some(4096));
-        assert_eq!(heap.peak_need(), 3104);
-        assert_eq!(heap.heap_bytes(), 3200);
     }
 
     #[test]

@@ -56,6 +56,7 @@ mod gc;
 #[allow(clippy::module_inception)]
 pub mod heap;
 pub mod layout;
+mod lifetime;
 pub mod object;
 pub mod semantic;
 pub mod snapshot;

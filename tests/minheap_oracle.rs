@@ -1,5 +1,5 @@
-//! Release-mode oracle gate for the minimal-heap search: the two-run
-//! search (`min_heap_size`) must return exactly what the bisection
+//! Release-mode oracle gate for the minimal-heap search: the one-run
+//! lifetime search (`min_heap_size`) must return exactly what the bisection
 //! (`min_heap_size_with`) returns on every search the paper's figures
 //! make — the 12 of `run_experiment` (6 workloads, each without a policy
 //! and with the builtin rules' policy) and Fig. 6's bloat manual-lazy
@@ -24,21 +24,21 @@ fn check(label: &str, w: &dyn Workload, policy: &[PortableUpdate], hint: u64) ->
     let oracle = min_heap_size_with(w, policy, hint, &template);
     let oracle_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let two_run = min_heap_size(w, policy, hint, &template);
-    let two_run_ms = t.elapsed().as_secs_f64() * 1e3;
+    let one_run = min_heap_size(w, policy, hint, &template);
+    let one_run_ms = t.elapsed().as_secs_f64() * 1e3;
     println!(
-        "{label:<24} {oracle:>10} B  bisection {oracle_ms:>8.1} ms  two-run {two_run_ms:>8.1} ms"
+        "{label:<24} {oracle:>10} B  bisection {oracle_ms:>8.1} ms  one-run {one_run_ms:>8.1} ms"
     );
     assert_eq!(
-        two_run, oracle,
-        "{label}: two-run search disagrees with the bisection"
+        one_run, oracle,
+        "{label}: one-run search disagrees with the bisection"
     );
     oracle
 }
 
 #[test]
 #[ignore = "runs every paper workload ~60 times; run in release with --ignored"]
-fn two_run_search_matches_bisection_on_every_paper_search() {
+fn one_run_search_matches_bisection_on_every_paper_search() {
     let engine = RuleEngine::builtin();
     for w in paper_benchmarks() {
         // The profile, policy and hint of `run_experiment`'s step 4.
