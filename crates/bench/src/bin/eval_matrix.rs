@@ -1,13 +1,12 @@
-//! Experiment-matrix evaluation fleet. Runs (or resumes) a matrix of
-//! workloads × rulesets × heap presets × threads × telemetry cells and
-//! maintains a results directory with `manifest.json`, `cells.jsonl` and
-//! a machine-validated `summary.json`.
+//! Experiment-matrix evaluation fleet, and its only front end. Runs a
+//! matrix of workloads × rulesets × heap presets × threads × telemetry
+//! cells in one sequential pass and writes a machine-validated
+//! `summary.json` into the results directory.
 //!
 //! ```text
-//! eval_matrix [--spec FILE] [--workloads a,b] [--rulesets builtin,FILE]
+//! eval_matrix [--workloads a,b] [--rulesets builtin,FILE]
 //!             [--heaps default,small-gc] [--threads 1,2,4]
-//!             [--telemetry-axis off,on]
-//!             [--out DIR] [--jobs N] [--max-cells N] [--fresh]
+//!             [--telemetry-axis off,on] [--out DIR]
 //! eval_matrix --gate [--golden FILE] [--out DIR]
 //! eval_matrix --report [--out DIR]
 //! eval_matrix --write-golden FILE [--out DIR]

@@ -1,19 +1,17 @@
 //! # Experiment-matrix evaluation fleet
 //!
-//! One rig that observes the whole system across configurations: a
-//! declarative matrix spec (workloads × rulesets × heap presets × threads
-//! × telemetry) expands into cells, each cell runs the quick profile →
-//! suggest → apply → re-run experiment, and a results directory
-//! accumulates a `manifest.json`, one JSONL row per completed cell, and a
-//! machine-validated `summary.json`. Killed runs resume from the rows on
-//! disk (config-hash checked); `--gate` diffs against checked-in goldens;
-//! `--report` folds a results directory into markdown.
+//! One rig that observes the whole system across configurations: five
+//! axes (workloads × rulesets × heap presets × threads × telemetry)
+//! expand into cells, each cell runs the quick profile → suggest → apply
+//! → re-run experiment, and one sequential pass writes every cell's row
+//! into a machine-validated `summary.json`. `--gate` diffs the summary
+//! against a checked-in golden; `--report` folds it into markdown.
 //!
 //! Cells carry simulated results only. What the tool costs in wall-clock
 //! time is measured by the end-to-end benchmark under `benchmark/`.
 //!
-//! Both entry points — the `eval_matrix` binary and `chameleon eval` —
-//! funnel into [`run_with`] with a flat string-keyed option map.
+//! The `eval_matrix` binary is the only front end; it hands [`run_with`]
+//! a flat string-keyed option map.
 
 pub mod gate;
 pub mod report;
@@ -22,47 +20,36 @@ pub mod spec;
 
 pub use gate::{gate, write_golden, DEFAULT_TOLERANCE_PCT};
 pub use report::report;
-pub use run::{run_matrix, RunOptions, RunOutcome, ROW_KEYS};
+pub use run::{run_matrix, ROW_KEYS};
 pub use spec::{heap_preset, resolve_ruleset, Cell, EvalSpec, HEAP_PRESETS, SCHEMA};
 
 use crate::out::out_dir;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// Value-carrying option keys [`run_with`] understands, shared by both
-/// front ends so the CLI and the binary cannot drift apart.
-pub const VALUE_KEYS: [&str; 11] = [
-    "spec",
+/// Value-carrying option keys [`run_with`] understands.
+pub const VALUE_KEYS: [&str; 8] = [
     "workloads",
     "rulesets",
     "heaps",
     "threads",
     "telemetry-axis",
     "out",
-    "jobs",
-    "max-cells",
     "golden",
     "write-golden",
 ];
 
 /// Boolean option keys (present = true).
-pub const FLAG_KEYS: [&str; 3] = ["gate", "report", "fresh"];
+pub const FLAG_KEYS: [&str; 2] = ["gate", "report"];
 
 /// Default golden the gate compares against when `--golden` is not given.
 pub const DEFAULT_GOLDEN: &str = "crates/bench/goldens/default.json";
 
 /// Runs one eval invocation from a flat option map (value options hold
 /// their value; flags hold `"true"`). Returns the text to print on
-/// success; errors map to a nonzero exit in both front ends.
+/// success; errors map to a nonzero exit.
 pub fn run_with(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    let mut spec = match opts.get("spec") {
-        Some(path) => {
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read spec {path}: {e}"))?;
-            EvalSpec::parse(&src).map_err(|e| format!("{path}: {e}"))?
-        }
-        None => EvalSpec::default(),
-    };
+    let mut spec = EvalSpec::default();
     let list = |key: &str| -> Option<Vec<String>> {
         opts.get(key).map(|v| {
             v.split(',')
@@ -81,10 +68,10 @@ pub fn run_with(opts: &BTreeMap<String, String>) -> Result<String, String> {
         spec.heaps = v;
     }
     if let Some(v) = list("threads") {
-        spec.threads = spec::parse_usize_list(&v, 0)?;
+        spec.threads = spec::parse_usize_list("threads", &v)?;
     }
     if let Some(v) = list("telemetry-axis") {
-        spec.telemetry = spec::parse_bool_list(&v, 0)?;
+        spec.telemetry = spec::parse_bool_list("telemetry-axis", &v)?;
     }
 
     let dir: PathBuf = match opts.get("out") {
@@ -107,29 +94,9 @@ pub fn run_with(opts: &BTreeMap<String, String>) -> Result<String, String> {
         return Ok(format!("wrote golden with {n} cell(s) to {path}"));
     }
 
-    let parse_num = |key: &str| -> Result<Option<usize>, String> {
-        opts.get(key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("--{key} `{v}` is not a number"))
-            })
-            .transpose()
-    };
-    let jobs =
-        parse_num("jobs")?.unwrap_or_else(|| crate::out::available_parallelism().clamp(1, 4));
-    let run_opts = RunOptions {
-        spec,
-        dir: dir.clone(),
-        jobs,
-        max_cells: parse_num("max-cells")?,
-        fresh: opts.contains_key("fresh"),
-    };
-    let outcome = run_matrix(&run_opts)?;
+    let cells = run_matrix(&spec, &dir)?;
     Ok(format!(
-        "eval matrix complete: {} cell(s) ({} computed, {} resumed) -> {}",
-        outcome.total,
-        outcome.computed,
-        outcome.skipped,
+        "eval matrix complete: {cells} cell(s) -> {}",
         dir.display()
     ))
 }

@@ -1,17 +1,17 @@
-//! Matrix specification: axes, cells, and the config-hash resume contract.
+//! Matrix specification: axes, cells, and the config hash the gate checks.
 //!
 //! A spec is the cross product of five axes (workloads × rulesets × heap
 //! presets × thread counts × telemetry on/off). Each resulting [`Cell`]
 //! carries a filesystem-safe id and an FNV-1a config hash over everything
 //! that could change its results — including the *source text* of a custom
-//! ruleset — so a resumed run recomputes exactly the cells whose
-//! configuration drifted and skips the rest.
+//! ruleset — so the gate can tell a drifted result from a changed
+//! configuration whose golden must be regenerated.
 
 use std::path::PathBuf;
 
-/// Results-schema identifier stamped into every manifest, summary and
-/// golden. Bump when a field changes meaning; the hash covers it, so old
-/// rows are recomputed rather than misread.
+/// Results-schema identifier stamped into every summary and golden. Bump
+/// when a field changes meaning; the hash covers it, so the gate asks for
+/// a regenerated golden rather than misreading an old one.
 pub const SCHEMA: &str = "chameleon-eval/1";
 
 /// The five evaluation axes.
@@ -72,18 +72,6 @@ impl Cell {
             self.heap,
             self.threads,
             if self.telemetry { "on" } else { "off" }
-        )
-    }
-
-    /// Pair key for the telemetry-invariance cross-check: the id with the
-    /// telemetry component erased.
-    pub fn pair_key(&self) -> String {
-        format!(
-            "{}+{}+{}+t{}",
-            self.workload,
-            ruleset_tag(&self.ruleset),
-            self.heap,
-            self.threads
         )
     }
 
@@ -228,56 +216,29 @@ impl EvalSpec {
         }
         Ok(())
     }
-
-    /// Parses a declarative spec file: `key = v1, v2` lines, `#` comments,
-    /// blank lines ignored. Unset keys keep their [`Default`] values.
-    pub fn parse(src: &str) -> Result<EvalSpec, String> {
-        let mut spec = EvalSpec::default();
-        for (lineno, raw) in src.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = values`", lineno + 1))?;
-            let values: Vec<String> = value
-                .split(',')
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .collect();
-            match key.trim() {
-                "workloads" => spec.workloads = values,
-                "rulesets" => spec.rulesets = values,
-                "heaps" => spec.heaps = values,
-                "threads" => spec.threads = parse_usize_list(&values, lineno + 1)?,
-                "telemetry" => spec.telemetry = parse_bool_list(&values, lineno + 1)?,
-                other => return Err(format!("line {}: unknown key `{other}`", lineno + 1)),
-            }
-        }
-        Ok(spec)
-    }
 }
 
-/// Parses a comma-separated thread list (`"1,2,4"`).
-pub fn parse_usize_list(values: &[String], lineno: usize) -> Result<Vec<usize>, String> {
+/// Parses the split values of a thread-list option (`--threads 1,2,4`);
+/// errors name `key`.
+pub(crate) fn parse_usize_list(key: &str, values: &[String]) -> Result<Vec<usize>, String> {
     values
         .iter()
         .map(|v| {
             v.parse()
-                .map_err(|_| format!("line {lineno}: `{v}` is not a number"))
+                .map_err(|_| format!("--{key} `{v}` is not a number"))
         })
         .collect()
 }
 
-/// Parses a comma-separated telemetry axis (`"off,on"`).
-pub fn parse_bool_list(values: &[String], lineno: usize) -> Result<Vec<bool>, String> {
+/// Parses the split values of an on/off option (`--telemetry-axis
+/// off,on`); errors name `key`.
+pub(crate) fn parse_bool_list(key: &str, values: &[String]) -> Result<Vec<bool>, String> {
     values
         .iter()
         .map(|v| match v.as_str() {
             "on" | "true" | "1" => Ok(true),
             "off" | "false" | "0" => Ok(false),
-            other => Err(format!("line {lineno}: `{other}` is not on/off")),
+            other => Err(format!("--{key} `{other}` is not on/off")),
         })
         .collect()
 }
@@ -337,18 +298,24 @@ mod tests {
     }
 
     #[test]
-    fn spec_file_overrides_defaults() {
-        let spec = EvalSpec::parse(
-            "# mini matrix\nworkloads = synthetic\nthreads = 1, 2\ntelemetry = off\n",
-        )
-        .expect("parses");
-        assert_eq!(spec.workloads, ["synthetic"]);
-        assert_eq!(spec.threads, [1, 2]);
-        assert_eq!(spec.telemetry, [false]);
-        // Unset axes keep their defaults.
-        assert_eq!(spec.heaps.len(), 2);
-        assert!(EvalSpec::parse("bogus = 1").is_err());
-        assert!(EvalSpec::parse("threads = x").is_err());
+    fn axis_parse_errors_name_the_option() {
+        let vals = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_usize_list("threads", &vals(&["1", "2"])),
+            Ok(vec![1, 2])
+        );
+        assert_eq!(
+            parse_usize_list("threads", &vals(&["1", "x"])),
+            Err("--threads `x` is not a number".to_string())
+        );
+        assert_eq!(
+            parse_bool_list("telemetry-axis", &vals(&["off", "on"])),
+            Ok(vec![false, true])
+        );
+        assert_eq!(
+            parse_bool_list("telemetry-axis", &vals(&["maybe"])),
+            Err("--telemetry-axis `maybe` is not on/off".to_string())
+        );
     }
 
     #[test]

@@ -22,21 +22,15 @@ pub fn out_dir() -> PathBuf {
     }
 }
 
-/// Number of hardware threads the host exposes (1 when unknown). Recorded
-/// in the eval manifest, summary and golden so a reader can tell which
-/// host a results directory came from.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Host metadata as a telemetry JSON value: core count, OS and arch.
+/// Host metadata as a telemetry JSON value: core count (1 when unknown),
+/// OS and arch. Recorded in the eval summary and golden so a reader can
+/// tell which host a results directory came from.
 pub fn host_meta() -> Value {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut obj = BTreeMap::new();
     obj.insert(
         "available_parallelism".to_string(),
-        Value::Num(available_parallelism() as f64),
+        Value::Num(cores as f64),
     );
     obj.insert(
         "os".to_string(),

@@ -1,8 +1,8 @@
-//! End-to-end exercises of the eval fleet: run, kill-and-resume,
-//! config-hash invalidation, and golden gating — all against temp
-//! directories so the repo's real `results/` and goldens stay untouched.
+//! End-to-end exercises of the eval fleet: run, report, golden gating,
+//! and config-hash changes — all against temp directories so the repo's
+//! real `results/` and goldens stay untouched.
 
-use chameleon_bench::eval::{gate, run_matrix, write_golden, EvalSpec, RunOptions};
+use chameleon_bench::eval::{gate, report, run_matrix, write_golden, EvalSpec};
 use chameleon_telemetry::json::{self, Value};
 use std::path::{Path, PathBuf};
 
@@ -22,43 +22,36 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn opts(spec: EvalSpec, dir: &Path) -> RunOptions {
-    RunOptions {
-        spec,
-        dir: dir.to_path_buf(),
-        jobs: 2,
-        max_cells: None,
-        fresh: false,
-    }
+/// File names in `dir`, sorted.
+fn files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("results dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 #[test]
-fn run_resume_and_gate_roundtrip() {
-    let dir = temp_dir("roundtrip");
-    let outcome = run_matrix(&opts(tiny_spec(), &dir)).expect("first run");
+fn run_and_gate_roundtrip() {
+    let root = temp_dir("roundtrip");
+    let dir = root.join("results");
+    assert_eq!(run_matrix(&tiny_spec(), &dir).expect("run"), 4);
     assert_eq!(
-        (outcome.computed, outcome.skipped, outcome.total),
-        (4, 0, 4)
-    );
-    for f in ["manifest.json", "cells.jsonl", "summary.json"] {
-        assert!(dir.join(f).exists(), "{f} must exist");
-    }
-
-    // A second run resumes every cell from the rows on disk.
-    let outcome = run_matrix(&opts(tiny_spec(), &dir)).expect("resume run");
-    assert_eq!(
-        (outcome.computed, outcome.skipped, outcome.total),
-        (0, 4, 4)
+        files(&dir),
+        ["summary.json"],
+        "a run writes one results file"
     );
 
-    // `--fresh` recomputes everything.
-    let mut fresh = opts(tiny_spec(), &dir);
-    fresh.fresh = true;
-    let outcome = run_matrix(&fresh).expect("fresh run");
-    assert_eq!((outcome.computed, outcome.skipped), (4, 0));
+    let md = report(&dir).expect("report");
+    assert!(md.contains("4 cell(s)"), "{md}");
+    assert_eq!(files(&dir), ["report.md", "summary.json"]);
+
+    let err = gate(&dir, &root.join("no-such-golden.json")).expect_err("missing golden");
+    assert!(err.contains("cannot read golden"), "{err}");
 
     // A golden distilled from the run gates cleanly against it...
-    let golden = dir.join("golden.json");
+    let golden = root.join("golden.json");
     let n = write_golden(&dir, &golden).expect("golden");
     assert_eq!(n, 4);
     let msg = gate(&dir, &golden).expect("gate passes");
@@ -83,34 +76,12 @@ fn run_resume_and_gate_roundtrip() {
     assert!(err.contains("cost_ratio drifted"), "{err}");
     assert!(err.contains("gate FAILED"), "{err}");
 
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
-#[test]
-fn max_cells_kill_then_resume_completes_without_recomputation() {
-    let dir = temp_dir("kill_resume");
-    let mut killed = opts(tiny_spec(), &dir);
-    killed.jobs = 1;
-    killed.max_cells = Some(1);
-    let err = run_matrix(&killed).expect_err("truncated run exits nonzero");
-    assert!(err.contains("--max-cells"), "{err}");
-    let rows = std::fs::read_to_string(dir.join("cells.jsonl")).expect("rows");
-    assert_eq!(rows.lines().count(), 1, "exactly one completed cell");
-
-    // The follow-up run picks up the surviving row and only computes the
-    // remaining three cells.
-    let outcome = run_matrix(&opts(tiny_spec(), &dir)).expect("resume");
-    assert_eq!(
-        (outcome.computed, outcome.skipped, outcome.total),
-        (3, 1, 4)
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn manifest_ids(dir: &Path) -> Vec<String> {
-    let src = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
-    let doc = json::parse(&src).expect("manifest parses");
+fn summary_ids(dir: &Path) -> Vec<String> {
+    let src = std::fs::read_to_string(dir.join("summary.json")).expect("summary");
+    let doc = json::parse(&src).expect("summary parses");
     let cells = doc.get("cells").and_then(Value::as_arr).expect("cells");
     cells
         .iter()
@@ -119,13 +90,14 @@ fn manifest_ids(dir: &Path) -> Vec<String> {
 }
 
 #[test]
-fn config_change_invalidates_stale_rows() {
+fn config_change_fails_the_gate_until_the_golden_is_regenerated() {
     // Editing a ruleset file in place keeps every cell id but changes the
-    // source text the config hash covers, so nothing on disk is eligible
-    // for resume.
-    let dir = temp_dir("invalidate");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let rules = dir.join("policy.rules");
+    // source text the config hash covers, so the gate refuses to compare
+    // the new rows with the old golden.
+    let root = temp_dir("config_change");
+    let dir = root.join("results");
+    std::fs::create_dir_all(&root).expect("temp dir");
+    let rules = root.join("policy.rules");
     let write_rules = |bound: u32| {
         let src = format!("HashMap : maxSize < {bound} -> ArrayMap \"Space: small\";");
         std::fs::write(&rules, src).expect("write ruleset");
@@ -133,15 +105,22 @@ fn config_change_invalidates_stale_rows() {
     write_rules(8);
     let mut spec = tiny_spec();
     spec.rulesets = vec![rules.display().to_string()];
-    run_matrix(&opts(spec.clone(), &dir)).expect("seed run");
-    let ids = manifest_ids(&dir);
+    run_matrix(&spec, &dir).expect("seed run");
+    let ids = summary_ids(&dir);
+    let golden = root.join("golden.json");
+    write_golden(&dir, &golden).expect("golden");
 
     write_rules(16);
-    let outcome = run_matrix(&opts(spec, &dir)).expect("recompute");
-    assert_eq!((outcome.computed, outcome.skipped), (4, 0));
-    assert_eq!(manifest_ids(&dir), ids, "cell ids survive the edit");
+    run_matrix(&spec, &dir).expect("rerun");
+    assert_eq!(summary_ids(&dir), ids, "cell ids survive the edit");
+    let err = gate(&dir, &golden).expect_err("changed config must fail the gate");
+    assert_eq!(err.matches("config hash changed").count(), 4, "{err}");
+    assert!(err.contains("regenerate the golden"), "{err}");
 
-    let _ = std::fs::remove_dir_all(&dir);
+    write_golden(&dir, &golden).expect("regenerated golden");
+    gate(&dir, &golden).expect("regenerated golden gates cleanly");
+
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -151,7 +130,7 @@ fn checked_in_ci_golden_matches_a_fresh_run() {
     // does. The simulation is deterministic, so debug and release runs
     // must both match the (release-generated) golden exactly.
     let dir = temp_dir("ci_golden");
-    run_matrix(&opts(tiny_spec(), &dir)).expect("run");
+    run_matrix(&tiny_spec(), &dir).expect("run");
     let golden = chameleon_bench::eval::workspace_path("crates/bench/goldens/ci-mini.json");
     let msg = gate(&dir, &golden).expect("checked-in golden matches");
     assert!(msg.contains("4 cell(s) match"), "{msg}");
@@ -167,7 +146,7 @@ fn summary_cross_checks_telemetry_invariance() {
     spec.heaps = vec!["default".to_owned()];
     spec.threads = vec![1];
     spec.telemetry = vec![false, true];
-    run_matrix(&opts(spec, &dir)).expect("run");
+    run_matrix(&spec, &dir).expect("run");
     let summary = std::fs::read_to_string(dir.join("summary.json")).expect("summary");
     let doc = json::parse(&summary).expect("parses");
     let inv = doc.get("telemetry_invariant").expect("invariant section");

@@ -20,10 +20,6 @@ const FLAGS: &[&str] = &[
     "manual-lazy",
     "throwable",
     "builtin",
-    // eval fleet modes (`chameleon eval`)
-    "gate",
-    "report",
-    "fresh",
     // serve transport (`chameleon serve`)
     "stdin",
 ];
@@ -43,16 +39,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "every",
     "out",
     "threads",
-    // eval fleet axes and knobs (`chameleon eval`)
-    "spec",
-    "workloads",
-    "rulesets",
-    "heaps",
-    "telemetry-axis",
-    "jobs",
-    "max-cells",
-    "golden",
-    "write-golden",
     // serve transport and adaptation knobs (`chameleon serve`, also
     // accepted by `chameleon online`)
     "socket",
@@ -65,14 +51,17 @@ const VALUE_OPTIONS: &[&str] = &[
 /// # Errors
 ///
 /// Returns a message when an option key is unknown (listing the valid
-/// ones) or when a value-taking option has no value.
+/// ones), when a value-taking option has no value, or when the
+/// subcommand does not read the option.
 pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let mut inv = Invocation::default();
+    let mut keys: Vec<&str> = Vec::new();
     let mut i = 0;
     let mut seen_positional = false;
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
+            keys.push(key);
             if FLAGS.contains(&key) {
                 inv.options.insert(key.to_owned(), "true".to_owned());
             } else if VALUE_OPTIONS.contains(&key) {
@@ -95,6 +84,17 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         }
         i += 1;
     }
+    if let Some(cmd) = SUBCOMMANDS.iter().find(|c| c.path == inv.command) {
+        if let Some(key) = keys
+            .into_iter()
+            .find(|&k| k != "help" && !cmd.option_keys().any(|o| o == k))
+        {
+            return Err(format!(
+                "option --{key} does not apply to `{}`",
+                cmd.path.join(" ")
+            ));
+        }
+    }
     Ok(inv)
 }
 
@@ -113,13 +113,24 @@ pub struct Subcommand {
     /// Command words, e.g. `["rules", "check"]`.
     pub path: &'static [&'static str],
     /// Synopsis after the command words (empty when the command is bare).
+    /// Every `--key` it names is an option the command reads, and no
+    /// other option is accepted (`--help` aside).
     pub usage: &'static str,
 }
 
+impl Subcommand {
+    /// The option keys the usage synopsis names, without their `--`.
+    pub fn option_keys(&self) -> impl Iterator<Item = &'static str> {
+        self.usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+    }
+}
+
 /// Single source of truth for the subcommand surface. Command-word
-/// recognition, the generated `--help` text, and the dispatch-coverage
-/// test all derive from this table, so a new subcommand cannot be added
-/// without appearing in the help output.
+/// recognition, the generated `--help` text, the options each command
+/// accepts, and the dispatch-coverage test all derive from this table, so
+/// a new subcommand cannot be added without appearing in the help output.
 pub const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         path: &["list-workloads"],
@@ -132,17 +143,18 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
     Subcommand {
         path: &["optimize"],
-        usage: "<workload> [--top K] [--manual-lazy]",
+        usage: "<workload> [--top K] [--manual-lazy] [--depth N] [--sample N] [--throwable]",
     },
     Subcommand {
         path: &["online"],
         usage: "<workload> [--eval-every N] [--shutoff-below B] [--confirm K] \
-                [--min-potential B]",
+                [--min-potential B] [--depth N] [--sample N] [--throwable]",
     },
     Subcommand {
         path: &["serve"],
         usage: "(--stdin | --socket PATH) [--eval-every N] [--confirm K] \
-                [--min-potential B] [--shutoff-below B]",
+                [--min-potential B] [--shutoff-below B] [--depth N] [--sample N] \
+                [--throwable]",
     },
     Subcommand {
         path: &["rules", "check"],
@@ -150,18 +162,11 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
     Subcommand {
         path: &["rules", "eval"],
-        usage: "<file.rules> <workload>",
+        usage: "<file.rules> <workload> [--depth N] [--sample N] [--throwable]",
     },
     Subcommand {
         path: &["lint"],
         usage: "<file.rules | --builtin> [--format text|json] [--deny LEVEL]",
-    },
-    Subcommand {
-        path: &["eval"],
-        usage: "[--spec FILE] [--workloads A,B] [--rulesets builtin,FILE] \
-                [--heaps P,Q] [--threads 1,2,4] [--telemetry-axis off,on] \
-                [--out DIR] [--jobs N] [--max-cells N] [--fresh] \
-                [--gate | --report | --write-golden FILE] [--golden FILE]",
     },
     Subcommand {
         path: &["help"],
@@ -321,6 +326,27 @@ mod tests {
         assert_eq!(inv.options["emit"], "events,heapprof");
         assert_eq!(inv.num("every", 1).unwrap(), 2);
         assert_eq!(inv.options["out"], "profdir");
+    }
+
+    #[test]
+    fn usage_synopses_and_option_tables_agree() {
+        // Every option a synopsis names parses, and every parseable option
+        // is read by some subcommand.
+        for c in SUBCOMMANDS {
+            for k in c.option_keys() {
+                assert!(
+                    FLAGS.contains(&k) || VALUE_OPTIONS.contains(&k),
+                    "`{}` names unknown option --{k}",
+                    c.path.join(" ")
+                );
+            }
+        }
+        for k in FLAGS.iter().chain(VALUE_OPTIONS).filter(|&&k| k != "help") {
+            assert!(
+                SUBCOMMANDS.iter().any(|c| c.option_keys().any(|o| o == *k)),
+                "no subcommand reads --{k}"
+            );
+        }
     }
 
     #[test]

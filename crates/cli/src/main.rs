@@ -10,11 +10,12 @@
 //! chameleon rules check <file.rules>
 //! chameleon rules eval <file.rules> <workload>
 //! chameleon lint <file.rules | --builtin> [--format text|json] [--deny LEVEL]
-//! chameleon eval [--spec FILE | axis overrides] [--gate | --report | ...]
 //! ```
 //!
 //! The authoritative subcommand list lives in [`args::SUBCOMMANDS`]; the
-//! `--help` text is generated from it.
+//! `--help` text and the options each subcommand accepts are derived from
+//! it. The experiment-matrix fleet has its own front end, the
+//! `eval_matrix` binary of `chameleon-bench`.
 
 #![forbid(unsafe_code)]
 
@@ -92,20 +93,6 @@ OPTIONS:
   --format F      lint: output `text` (default) or `json`
   --deny LEVEL    lint: exit non-zero on findings at or above
                   `info`, `warn`, or `error` (default error)
-
-EVAL (experiment-matrix fleet; see crates/bench/src/eval):
-  --spec FILE     declarative matrix spec (key = a, b lines); axis options
-                  below override individual axes of the spec or defaults
-  --workloads A,B --rulesets builtin,FILE --heaps P,Q --threads 1,2,4
-  --telemetry-axis off,on   matrix axes (comma-separated lists)
-  --out DIR       results directory (default <results>/eval)
-  --jobs N        worker threads executing cells (default host parallelism)
-  --max-cells N   stop after N newly computed cells (resume later)
-  --fresh         ignore rows on disk instead of resuming from them
-  --gate          diff the results directory against the golden; nonzero
-                  exit on drift   [--golden FILE]
-  --report        fold the results directory into report.md
-  --write-golden FILE   distill the results directory into a golden
 ";
 
 fn workload(name: &str) -> Option<Box<dyn Workload>> {
@@ -162,37 +149,8 @@ fn run(raw: &[String]) -> Result<(), String> {
         ["rules", "check"] => cmd_rules_check(&inv),
         ["rules", "eval"] => cmd_rules_eval(&inv),
         ["lint"] => cmd_lint(&inv),
-        ["eval"] => cmd_eval(&inv),
         _ => Err(format!("unknown command; try --help\n\n{}", usage())),
     }
-}
-
-/// `chameleon eval`: front end to the experiment-matrix evaluation fleet
-/// in `chameleon_bench::eval`. Translates the parsed invocation into the
-/// flat option map shared with the standalone `eval_matrix` binary, so the
-/// two entry points cannot drift apart.
-fn cmd_eval(inv: &Invocation) -> Result<(), String> {
-    if !inv.positional.is_empty() {
-        return Err(format!(
-            "eval takes no positional operands (got `{}`); axes are set with \
-             --workloads/--rulesets/... lists",
-            inv.positional.join(" ")
-        ));
-    }
-    let mut opts = std::collections::BTreeMap::new();
-    for (k, v) in &inv.options {
-        let key = k.as_str();
-        if chameleon_bench::eval::VALUE_KEYS.contains(&key)
-            || chameleon_bench::eval::FLAG_KEYS.contains(&key)
-        {
-            opts.insert(k.clone(), v.clone());
-        } else {
-            return Err(format!("option --{key} does not apply to eval"));
-        }
-    }
-    let msg = chameleon_bench::eval::run_with(&opts)?;
-    println!("{msg}");
-    Ok(())
 }
 
 fn required_workload(inv: &Invocation, pos: usize) -> Result<Box<dyn Workload>, String> {
@@ -726,6 +684,24 @@ mod tests {
         }
         let err = run_str("optimize --manual-lazy").expect_err("no workload");
         assert!(err.contains("missing workload name"), "{err}");
+        // An option another subcommand reads is refused, not ignored.
+        for (cmd, key, name) in [
+            (
+                "optimize findbugs --threads 4 --emit events",
+                "threads",
+                "optimize",
+            ),
+            (
+                "profile synthetic --confirm 3 --socket /x",
+                "confirm",
+                "profile",
+            ),
+            ("lint --builtin --eval-every 3", "eval-every", "lint"),
+            ("rules check x.rules --depth 3", "depth", "rules check"),
+        ] {
+            let err = run_str(cmd).expect_err(cmd);
+            assert_eq!(err, format!("option --{key} does not apply to `{name}`"));
+        }
     }
 
     #[test]
@@ -787,10 +763,7 @@ mod tests {
         // `unknown command` error. Commands that would otherwise do heavy
         // work are steered onto a fast error path first.
         for c in args::SUBCOMMANDS {
-            let mut argv: Vec<String> = c.path.iter().map(|w| (*w).to_owned()).collect();
-            if c.path == ["eval"] {
-                argv.extend(["--report", "--out", "/nonexistent-eval-results"].map(String::from));
-            }
+            let argv: Vec<String> = c.path.iter().map(|w| (*w).to_owned()).collect();
             if let Err(e) = run(&argv) {
                 assert!(
                     !e.contains("unknown command"),
@@ -805,56 +778,6 @@ mod tests {
     fn help_command_and_flag_both_work() {
         run_str("help").expect("help command");
         run_str("--help").expect("help flag");
-    }
-
-    #[test]
-    fn eval_option_keys_are_all_parseable() {
-        // The CLI's option tables must cover every key the eval fleet
-        // understands, or `chameleon eval --<key>` would be rejected while
-        // `eval_matrix --<key>` works.
-        for k in chameleon_bench::eval::VALUE_KEYS {
-            let argv = vec!["eval".to_owned(), format!("--{k}"), "x".to_owned()];
-            let inv = args::parse(&argv).unwrap_or_else(|e| panic!("--{k}: {e}"));
-            assert_eq!(inv.options.get(k).map(String::as_str), Some("x"), "--{k}");
-        }
-        for k in chameleon_bench::eval::FLAG_KEYS {
-            let argv = vec!["eval".to_owned(), format!("--{k}")];
-            let inv = args::parse(&argv).unwrap_or_else(|e| panic!("--{k}: {e}"));
-            assert!(inv.flag(k), "--{k}");
-        }
-    }
-
-    #[test]
-    fn eval_rejects_inapplicable_options_and_positionals() {
-        let err = run_str("eval --depth 3").expect_err("depth is not an eval option");
-        assert!(err.contains("--depth does not apply to eval"), "{err}");
-        let err = run_str("eval synthetic").expect_err("no positionals");
-        assert!(err.contains("no positional operands"), "{err}");
-    }
-
-    #[test]
-    fn eval_runs_a_one_cell_matrix_and_reports() {
-        let dir = std::env::temp_dir().join("chameleon_cli_eval_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let base = format!(
-            "eval --workloads synthetic --rulesets builtin --heaps default \
-             --threads 1 --telemetry-axis off --out {}",
-            dir.display()
-        );
-        run_str(&base).expect("one-cell matrix runs");
-        assert!(dir.join("manifest.json").exists());
-        assert!(dir.join("cells.jsonl").exists());
-        assert!(dir.join("summary.json").exists());
-        run_str(&format!("eval --report --out {}", dir.display())).expect("report");
-        assert!(dir.join("report.md").exists());
-        let err = run_str(&format!(
-            "eval --gate --out {} --golden {}",
-            dir.display(),
-            dir.join("no-such-golden.json").display()
-        ))
-        .expect_err("missing golden fails the gate");
-        assert!(err.contains("cannot read golden"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

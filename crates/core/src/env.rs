@@ -11,7 +11,7 @@
 use crate::metrics::RunMetrics;
 use crate::workload::Workload;
 use chameleon_collections::factory::{CaptureConfig, CaptureMethod, CollectionFactory, Selection};
-use chameleon_collections::{CostModel, ListChoice, MapChoice, Runtime, SetChoice};
+use chameleon_collections::{ListChoice, MapChoice, Runtime, SetChoice};
 use chameleon_heap::{Heap, HeapConfig, HeapProfConfig};
 use chameleon_profiler::{ProfileReport, Profiler};
 use chameleon_rules::{PolicyUpdate, Suggestion};
@@ -27,8 +27,6 @@ pub struct EnvConfig {
     pub gc_interval_bytes: Option<u64>,
     /// Context-capture configuration.
     pub capture: CaptureConfig,
-    /// Operation cost model.
-    pub cost: CostModel,
     /// Whether to install a profiler (collect trace statistics).
     pub profiling: bool,
     /// Object layout model (the paper's 32-bit JVM by default).
@@ -65,7 +63,6 @@ impl Default for EnvConfig {
             heap_capacity: None,
             gc_interval_bytes: Some(256 * 1024),
             capture: CaptureConfig::default(),
-            cost: CostModel::calibrated(),
             profiling: true,
             model: chameleon_heap::MemoryModel::jvm32(),
             telemetry: None,
@@ -171,7 +168,7 @@ impl Env {
             ..HeapConfig::default()
         });
         heap.set_heap_profiling(config.heapprof);
-        let rt = Runtime::with_cost(heap.clone(), config.cost);
+        let rt = Runtime::new(heap.clone());
         if let Some(t) = &config.telemetry {
             rt.attach_telemetry(t);
         }

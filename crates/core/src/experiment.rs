@@ -88,8 +88,8 @@ pub fn run_experiment(
         .collect();
     let applied = portable_updates(&applicable, &env.heap);
 
-    // Step 4: minimal heap before/after (under the same layout/cost model
-    // as the profiling run). Each search is one uncapped lifetime run,
+    // Step 4: minimal heap before/after (under the same layout model as
+    // the profiling run). Each search is one uncapped lifetime run,
     // byte-identical to the bisection seeded with the same hint.
     let hint = report.peak_live().max(64 * 1024);
     let min_heap_before = min_heap_size(workload, &[], hint, profile_config);
@@ -102,7 +102,6 @@ pub fn run_experiment(
     // slack models the coarse-granularity minimum for both versions.
     let measured = EnvConfig {
         model: profile_config.model,
-        cost: profile_config.cost,
         ..EnvConfig::measured(min_heap_before + min_heap_before / 8)
     };
     let before_env = Env::new(&measured);

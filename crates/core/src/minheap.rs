@@ -82,18 +82,17 @@ pub fn completes_under(workload: &dyn Workload, policy: &[PortableUpdate], capac
 }
 
 /// The measured-run configuration at `capacity` under `template`'s layout
-/// and cost models.
+/// model.
 fn trial_config(capacity: u64, template: &EnvConfig) -> EnvConfig {
     EnvConfig {
         model: template.model,
-        cost: template.cost,
         ..EnvConfig::measured(capacity)
     }
 }
 
-/// [`completes_under`] with an environment template (layout model and
-/// cost model are taken from `template`; capacity, capture and profiling
-/// follow the measured-run protocol).
+/// [`completes_under`] with an environment template (the layout model is
+/// taken from `template`; capacity, capture and profiling follow the
+/// measured-run protocol).
 pub fn completes_under_with(
     workload: &dyn Workload,
     policy: &[PortableUpdate],
@@ -118,7 +117,7 @@ pub fn completes_under_with(
 
 /// The minimal heap capacity (to [`MIN_HEAP_STEP`] granularity) at which
 /// `workload` completes with `policy` applied, under `template`'s layout
-/// and cost models: one uncapped lifetime run (see the module docs).
+/// model: one uncapped lifetime run (see the module docs).
 /// Equals [`min_heap_size_with`] for the same arguments.
 ///
 /// `hint` seeds the search grid (e.g. the profiling run's peak live bytes).

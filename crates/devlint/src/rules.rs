@@ -25,14 +25,8 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/profiler/",
 ];
 
-/// Files allowed to launch threads: the parallel runtime's worker pool
-/// and the evaluation matrix's cell runners
-/// (bench-only; cells are independent processes-in-miniature whose rows
-/// land behind a lock, so worker scheduling cannot reach simulated state).
-const THREAD_OK: &[&str] = &[
-    "crates/core/src/parallel.rs",
-    "crates/bench/src/eval/run.rs",
-];
+/// Files allowed to launch threads: the parallel runtime's worker pool.
+const THREAD_OK: &[&str] = &["crates/core/src/parallel.rs"];
 
 fn span(lx: &Lexed, from: usize, to: usize) -> Span {
     let a = &lx.toks[from];

@@ -174,6 +174,12 @@ fn thread_spawn_outside_runtime_is_caught() {
     assert!(codes("crates/core/src/parallel.rs", src).is_empty());
     assert_eq!(codes("crates/heap/src/gc.rs", src), vec!["thread-launch"]);
     assert!(codes("shims/rand/src/x.rs", src).is_empty());
+    // The eval matrix runs its cells sequentially: no bench file may
+    // launch threads.
+    assert_eq!(
+        codes("crates/bench/src/eval/run.rs", src),
+        vec!["thread-launch"]
+    );
 }
 
 #[test]
