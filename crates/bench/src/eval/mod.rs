@@ -39,6 +39,15 @@ pub const VALUE_KEYS: [&str; 8] = [
     "write-golden",
 ];
 
+/// The value keys that set a matrix axis.
+const AXIS_KEYS: [&str; 5] = [
+    "workloads",
+    "rulesets",
+    "heaps",
+    "threads",
+    "telemetry-axis",
+];
+
 /// Boolean option keys (present = true).
 pub const FLAG_KEYS: [&str; 2] = ["gate", "report"];
 
@@ -49,6 +58,37 @@ pub const DEFAULT_GOLDEN: &str = "crates/bench/goldens/default.json";
 /// their value; flags hold `"true"`). Returns the text to print on
 /// success; errors map to a nonzero exit.
 pub fn run_with(opts: &BTreeMap<String, String>) -> Result<String, String> {
+    let dir: PathBuf = match opts.get("out") {
+        Some(d) => PathBuf::from(d),
+        None => out_dir().join("eval"),
+    };
+
+    // `--report`, `--gate` and `--write-golden` read an existing results
+    // directory; the matrix axes only shape a run.
+    let mode = ["report", "gate", "write-golden"]
+        .into_iter()
+        .find(|k| opts.contains_key(*k));
+    if let Some(mode) = mode {
+        if let Some(axis) = AXIS_KEYS.into_iter().find(|k| opts.contains_key(*k)) {
+            return Err(format!("option --{axis} does not apply to --{mode}"));
+        }
+        return match mode {
+            "report" => report(&dir),
+            "gate" => {
+                let golden = opts
+                    .get("golden")
+                    .map(PathBuf::from)
+                    .unwrap_or_else(|| workspace_path(DEFAULT_GOLDEN));
+                gate(&dir, &golden)
+            }
+            _ => {
+                let path = &opts["write-golden"];
+                let n = write_golden(&dir, &PathBuf::from(path))?;
+                Ok(format!("wrote golden with {n} cell(s) to {path}"))
+            }
+        };
+    }
+
     let mut spec = EvalSpec::default();
     let list = |key: &str| -> Option<Vec<String>> {
         opts.get(key).map(|v| {
@@ -73,27 +113,6 @@ pub fn run_with(opts: &BTreeMap<String, String>) -> Result<String, String> {
     if let Some(v) = list("telemetry-axis") {
         spec.telemetry = spec::parse_bool_list("telemetry-axis", &v)?;
     }
-
-    let dir: PathBuf = match opts.get("out") {
-        Some(d) => PathBuf::from(d),
-        None => out_dir().join("eval"),
-    };
-    let golden: PathBuf = opts
-        .get("golden")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| workspace_path(DEFAULT_GOLDEN));
-
-    if opts.contains_key("report") {
-        return report(&dir);
-    }
-    if opts.contains_key("gate") {
-        return gate(&dir, &golden);
-    }
-    if let Some(path) = opts.get("write-golden") {
-        let n = write_golden(&dir, &PathBuf::from(path))?;
-        return Ok(format!("wrote golden with {n} cell(s) to {path}"));
-    }
-
     let cells = run_matrix(&spec, &dir)?;
     Ok(format!(
         "eval matrix complete: {cells} cell(s) -> {}",

@@ -2,8 +2,9 @@
 //! and config-hash changes — all against temp directories so the repo's
 //! real `results/` and goldens stay untouched.
 
-use chameleon_bench::eval::{gate, report, run_matrix, write_golden, EvalSpec};
+use chameleon_bench::eval::{gate, report, run_matrix, run_with, write_golden, EvalSpec};
 use chameleon_telemetry::json::{self, Value};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn tiny_spec() -> EvalSpec {
@@ -76,6 +77,37 @@ fn run_and_gate_roundtrip() {
     assert!(err.contains("cost_ratio drifted"), "{err}");
     assert!(err.contains("gate FAILED"), "{err}");
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn result_modes_refuse_axis_options() {
+    // `--gate`, `--report` and `--write-golden` read a finished run, so a
+    // matrix axis given with them would be silently ignored.
+    let root = temp_dir("modes");
+    let dir = root.join("results");
+    run_matrix(&tiny_spec(), &dir).expect("run");
+    let golden = root.join("golden.json");
+    write_golden(&dir, &golden).expect("golden");
+    let (out, golden) = (dir.display().to_string(), golden.display().to_string());
+    for (mode, value) in [
+        ("gate", "true"),
+        ("report", "true"),
+        ("write-golden", golden.as_str()),
+    ] {
+        let mut opts: BTreeMap<String, String> = [("out", &out), ("golden", &golden)]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .collect();
+        opts.insert(mode.to_owned(), value.to_owned());
+        run_with(&opts).unwrap_or_else(|e| panic!("--{mode}: {e}"));
+        opts.insert("workloads".to_owned(), "nosuch".to_owned());
+        let err = run_with(&opts).expect_err(mode);
+        assert_eq!(
+            err,
+            format!("option --workloads does not apply to --{mode}")
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -321,16 +321,19 @@ fn write_heapprof_artifacts(
 }
 
 fn cmd_optimize(inv: &Invocation) -> Result<(), String> {
-    let manual_bloat =
-        inv.flag("manual-lazy") && inv.positional.first().is_some_and(|n| n == "bloat");
-    let w: Box<dyn Workload> = if manual_bloat {
-        Box::new(Bloat {
+    let mut w = required_workload(inv, 0)?;
+    if inv.flag("manual-lazy") {
+        if w.name() != "bloat" {
+            return Err(format!(
+                "option --manual-lazy applies only to `bloat`, not `{}`",
+                w.name()
+            ));
+        }
+        w = Box::new(Bloat {
             manual_lazy: true,
             ..Bloat::default()
-        })
-    } else {
-        required_workload(inv, 0)?
-    };
+        });
+    }
     let mut chameleon = Chameleon::new().with_profile_config(env_from(inv)?);
     if let Some(k) = inv.opt_num("top")? {
         chameleon = chameleon.with_top_k(k as usize);
@@ -684,6 +687,11 @@ mod tests {
         }
         let err = run_str("optimize --manual-lazy").expect_err("no workload");
         assert!(err.contains("missing workload name"), "{err}");
+        let err = run_str("optimize fop --manual-lazy").expect_err("not bloat");
+        assert_eq!(
+            err,
+            "option --manual-lazy applies only to `bloat`, not `fop`"
+        );
         // An option another subcommand reads is refused, not ignored.
         for (cmd, key, name) in [
             (

@@ -6,10 +6,16 @@
 //! 4. measure the minimal heap size before and after;
 //! 5. measure running time before and after, both at the *original*
 //!    minimal heap size (as Fig. 7 does).
+//!
+//! [`run_experiment`] does this in three workload runs. The profile run
+//! and the measured policy run each record a lifetime trace, which gives
+//! the minimal heap of the default collections and of the policy
+//! respectively (see [`crate::minheap`] for why both runs qualify), so
+//! step 4 needs no run of its own.
 
 use crate::env::{portable_updates, Env, EnvConfig, PortableUpdate};
 use crate::metrics::{Improvement, RunMetrics};
-use crate::minheap::min_heap_size;
+use crate::minheap::lifetime_run;
 use crate::parallel::{ParallelConfig, ParallelError};
 use crate::workload::Workload;
 use chameleon_profiler::ProfileReport;
@@ -65,16 +71,32 @@ impl ExperimentResult {
 ///
 /// `top_k` limits how many of the highest-potential suggestions are applied
 /// (the paper modifies "the top allocation contexts"); `None` applies all.
+///
+/// # Panics
+///
+/// Panics if `profile_config.policy` is not empty: the profile run is
+/// also the default-collections run whose minimal heap is
+/// `min_heap_before`. Panics, as an uncaught `OutOfMemory`, if the policy
+/// needs more than the measured runs' capacity.
 pub fn run_experiment(
     workload: &dyn Workload,
     engine: &RuleEngine,
     profile_config: &EnvConfig,
     top_k: Option<usize>,
 ) -> ExperimentResult {
-    // Step 1: profiling run.
+    assert!(
+        profile_config.policy.is_empty(),
+        "run_experiment: profile_config.policy must be empty; the profile run \
+         measures the default collections' minimal heap"
+    );
+    // Steps 1 and 4 (before): the profiling run, which also gives the
+    // default collections' minimal heap on the grid of its peak live bytes.
     let env = Env::new(profile_config);
-    env.run(workload);
-    let report = env.report();
+    let (min_heap_before, report) = lifetime_run(&env, workload, |env| {
+        let report = env.report();
+        (report.peak_live(), report)
+    });
+    let hint = report.peak_live();
 
     // Step 2: rule evaluation (audited when telemetry is attached).
     let suggestions = engine.evaluate_traced(&report, profile_config.telemetry.as_ref());
@@ -88,18 +110,14 @@ pub fn run_experiment(
         .collect();
     let applied = portable_updates(&applicable, &env.heap);
 
-    // Step 4: minimal heap before/after (under the same layout model as
-    // the profiling run). Each search is one uncapped lifetime run,
-    // byte-identical to the bisection seeded with the same hint.
-    let hint = report.peak_live().max(64 * 1024);
-    let min_heap_before = min_heap_size(workload, &[], hint, profile_config);
-    let min_heap_after = min_heap_size(workload, &applied, hint, profile_config);
-
-    // Step 5: measured runs at the original minimal heap size. The paper
-    // finds the minimum at -Xmx granularity, which leaves slack; our search
-    // is byte-exact, so running at exactly `min_heap_before` would thrash
-    // the collector in a way no real JVM configuration does. A fixed 12.5%
-    // slack models the coarse-granularity minimum for both versions.
+    // Steps 5 and 4 (after): measured runs at the original minimal heap
+    // size. The paper finds the minimum at -Xmx granularity, which leaves
+    // slack; our search is byte-exact, so running at exactly
+    // `min_heap_before` would thrash the collector in a way no real JVM
+    // configuration does. A fixed 12.5% slack models the coarse-granularity
+    // minimum for both versions. The policy run completes, so its `T` is
+    // within that capacity, and its trace gives `min_heap_after` on the
+    // same grid; its metrics are read before the trace ends.
     let measured = EnvConfig {
         model: profile_config.model,
         ..EnvConfig::measured(min_heap_before + min_heap_before / 8)
@@ -110,8 +128,8 @@ pub fn run_experiment(
 
     let after_env = Env::new(&measured);
     after_env.apply_policy(&applied);
-    after_env.run(workload);
-    let time_after = after_env.metrics();
+    let (min_heap_after, time_after) =
+        lifetime_run(&after_env, workload, |env| (hint, env.metrics()));
 
     ExperimentResult {
         name: workload.name(),
@@ -282,9 +300,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn top_k_limits_applied_contexts() {
-        let w = ("two-sites", |f: &CollectionFactory| {
+    /// Two sites of small maps, the first with twice the instances.
+    fn two_sites() -> impl Workload {
+        ("two-sites", |f: &CollectionFactory| {
             let mut keep = Vec::new();
             {
                 let _g = f.enter("siteA:1");
@@ -302,12 +320,113 @@ mod tests {
                     keep.push(m);
                 }
             }
-        });
+        })
+    }
+
+    #[test]
+    fn top_k_limits_applied_contexts() {
         let engine = RuleEngine::builtin();
-        let result = run_experiment(&w, &engine, &EnvConfig::default(), Some(1));
+        let result = run_experiment(&two_sites(), &engine, &EnvConfig::default(), Some(1));
         assert_eq!(result.applied.len(), 1);
         // The applied one must be the higher-potential site (siteA).
         assert!(result.applied[0].frames[0].contains("siteA"));
+    }
+
+    #[test]
+    fn minimal_heaps_equal_the_separate_searches() {
+        use crate::minheap::min_heap_size;
+        let engine = RuleEngine::builtin();
+        let template = EnvConfig::default();
+        for (w, top_k) in [
+            (&small_maps() as &dyn Workload, None),
+            (&two_sites(), Some(1)),
+        ] {
+            let result = run_experiment(w, &engine, &template, top_k);
+            assert!(!result.applied.is_empty(), "{}: no policy", result.name);
+            let hint = result.report.peak_live();
+            assert_eq!(
+                result.min_heap_before,
+                min_heap_size(w, &[], hint, &template),
+                "{}: without the policy",
+                result.name
+            );
+            assert_eq!(
+                result.min_heap_after,
+                min_heap_size(w, &result.applied, hint, &template),
+                "{}: with the policy",
+                result.name
+            );
+        }
+    }
+
+    #[test]
+    fn experiment_runs_the_workload_three_times() {
+        struct Counting<W>(W, std::cell::Cell<usize>);
+        impl<W: Workload> Workload for Counting<W> {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn run(&self, f: &CollectionFactory) {
+                self.1.set(self.1.get() + 1);
+                self.0.run(f);
+            }
+        }
+        let w = Counting(small_maps(), std::cell::Cell::new(0));
+        run_experiment(&w, &RuleEngine::builtin(), &EnvConfig::default(), None);
+        assert_eq!(w.1.get(), 3, "profile, measured default, measured policy");
+    }
+
+    #[test]
+    #[should_panic(expected = "profile_config.policy must be empty")]
+    fn experiment_refuses_a_profile_policy() {
+        let engine = RuleEngine::builtin();
+        let applied = run_experiment(&small_maps(), &engine, &EnvConfig::default(), None).applied;
+        let config = EnvConfig {
+            policy: applied,
+            ..EnvConfig::default()
+        };
+        run_experiment(&small_maps(), &engine, &config, None);
+    }
+
+    #[test]
+    fn recording_lifetimes_leaves_the_profile_run_unchanged() {
+        use chameleon_heap::HeapProfConfig;
+        use chameleon_telemetry::{json, Telemetry};
+        let run = |record: bool| {
+            let t = Telemetry::new();
+            let env = Env::new(&EnvConfig {
+                telemetry: Some(t.clone()),
+                heapprof: Some(HeapProfConfig { every: 1 }),
+                gc_interval_bytes: Some(4 * 1024),
+                ..EnvConfig::default()
+            });
+            if record {
+                lifetime_run(&env, &small_maps(), |_| (0, ()));
+            } else {
+                env.run(&small_maps());
+            }
+            let events: Vec<String> = t
+                .events_snapshot()
+                .lines()
+                .map(|line| {
+                    let Ok(json::Value::Obj(mut fields)) = json::parse(line) else {
+                        panic!("not a JSON object: {line}");
+                    };
+                    fields.retain(|k, _| !k.ends_with("_ns"));
+                    json::render(&json::Value::Obj(fields))
+                })
+                .collect();
+            let cycles = env.heap.cycles();
+            let snapshots = env.heap.heap_snapshots().len();
+            (cycles, env.metrics(), snapshots, events)
+        };
+        let (plain, recorded) = (run(false), run(true));
+        assert!(plain.0.len() > 2, "the run must collect mid-run too");
+        assert!(plain.2 > 0 && !plain.3.is_empty(), "the hooks must record");
+        assert_eq!(plain.0, recorded.0, "cycles");
+        assert_eq!(plain.1, recorded.1, "metrics");
+        assert_eq!(plain.2, recorded.2, "snapshots");
+        assert_eq!(plain.3, recorded.3, "event lines");
     }
 
     #[test]

@@ -17,16 +17,23 @@
 //! where `T` is the largest `reachable + size` over all allocations. This
 //! rests on one condition: the mutator's allocations and what they keep
 //! reachable do not depend on when the GC runs. Measured runs satisfy it
-//! (no profiler, static capture, no GC-driven decisions), and the oracle
-//! tests check it on every paper workload. Given it, the bisection is a
-//! function of `T` alone; it returns `g(T)`, where `g(v)` is the smallest
-//! point `≥ v` of its own grid (the leaf bounds of the doubling and
-//! bisection for `hint`).
+//! (static capture, no GC-driven decisions). So does a profiling run with
+//! no policy: the profiler and context capture only charge the simulated
+//! clock, and never allocate, link or root on the simulated heap, so the
+//! run allocates and keeps reachable what a measured run of the default
+//! collections does. The oracle tests check both on every paper
+//! workload. Given the condition, the bisection is a function of `T`
+//! alone; it returns `g(T)`, where `g(v)` is the smallest point `≥ v` of
+//! its own grid (the leaf bounds of the doubling and bisection for `hint`).
 //!
-//! The *lifetime run* computes `T` exactly. It runs uncapped, a GC every
-//! [`LIFETIME_GC_INTERVAL`] bytes, with a Merlin lifetime trace
+//! A *lifetime run* computes `T` exactly, whatever its GC schedule, from a
+//! Merlin lifetime trace
 //! ([`Heap::record_lifetimes`](chameleon_heap::Heap::record_lifetimes);
-//! Hertz et al., TOPLAS 2006). Time is the allocation count `k`. Each
+//! Hertz et al., TOPLAS 2006). [`min_heap_size`] makes one of its own,
+//! uncapped with a GC every [`LIFETIME_GC_INTERVAL`] bytes;
+//! [`run_experiment`](crate::run_experiment) records the trace on its
+//! profile run and on its measured policy run instead, whose results the
+//! trace leaves unchanged. Time is the allocation count `k`. Each
 //! object records the allocation `a` it followed and a stamp, raised to
 //! the current `k` whenever it loses a reference or a root. Each GC gives
 //! every object it sweeps the largest stamp `d` of any swept object that
@@ -136,10 +143,24 @@ pub fn min_heap_size(
         gc_interval_bytes: Some(LIFETIME_GC_INTERVAL),
         ..trial_config(0, template)
     });
-    env.heap.record_lifetimes();
     env.apply_policy(policy);
+    lifetime_run(&env, workload, |_| (hint, ())).0
+}
+
+/// Runs `workload` on `env` under a lifetime trace and returns the
+/// minimal heap of that run, `g(T)` on the grid of the hint `observe`
+/// returns, with whatever else `observe` read. `observe` sees the
+/// finished run before the trace ends. The run must satisfy the module
+/// docs' condition: its reachability must not depend on when it collects.
+pub(crate) fn lifetime_run<R>(
+    env: &Env,
+    workload: &dyn Workload,
+    observe: impl FnOnce(&Env) -> (u64, R),
+) -> (u64, R) {
+    env.heap.record_lifetimes();
     env.run(workload);
-    grid_point(hint, env.heap.lifetime_peak())
+    let (hint, observed) = observe(env);
+    (grid_point(hint, env.heap.lifetime_peak()), observed)
 }
 
 /// Binary-searches the minimal heap capacity (to [`MIN_HEAP_STEP`]

@@ -71,8 +71,8 @@ use std::rc::Rc;
 /// the configured capacity even after a full GC. Only the minimal-heap
 /// bisection oracle (`completes_under_with` in `chameleon-core`) catches
 /// it, with `std::panic::catch_unwind`, to learn that a capacity is too
-/// small; the production search runs uncapped and reads the capacity it
-/// needs from a lifetime trace ([`Heap::record_lifetimes`]). Elsewhere (a
+/// small; the production search reads the capacity it needs from a
+/// lifetime trace ([`Heap::record_lifetimes`]). Elsewhere (a
 /// serve tenant, a parallel partition) it is an ordinary panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfMemory {
@@ -961,9 +961,12 @@ impl Heap {
         inner.lifetimes = Some(Lifetimes::new(inner.slab.len()));
     }
 
-    /// Collects, ends the lifetime trace and returns `T`: the largest
+    /// Ends the lifetime trace and returns `T`: the largest
     /// live-plus-request over every allocation since
-    /// [`Heap::record_lifetimes`] (0 if there was none). A capped run of
+    /// [`Heap::record_lifetimes`] (0 if there was none). It collects first
+    /// only if an allocation ran since the last collection, so after a
+    /// final [`Heap::gc`] reading `T` adds no cycle and leaves the clock
+    /// and the attached hooks as they were. A capped run of
     /// the same mutator completes iff its capacity is at least `T`,
     /// provided the mutator never touches an object a GC at an earlier
     /// allocation would have swept, and then `T` does not depend on this
@@ -978,17 +981,23 @@ impl Heap {
         self.lifetime_needs().into_iter().max().unwrap_or(0)
     }
 
-    /// Collects, ends the lifetime trace and returns live-plus-request at
-    /// every allocation since [`Heap::record_lifetimes`], in order: what a
-    /// heap that collects before every allocation needs at each one.
+    /// Ends the lifetime trace, collecting as [`Heap::lifetime_peak`]
+    /// says, and returns live-plus-request at every allocation since
+    /// [`Heap::record_lifetimes`], in order: what a heap that collects
+    /// before every allocation needs at each one.
     ///
     /// # Panics
     ///
     /// Panics if no lifetime trace is being recorded.
     pub(crate) fn lifetime_needs(&self) -> Vec<u64> {
         let mut inner = self.lock("lifetime_needs");
-        assert!(inner.lifetimes.is_some(), "no lifetime trace is recorded");
-        gc::collect(&mut inner);
+        let lifetimes = inner
+            .lifetimes
+            .as_ref()
+            .expect("no lifetime trace is recorded");
+        if lifetimes.checked_since_collection() {
+            gc::collect(&mut inner);
+        }
         let lifetimes = inner.lifetimes.take().expect("checked above");
         lifetimes.needs(&inner)
     }

@@ -56,6 +56,8 @@ pub(crate) struct Lifetimes {
     born: Vec<u32>,
     /// Per slot: the latest check at which its object is known reachable.
     stamp: Vec<u32>,
+    /// The check count at the last collection.
+    collected_at: u32,
     /// `propagate`'s `(stamp, slot)` order and walk stack, kept for reuse.
     order: Vec<(u32, u32)>,
     stack: Vec<u32>,
@@ -70,6 +72,7 @@ impl Lifetimes {
             delta: Vec::new(),
             born: vec![0; slots],
             stamp: vec![0; slots],
+            collected_at: 0,
             order: Vec::new(),
             stack: Vec::new(),
         }
@@ -106,6 +109,14 @@ impl Lifetimes {
         self.stamp[slot] = self.now();
     }
 
+    /// Whether a capacity check ran since the last collection (or, with
+    /// none, since the trace began). If not, every object still on the
+    /// heap was reachable at the last check, because a collection since
+    /// then kept it and no object becomes reachable again.
+    pub(crate) fn checked_since_collection(&self) -> bool {
+        self.now() != self.collected_at
+    }
+
     fn add(&mut self, k: u32, bytes: i64) {
         let k = k as usize;
         if self.delta.len() <= k {
@@ -118,6 +129,7 @@ impl Lifetimes {
     /// they were reachable at. `dead` must be every occupied slot left
     /// unmarked (`marks[i] != epoch`) by the cycle about to sweep them.
     pub(crate) fn propagate(&mut self, inner: &HeapInner, marks: &[u32], epoch: u32, dead: &[u32]) {
+        self.collected_at = self.now();
         let mut order = std::mem::take(&mut self.order);
         let mut stack = std::mem::take(&mut self.stack);
         order.clear();
@@ -153,9 +165,9 @@ impl Lifetimes {
     }
 
     /// `live(k) + request(k)` for every check `k`, in order; `T` is their
-    /// maximum. Every unreachable object must have been swept (with
-    /// `propagate`) first; the objects still occupying `inner`'s slots
-    /// count as live up to the last check.
+    /// maximum. Every object unreachable at the last check must have been
+    /// swept (with `propagate`) first; the objects still occupying
+    /// `inner`'s slots count as live up to the last check.
     pub(crate) fn needs(mut self, inner: &HeapInner) -> Vec<u64> {
         let last = self.now();
         for (i, &flags) in inner.flags.iter().enumerate() {
