@@ -66,7 +66,7 @@ fn main() {
             shutoff_below_potential: None,
             confirm_evals: 1,
             min_potential_bytes: 0,
-            drift: None,
+            drift: false,
         };
         let result =
             run_online(w.as_ref(), Arc::new(RuleEngine::builtin()), &cfg).expect("online run");
@@ -115,7 +115,7 @@ fn main() {
         shutoff_below_potential: None,
         confirm_evals: 1,
         min_potential_bytes: 0,
-        drift: None,
+        drift: false,
     };
     let online = run_online(&w, Arc::new(RuleEngine::builtin()), &cfg).expect("online run");
     let online_min = min_heap_size(&w, &online.converged_policy, 128 * 1024, &template);

@@ -2,7 +2,7 @@
 //!
 //! Every figure/table binary historically printed to stdout only, with the
 //! `results/*.txt` archive maintained by hand-redirecting runs. [`Out`] is a
-//! tee: each [`outln!`] line still goes to stdout, and on drop the full text
+//! tee: each [`outln!`](crate::outln) line still goes to stdout, and on drop the full text
 //! is saved under [`out_dir`] (`CHAMELEON_RESULTS_DIR`, default `results/`)
 //! so eval runs can redirect the whole fleet with one env var.
 
@@ -44,7 +44,7 @@ pub fn host_meta() -> Value {
 }
 
 /// Buffered stdout tee for one bench binary. Lines written through
-/// [`outln!`] (or [`Out::line`]) print immediately; when the value drops,
+/// [`outln!`](crate::outln) (or [`Out::line`]) print immediately; when the value drops,
 /// the accumulated text is saved to `out_dir()/<name>.txt`.
 pub struct Out {
     name: &'static str,

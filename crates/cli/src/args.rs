@@ -203,9 +203,9 @@ impl Invocation {
             .transpose()
     }
 
-    /// Numeric option that must be at least 1 (`--every`, `--threads`).
-    /// Zero used to be accepted here and silently clamped deep inside the
-    /// heap; now it is rejected at parse time with the valid range.
+    /// Numeric option that must be at least 1 (`--every`, `--threads`,
+    /// `--sample`, `--eval-every`, `--confirm`). Zero is rejected here, with
+    /// the valid range, rather than clamped to 1 further down.
     ///
     /// # Errors
     ///

@@ -108,9 +108,21 @@ fn env_from(inv: &Invocation) -> Result<EnvConfig, String> {
                 CaptureMethod::Jvmti
             },
             depth: inv.num("depth", 2)? as usize,
-            sample_every: inv.num("sample", 1)? as u32,
+            sample_every: sample_every(inv)?,
         },
         ..EnvConfig::default()
+    })
+}
+
+/// `--sample N`: capture every N-th allocation, `N` in `1..=u32::MAX`.
+fn sample_every(inv: &Invocation) -> Result<u32, String> {
+    let n = inv.num_at_least_one("sample", 1)?;
+    u32::try_from(n).map_err(|_| {
+        format!(
+            "option --sample must be at most {} (valid range: 1..={}), got {n}",
+            u32::MAX,
+            u32::MAX
+        )
     })
 }
 
@@ -366,7 +378,7 @@ fn cmd_online(inv: &Invocation) -> Result<(), String> {
     let w = required_workload(inv, 0)?;
     let cfg = OnlineConfig {
         env: env_from(inv)?,
-        eval_every_deaths: inv.num("eval-every", 64)?,
+        eval_every_deaths: inv.num_at_least_one("eval-every", 64)?,
         shutoff_below_potential: inv.opt_num("shutoff-below")?,
         confirm_evals: inv.num_at_least_one("confirm", 2)?,
         min_potential_bytes: inv.num("min-potential", 0)?,
@@ -408,11 +420,10 @@ fn cmd_serve(inv: &Invocation) -> Result<(), String> {
     }
     let cfg = ServeConfig {
         env: env_from(inv)?,
-        eval_every_deaths: inv.num("eval-every", 64)?,
+        eval_every_deaths: inv.num_at_least_one("eval-every", 64)?,
         confirm_evals: inv.num_at_least_one("confirm", 2)?,
         min_potential_bytes: inv.num("min-potential", 0)?,
         shutoff_below_potential: inv.opt_num("shutoff-below")?,
-        ..ServeConfig::default()
     };
     let mut server = Server::new(RuleEngine::builtin(), &cfg, Box::new(workload));
     if let Some(path) = socket {
@@ -647,10 +658,25 @@ mod tests {
             "profile synthetic --threads 0",
             "profile synthetic --emit events --threads 0",
             "profile synthetic --emit heapprof --threads 0",
+            "profile synthetic --sample 0",
+            "online synthetic --sample 0",
+            "online synthetic --eval-every 0",
+            "serve --stdin --sample 0",
+            "serve --stdin --eval-every 0",
         ] {
             let err = run_str(cmd).expect_err(cmd);
             assert!(err.contains("at least 1"), "{cmd}: {err}");
             assert!(err.contains("1.."), "{cmd}: {err}");
+        }
+        // A `--sample` past `u32::MAX` must not wrap to a small period.
+        for cmd in [
+            "profile synthetic --sample 4294967298",
+            "online synthetic --sample 4294967296",
+            "serve --stdin --sample 4294967298",
+        ] {
+            let err = run_str(cmd).expect_err(cmd);
+            assert!(err.contains("--sample"), "{cmd}: {err}");
+            assert!(err.contains("1..=4294967295"), "{cmd}: {err}");
         }
     }
 

@@ -11,8 +11,9 @@
 //! describes (§2.2: "in the realm of small sizes, constants matter").
 //!
 //! One unit is nominally a nanosecond on the paper's 3.8 GHz Xeon; only
-//! ratios are reported. Defaults were calibrated so the §2.3 and §5.4
-//! overhead percentages land near the paper's.
+//! ratios are reported. [`CostModel::CALIBRATED`], the one model every
+//! runtime charges, was calibrated so the §2.3 and §5.4 overhead
+//! percentages land near the paper's.
 
 /// Primitive cost constants, in simulated units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,41 +41,19 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The calibrated default model.
-    pub fn calibrated() -> Self {
-        CostModel {
-            alloc_object: 30,
-            array_access: 1,
-            link_hop: 4,
-            hash_compute: 10,
-            eq_check: 2,
-            elem_copy: 1,
-            wrapper_indirection: 1,
-            capture_throwable: 12_000,
-            capture_jvmti: 2_000,
-        }
-    }
-
-    /// A free model (all zeros), for tests that want pure space behaviour.
-    pub fn free() -> Self {
-        CostModel {
-            alloc_object: 0,
-            array_access: 0,
-            link_hop: 0,
-            hash_compute: 0,
-            eq_check: 0,
-            elem_copy: 0,
-            wrapper_indirection: 0,
-            capture_throwable: 0,
-            capture_jvmti: 0,
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::calibrated()
-    }
+    /// The calibrated model [`Runtime::cost`](crate::Runtime::cost)
+    /// returns.
+    pub const CALIBRATED: CostModel = CostModel {
+        alloc_object: 30,
+        array_access: 1,
+        link_hop: 4,
+        hash_compute: 10,
+        eq_check: 2,
+        elem_copy: 1,
+        wrapper_indirection: 1,
+        capture_throwable: 12_000,
+        capture_jvmti: 2_000,
+    };
 }
 
 #[cfg(test)]
@@ -83,7 +62,7 @@ mod tests {
 
     #[test]
     fn calibrated_orderings() {
-        let c = CostModel::calibrated();
+        let c = CostModel::CALIBRATED;
         // A hash computation must cost more than a few equality checks, or
         // ArrayMap could never beat HashMap at small sizes.
         assert!(c.hash_compute > 3 * c.eq_check);
@@ -93,12 +72,5 @@ mod tests {
         assert!(c.capture_throwable >= 5 * c.capture_jvmti);
         // Context capture dwarfs ordinary operations (the §5.4 bottleneck).
         assert!(c.capture_jvmti > 10 * c.alloc_object);
-    }
-
-    #[test]
-    fn free_model_is_zero() {
-        let c = CostModel::free();
-        assert_eq!(c.alloc_object, 0);
-        assert_eq!(c.capture_throwable, 0);
     }
 }

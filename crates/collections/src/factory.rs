@@ -186,7 +186,8 @@ impl std::fmt::Debug for CaptureController {
 }
 
 impl CaptureController {
-    /// Disables context tracking for a requested type (§4.2).
+    /// Disables context tracking for a requested type (the paper's
+    /// per-type shutoff when potential is low, §4.2).
     pub fn disable_tracking_for(&self, requested_type: &str) {
         self.capture
             .borrow_mut()
@@ -311,23 +312,6 @@ impl CollectionFactory {
     /// The shared selection policy.
     pub fn policy(&self) -> Rc<RefCell<SelectionPolicy>> {
         Rc::clone(&self.policy)
-    }
-
-    /// Replaces the capture configuration.
-    pub fn set_capture(&self, config: CaptureConfig) {
-        self.capture.borrow_mut().config = config;
-    }
-
-    /// Disables context tracking for a requested type (the paper's
-    /// per-type shutoff when potential is low, §4.2).
-    pub fn disable_tracking_for(&self, requested_type: &str) {
-        self.capture_controller()
-            .disable_tracking_for(requested_type);
-    }
-
-    /// Types whose tracking has been switched off.
-    pub fn disabled_types(&self) -> Vec<String> {
-        self.capture_controller().disabled_types()
     }
 
     /// A handle to this factory's capture state.
@@ -685,7 +669,7 @@ mod tests {
     #[test]
     fn per_type_shutoff() {
         let f = factory();
-        f.disable_tracking_for("ArrayList");
+        f.capture_controller().disable_tracking_for("ArrayList");
         let l = f.new_list::<i64>(None);
         assert!(l.ctx().is_none());
         let m = f.new_map::<i64, i64>(None);

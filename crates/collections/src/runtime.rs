@@ -356,7 +356,6 @@ impl LiveRegistry {
 struct RuntimeInner {
     heap: Heap,
     clock: SimClock,
-    cost: CostModel,
     classes: ClassIds,
     live: RefCell<LiveRegistry>,
     sink: RefCell<Option<Rc<dyn StatsSink>>>,
@@ -388,20 +387,14 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("heap", &self.inner.heap)
-            .field("cost", &self.inner.cost)
             .finish()
     }
 }
 
 impl Runtime {
-    /// Creates a runtime over `heap` with a fresh clock and the calibrated
-    /// cost model, registering all collection classes.
+    /// Creates a runtime over `heap` with a fresh clock, registering all
+    /// collection classes.
     pub fn new(heap: Heap) -> Self {
-        Runtime::with_cost(heap, CostModel::calibrated())
-    }
-
-    /// Creates a runtime with an explicit cost model.
-    pub fn with_cost(heap: Heap, cost: CostModel) -> Self {
         let clock = SimClock::new();
         heap.attach_clock(clock.clone());
         let classes = ClassIds::register(&heap);
@@ -409,7 +402,6 @@ impl Runtime {
             inner: Rc::new(RuntimeInner {
                 heap,
                 clock,
-                cost,
                 classes,
                 live: RefCell::default(),
                 sink: RefCell::new(None),
@@ -428,9 +420,9 @@ impl Runtime {
         &self.inner.clock
     }
 
-    /// The cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.inner.cost
+    /// The cost model: always [`CostModel::CALIBRATED`].
+    pub fn cost(&self) -> &'static CostModel {
+        &CostModel::CALIBRATED
     }
 
     /// Registered collection class ids.

@@ -44,10 +44,6 @@ pub struct EnvConfig {
     /// never charges the simulated clock, so results are bit-identical
     /// with tracing absent, attached, or exporting.
     pub tracer: Option<Tracer>,
-    /// Partition index forwarded to [`chameleon_heap::HeapConfig::shard_index`]
-    /// so the heap's re-entry panic names its partition. The
-    /// parallel runner sets it per partition, serve per tenant.
-    pub shard_index: Option<usize>,
     /// Portable policy installed at construction ([`Env::apply_policy`]).
     /// Carrying the policy in the config — rather than applying it to a
     /// built environment — makes it reach the hermetic partition
@@ -68,7 +64,6 @@ impl Default for EnvConfig {
             telemetry: None,
             heapprof: None,
             tracer: None,
-            shard_index: None,
             policy: Vec::new(),
         }
     }
@@ -164,8 +159,6 @@ impl Env {
             capacity: config.heap_capacity,
             gc_interval_bytes: config.gc_interval_bytes,
             model: config.model,
-            shard_index: config.shard_index,
-            ..HeapConfig::default()
         });
         heap.set_heap_profiling(config.heapprof);
         let rt = Runtime::new(heap.clone());
@@ -212,7 +205,7 @@ impl Env {
     }
 
     /// Runs `workload` to completion and performs a final GC so end-of-run
-    /// live data is recorded, bracketed by [`Env::run_bracketed`].
+    /// live data is recorded, bracketed by `Env::run_bracketed`.
     pub fn run(&self, workload: &dyn Workload) {
         let _span = self.trace.as_ref().map(|l| l.scope("workload"));
         self.run_bracketed(workload.name(), || {

@@ -52,7 +52,7 @@ pub use metrics::{Improvement, RunMetrics};
 pub use minheap::{
     completes_under, completes_under_with, min_heap_size, min_heap_size_with, silence_oom_panics,
 };
-pub use online::{run_online, OnlineConfig, OnlineDriftConfig, OnlineError, OnlineResult};
+pub use online::{run_online, OnlineConfig, OnlineError, OnlineResult};
 pub use parallel::{default_threads, ParallelConfig, ParallelError};
 #[cfg(unix)]
 pub use serve::serve_socket;

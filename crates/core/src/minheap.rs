@@ -30,7 +30,7 @@
 //! Merlin lifetime trace
 //! ([`Heap::record_lifetimes`](chameleon_heap::Heap::record_lifetimes);
 //! Hertz et al., TOPLAS 2006). [`min_heap_size`] makes one of its own,
-//! uncapped with a GC every [`LIFETIME_GC_INTERVAL`] bytes;
+//! uncapped with a GC every 256 KiB (`LIFETIME_GC_INTERVAL`);
 //! [`run_experiment`](crate::run_experiment) records the trace on its
 //! profile run and on its measured policy run instead, whose results the
 //! trace leaves unchanged. Time is the allocation count `k`. Each

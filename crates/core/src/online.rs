@@ -17,7 +17,7 @@
 //! same `auto_applicable` gate as the converged policy: advisory and
 //! cross-kind suggestions are never installed while the program runs.
 //!
-//! An optional drift tracker ([`OnlineDriftConfig`]) feeds per-type
+//! An optional drift tracker ([`OnlineConfig::drift`]) feeds per-type
 //! death-rate and potential deltas into a [`SeriesStore`] each evaluation;
 //! when [`SeriesStore::detect_drift`] flags a phase shift, the sink
 //! re-enables every §4.2 capture shutoff, resets the profiler (fresh
@@ -57,9 +57,9 @@ pub struct OnlineConfig {
     /// Confidence floor: suggestions whose potential saving is below this
     /// many bytes never become installation candidates.
     pub min_potential_bytes: u64,
-    /// Drift-triggered re-profiling (None = off, the single-run default;
-    /// the serve mode enables it per tenant).
-    pub drift: Option<OnlineDriftConfig>,
+    /// Drift-triggered re-profiling (off in the single-run default; every
+    /// serve tenant tracks drift).
+    pub drift: bool,
 }
 
 impl Default for OnlineConfig {
@@ -70,29 +70,7 @@ impl Default for OnlineConfig {
             shutoff_below_potential: None,
             confirm_evals: 2,
             min_potential_bytes: 0,
-            drift: None,
-        }
-    }
-}
-
-/// Configuration of the per-run drift tracker.
-#[derive(Debug, Clone, Copy)]
-pub struct OnlineDriftConfig {
-    /// Flag a series when its newest-half mean exceeds its oldest-half
-    /// mean by at least this percentage (see [`SeriesStore::detect_drift`]).
-    pub growth_pct: f64,
-    /// Minimum retained points before a series is considered.
-    pub min_points: usize,
-    /// Retained points per series (bounded, peak-preserving downsampling).
-    pub capacity: usize,
-}
-
-impl Default for OnlineDriftConfig {
-    fn default() -> Self {
-        OnlineDriftConfig {
-            growth_pct: 100.0,
-            min_points: 4,
-            capacity: 64,
+            drift: false,
         }
     }
 }
@@ -326,11 +304,20 @@ impl Hysteresis {
     }
 }
 
+/// Drift is flagged when a series' newest-half mean exceeds its
+/// oldest-half mean by at least this percentage (see
+/// [`SeriesStore::detect_drift`]).
+const DRIFT_GROWTH_PCT: f64 = 100.0;
+/// Retained points a series needs before it is considered for drift.
+const DRIFT_MIN_POINTS: usize = 4;
+/// Retained points per drift series (bounded, peak-preserving
+/// downsampling).
+const DRIFT_CAPACITY: usize = 64;
+
 /// Per-type drift tracker: one death-rate series and one potential-delta
 /// series per requested type, sampled once per evaluation.
 #[derive(Debug)]
 struct DriftTracker {
-    cfg: OnlineDriftConfig,
     series: SeriesStore,
     /// Stable per-type series keys: type → base key (base = death rate,
     /// base + 1 = potential delta).
@@ -342,10 +329,9 @@ struct DriftTracker {
 }
 
 impl DriftTracker {
-    fn new(cfg: OnlineDriftConfig) -> Self {
+    fn new() -> Self {
         DriftTracker {
-            cfg,
-            series: SeriesStore::new(cfg.capacity),
+            series: SeriesStore::new(DRIFT_CAPACITY),
             type_keys: BTreeMap::new(),
             prev_deaths: BTreeMap::new(),
             prev_potential: BTreeMap::new(),
@@ -391,8 +377,8 @@ impl DriftTracker {
             self.prev_potential.insert(ty.to_owned(), potential[ty]);
         }
         let findings = self.series.detect_drift(&DriftConfig {
-            growth_pct: self.cfg.growth_pct,
-            min_points: self.cfg.min_points,
+            growth_pct: DRIFT_GROWTH_PCT,
+            min_points: DRIFT_MIN_POINTS,
         });
         if findings.is_empty() {
             return false;
@@ -400,7 +386,7 @@ impl DriftTracker {
         // Phase shift: restart the series (and the delta baselines — the
         // profiler is reset right after, so cumulative totals restart too)
         // so steady post-shift behaviour does not re-fire every evaluation.
-        self.series = SeriesStore::new(self.cfg.capacity);
+        self.series = SeriesStore::new(DRIFT_CAPACITY);
         self.prev_deaths.clear();
         self.prev_potential.clear();
         self.ticks = 0;
@@ -462,7 +448,7 @@ impl OnlineSink {
             shutoff: config.shutoff_below_potential,
             state: RefCell::new(AdaptState {
                 hysteresis: Hysteresis::new(config.confirm_evals),
-                drift: config.drift.map(DriftTracker::new),
+                drift: config.drift.then(DriftTracker::new),
             }),
         }))
     }
@@ -1024,7 +1010,7 @@ mod tests {
                 }
             }
         });
-        let run = |drift: Option<OnlineDriftConfig>| {
+        let run = |drift: bool| {
             run_online(
                 &quiet_then_hot,
                 Arc::new(RuleEngine::builtin()),
@@ -1039,7 +1025,7 @@ mod tests {
         };
 
         // Control: permanent shutoff. The hot-list context never exists.
-        let control = run(None);
+        let control = run(false);
         assert_eq!(control.drift_events, 0);
         assert!(
             !control
@@ -1052,7 +1038,7 @@ mod tests {
 
         // With drift: the phase shift fires, capture is re-enabled, and
         // the hot context is profiled (and suggested on) again.
-        let adapted = run(Some(OnlineDriftConfig::default()));
+        let adapted = run(true);
         assert!(adapted.drift_events >= 1, "{:?}", adapted.drift_events);
         let hot = adapted
             .report

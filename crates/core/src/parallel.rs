@@ -153,9 +153,6 @@ fn run_partition(
     };
     let telemetry = config.telemetry.as_ref().map(|_| Telemetry::new());
     let env = Env::new(&EnvConfig {
-        // Name the partition in the heap's single-mutator machinery so a
-        // re-entry panic reports which partition's heap was re-entered.
-        shard_index: Some(index),
         telemetry: telemetry.clone(),
         tracer: child_tracer.clone(),
         ..config.clone()

@@ -36,7 +36,7 @@
 //! yields byte-identical output, evaluation-for-evaluation.
 
 use crate::env::{Env, EnvConfig};
-use crate::online::{OnlineConfig, OnlineDriftConfig, OnlineSink};
+use crate::online::{OnlineConfig, OnlineSink};
 use crate::workload::Workload;
 use chameleon_heap::{Heap, OutOfMemory};
 use chameleon_rules::{PolicyUpdate, RuleEngine};
@@ -63,7 +63,7 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Server construction parameters. The adaptation knobs mirror
 /// [`OnlineConfig`] and apply to every tenant; unlike the single-tenant
-/// online mode, drift detection defaults to **on** — a server cannot
+/// online mode, every tenant always tracks drift — a server cannot
 /// assume its tenants keep one phase forever.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -82,8 +82,6 @@ pub struct ServeConfig {
     pub min_potential_bytes: u64,
     /// §4.2 per-type capture shutoff floor (None = never shut off).
     pub shutoff_below_potential: Option<u64>,
-    /// Drift detection (re-profiling trigger). `None` disables it.
-    pub drift: Option<OnlineDriftConfig>,
 }
 
 impl Default for ServeConfig {
@@ -94,7 +92,6 @@ impl Default for ServeConfig {
             confirm_evals: 2,
             min_potential_bytes: 0,
             shutoff_below_potential: None,
-            drift: Some(OnlineDriftConfig::default()),
         }
     }
 }
@@ -127,7 +124,6 @@ pub struct Server {
     config: ServeConfig,
     resolve: WorkloadResolver,
     tenants: BTreeMap<String, Tenant>,
-    opened: usize,
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -261,7 +257,6 @@ impl Server {
             config: config.clone(),
             resolve,
             tenants: BTreeMap::new(),
-            opened: 0,
         }
     }
 
@@ -374,7 +369,6 @@ impl Server {
         // server's telemetry and tracer directly, as sequential code does.
         let env = Env::new(&EnvConfig {
             profiling: true,
-            shard_index: Some(self.opened),
             ..self.config.env.clone()
         });
         let online = OnlineConfig {
@@ -383,12 +377,11 @@ impl Server {
             shutoff_below_potential: self.config.shutoff_below_potential,
             confirm_evals: self.config.confirm_evals,
             min_potential_bytes: self.config.min_potential_bytes,
-            drift: self.config.drift,
+            drift: true,
         };
         let sink =
             OnlineSink::new(&env, self.engine.clone(), &online).map_err(|e| e.to_string())?;
         env.rt.set_sink(sink.clone());
-        self.opened += 1;
         self.tenants.insert(
             name.clone(),
             Tenant {

@@ -49,7 +49,8 @@
 //! cycle that takes a heap snapshot claims nothing and scans every object.
 
 use crate::heap::{
-    HeapInner, ANOMALY_WARMUP, F_DIRTY, F_OCCUPIED, F_SUMMARIZED, F_TOP_COLL, PAUSE_HISTORY,
+    HeapInner, ANOMALY_FACTOR, ANOMALY_WARMUP, F_DIRTY, F_OCCUPIED, F_SUMMARIZED, F_TOP_COLL,
+    GC_COST_PER_CYCLE, GC_COST_PER_LIVE_KIB, PAUSE_HISTORY,
 };
 use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object};
 use crate::semantic::{AdtDescriptor, SemanticMap};
@@ -140,10 +141,9 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     inner.marks = marks;
 
     // ----- clock ----------------------------------------------------------------
-    // The pause cost is a pure function of config and live bytes, so it is
-    // recorded in the stats even when no clock is attached to charge it.
-    let cfg = inner.gc_config;
-    let pause_cost_units = cfg.cost_per_cycle + (live_bytes / 1024) * cfg.cost_per_live_kib;
+    // The pause cost is a pure function of live bytes, so it is recorded in
+    // the stats even when no clock is attached to charge it.
+    let pause_cost_units = GC_COST_PER_CYCLE + (live_bytes / 1024) * GC_COST_PER_LIVE_KIB;
     let at_units = if let Some(clock) = &inner.clock {
         clock.charge(pause_cost_units);
         clock.now()
@@ -154,15 +154,15 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     // ----- flight-recorder anomaly trigger --------------------------------------
     // Purely observational: compares the deterministic pause cost against the
     // running median of recent cycles and dumps the trace rings to disk when
-    // a pause exceeds `anomaly_factor` times that median. The history itself
+    // a pause exceeds `ANOMALY_FACTOR` times that median. The history itself
     // is deterministic data, so it is maintained whether or not a tracer is
     // attached; only the dump requires one.
     if let Some(l) = &lane {
-        if cfg.anomaly_factor > 0 && inner.pause_history.len() >= ANOMALY_WARMUP {
+        if inner.pause_history.len() >= ANOMALY_WARMUP {
             let mut sorted: Vec<u64> = inner.pause_history.iter().copied().collect();
             sorted.sort_unstable();
             let median = sorted[sorted.len() / 2];
-            if median > 0 && pause_cost_units > cfg.anomaly_factor.saturating_mul(median) {
+            if median > 0 && pause_cost_units > ANOMALY_FACTOR.saturating_mul(median) {
                 let _ = l.tracer().flight_dump("gc-anomaly");
             }
         }
@@ -753,7 +753,7 @@ fn resolve_opt(inner: &HeapInner, obj: ObjId) -> Option<&Object> {
 
 #[cfg(test)]
 mod tests {
-    use crate::heap::{BatchAlloc, BatchRef, GcConfig, Heap};
+    use crate::heap::{BatchAlloc, BatchRef, Heap, GC_COST_PER_CYCLE, GC_COST_PER_LIVE_KIB};
     use crate::object::{ElemKind, ObjId};
     use crate::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
     use crate::snapshot::HeapProfConfig;
@@ -949,7 +949,7 @@ mod tests {
         let o = heap.alloc_scalar(class, 0, 0, None);
         heap.add_root(o);
         let stats = heap.gc();
-        assert!(clock.now() >= GcConfig::default().cost_per_cycle);
+        assert!(clock.now() >= GC_COST_PER_CYCLE);
         assert_eq!(
             stats.pause_cost_units,
             clock.now(),
@@ -964,10 +964,9 @@ mod tests {
         let o = heap.alloc_scalar(class, 0, 2048, None);
         heap.add_root(o);
         let stats = heap.gc();
-        let cfg = GcConfig::default();
         assert_eq!(
             stats.pause_cost_units,
-            cfg.cost_per_cycle + (stats.live_bytes / 1024) * cfg.cost_per_live_kib
+            GC_COST_PER_CYCLE + (stats.live_bytes / 1024) * GC_COST_PER_LIVE_KIB
         );
         assert_eq!(stats.at_units, 0, "no clock attached");
     }
@@ -1011,9 +1010,6 @@ mod tests {
         }
         let cycles: Vec<u64> = heap.heap_snapshots().iter().map(|s| s.cycle).collect();
         assert_eq!(cycles, [1, 4, 7]);
-        heap.clear_heap_snapshots();
-        assert!(heap.heap_snapshots().is_empty());
-        assert_eq!(heap.heap_profiling(), Some(HeapProfConfig { every: 3 }));
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //! slot's count is zero by construction.
 //!
 //! Reference fields and array slots live in one shared *ref pool* arena
-//! per heap, handed out as [`RefRange`](crate::object::RefRange)s with
-//! exact-size free-list buckets keyed by length under a multiplicative
-//! hash. Allocating or sweeping an object touches no process allocator
-//! once the pool is warm — crucial for parallel mutators, where
-//! per-object `Box` traffic from many threads serializes on `malloc` even
-//! when the heaps themselves are disjoint.
+//! per heap, handed out as `RefRange`s with exact-size free-list buckets
+//! keyed by length under a multiplicative hash. Allocating or sweeping an
+//! object touches no process allocator once the pool is warm — crucial
+//! for parallel mutators, where per-object `Box` traffic from many threads
+//! serializes on `malloc` even when the heaps themselves are disjoint.
 //!
 //! # Single-mutator contract
 //!
@@ -41,8 +40,7 @@
 //! neither `Send` nor `Sync` and the compiler keeps it on the thread that
 //! built it. Each operation borrows the state mutably for its duration
 //! (unwinds release the borrow). Entering a heap from inside one of its
-//! own operations panics, naming the operation and (with
-//! [`HeapConfig::shard_index`]) the partition. Each environment owns its
+//! own operations panics, naming the operation. Each environment owns its
 //! heap — sequential runs, minimal-heap trials, parallel partitions and
 //! serve tenants alike. The allocation-context table lives in the cell
 //! too: every capture enters the heap like any other operation, between
@@ -94,36 +92,22 @@ impl fmt::Display for OutOfMemory {
     }
 }
 
-/// Collector configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct GcConfig {
-    /// Simulated cost units charged per KiB of live data marked.
-    pub cost_per_live_kib: u64,
-    /// Fixed simulated cost units charged per cycle (stop-the-world pause).
-    pub cost_per_cycle: u64,
-    /// Flight-recorder anomaly trigger: when an execution tracer is
-    /// attached and a cycle's pause cost exceeds `anomaly_factor ×` the
-    /// running median of the last [`PAUSE_HISTORY`] cycles (after
-    /// [`ANOMALY_WARMUP`] warm-up cycles), the tracer's ring buffers are
-    /// dumped to its flight directory. The trigger compares deterministic
-    /// simulated cost units, never wall clock. `0` disables the trigger.
-    pub anomaly_factor: u64,
-}
-
+/// Simulated cost units each GC cycle charges per KiB of live data marked.
+pub const GC_COST_PER_LIVE_KIB: u64 = 600;
+/// Fixed simulated cost units each GC cycle charges (the stop-the-world
+/// pause).
+pub const GC_COST_PER_CYCLE: u64 = 50_000;
+/// Flight-recorder anomaly trigger: when an execution tracer is attached
+/// and a cycle's pause cost exceeds `ANOMALY_FACTOR ×` the running median
+/// of the last [`PAUSE_HISTORY`] cycles (after [`ANOMALY_WARMUP`] warm-up
+/// cycles), the tracer's ring buffers are dumped to its flight directory.
+/// The trigger compares deterministic simulated cost units, never wall
+/// clock.
+pub const ANOMALY_FACTOR: u64 = 8;
 /// Pause-cost samples retained for the anomaly trigger's running median.
 pub const PAUSE_HISTORY: usize = 32;
 /// Cycles observed before the anomaly trigger may fire.
 pub const ANOMALY_WARMUP: usize = 8;
-
-impl Default for GcConfig {
-    fn default() -> Self {
-        GcConfig {
-            cost_per_live_kib: 600,
-            cost_per_cycle: 50_000,
-            anomaly_factor: 8,
-        }
-    }
-}
 
 /// Heap construction parameters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -136,13 +120,6 @@ pub struct HeapConfig {
     /// since the last cycle — allocation-driven GC pressure for unbounded
     /// profiling runs.
     pub gc_interval_bytes: Option<u64>,
-    /// Collector configuration.
-    pub gc: GcConfig,
-    /// Partition index of this heap, named in the re-entry panic message
-    /// so a single-mutator contract violation reports *which* partition
-    /// was entered twice. The parallel runner and the serve
-    /// tenants set it; `None` leaves the partition out of the message.
-    pub shard_index: Option<usize>,
 }
 
 /// Packed per-slot flags (`HeapInner::flags`), one byte per slab slot.
@@ -195,7 +172,6 @@ pub(crate) struct HeapInner {
     pub(crate) classes: ClassRegistry,
     pub(crate) contexts: ContextTable,
     pub(crate) cycles: Vec<CycleStats>,
-    pub(crate) gc_config: GcConfig,
     pub(crate) clock: Option<SimClock>,
     pub(crate) total_allocated_bytes: u64,
     pub(crate) total_allocated_objects: u64,
@@ -220,19 +196,6 @@ pub(crate) struct HeapInner {
     /// Semantic totals of the large top-level collections walked last
     /// cycle, ascending by slot (see `gc::AdtCached`).
     pub(crate) adt_cache: Vec<AdtCached>,
-}
-
-/// Single-mutator cell behind every [`Heap`]: entry borrows `inner`
-/// mutably or panics, so at most one `&mut HeapInner` ever exists. The
-/// cell is `!Send` and `!Sync` (it sits behind an `Rc` and holds a
-/// `RefCell`), so the compiler keeps every heap on the thread that built
-/// it.
-struct HeapCell {
-    /// Partition index this heap belongs to (from
-    /// [`HeapConfig::shard_index`]); names the partition in the re-entry
-    /// panic so the report points at a partition, not just "a heap".
-    index: Option<usize>,
-    inner: RefCell<HeapInner>,
 }
 
 /// Cloneable handle to a simulated heap (see the module docs for the
@@ -269,7 +232,11 @@ struct HeapCell {
 /// ```
 #[derive(Clone)]
 pub struct Heap {
-    cell: Rc<HeapCell>,
+    /// Single-mutator cell: entry borrows the state mutably or panics, so
+    /// at most one `&mut HeapInner` ever exists. `Rc` and `RefCell` make
+    /// the handle `!Send` and `!Sync`, so the compiler keeps every heap on
+    /// the thread that built it.
+    cell: Rc<RefCell<HeapInner>>,
 }
 
 impl fmt::Debug for Heap {
@@ -322,7 +289,6 @@ impl Heap {
             classes: ClassRegistry::new(),
             contexts: ContextTable::new(),
             cycles: Vec::new(),
-            gc_config: config.gc,
             clock: None,
             total_allocated_bytes: 0,
             total_allocated_objects: 0,
@@ -336,10 +302,7 @@ impl Heap {
             adt_cache: Vec::new(),
         };
         Heap {
-            cell: Rc::new(HeapCell {
-                index: config.shard_index,
-                inner: RefCell::new(inner),
-            }),
+            cell: Rc::new(RefCell::new(inner)),
         }
     }
 
@@ -347,27 +310,22 @@ impl Heap {
     ///
     /// `op` names the heap operation being entered; it appears in the
     /// re-entry panic so a violation report says which operation
-    /// collided on which partition.
+    /// collided.
     ///
     /// # Panics
     ///
     /// Panics if the heap is entered while an enclosing operation is
     /// still inside it (single-mutator contract).
     fn lock(&self, op: &'static str) -> RefMut<'_, HeapInner> {
-        if let Some(guard) = self.try_lock_inner() {
-            return guard;
-        }
-        match self.cell.index {
-            Some(i) => {
-                panic!("heap of partition {i} re-entered during `{op}` (single-mutator contract)")
-            }
+        match self.try_lock_inner() {
+            Some(guard) => guard,
             None => panic!("heap re-entered during `{op}` (single-mutator contract)"),
         }
     }
 
     /// Non-panicking entry; `None` when the heap is already entered.
     fn try_lock_inner(&self) -> Option<RefMut<'_, HeapInner>> {
-        self.cell.inner.try_borrow_mut().ok()
+        self.cell.try_borrow_mut().ok()
     }
 
     /// Creates a heap capped at `capacity` bytes (allocations GC on
@@ -398,7 +356,7 @@ impl Heap {
     /// spans (mark, scan, sweep, snapshot capture). Tracing reads only the
     /// wall clock and never charges the [`SimClock`], so simulated results
     /// are bit-identical with it absent, attached, or exporting. Also arms the
-    /// flight-recorder anomaly trigger (see [`GcConfig::anomaly_factor`]).
+    /// flight-recorder anomaly trigger (see [`ANOMALY_FACTOR`]).
     pub fn attach_tracer(&self, lane: &TraceLane) {
         self.lock("attach_tracer").tracer = Some(lane.clone());
     }
@@ -416,14 +374,6 @@ impl Heap {
         self.lock("set_heap_profiling").heapprof = config.map(HeapProfState::new);
     }
 
-    /// The active heap-profiling configuration, if any.
-    pub fn heap_profiling(&self) -> Option<HeapProfConfig> {
-        self.lock("heap_profiling")
-            .heapprof
-            .as_ref()
-            .map(|s| s.config)
-    }
-
     /// All heap snapshots captured so far (empty unless
     /// [`Heap::set_heap_profiling`] enabled capture).
     pub fn heap_snapshots(&self) -> Vec<HeapSnapshot> {
@@ -432,13 +382,6 @@ impl Heap {
             .as_ref()
             .map(|s| s.snapshots.clone())
             .unwrap_or_default()
-    }
-
-    /// Discards captured snapshots while keeping profiling enabled.
-    pub fn clear_heap_snapshots(&self) {
-        if let Some(s) = self.lock("clear_heap_snapshots").heapprof.as_mut() {
-            s.snapshots.clear();
-        }
     }
 
     /// The layout model this heap uses.
@@ -559,11 +502,6 @@ impl Heap {
             .iter()
             .map(|f| inner.contexts.frame_name(*f).to_owned())
             .collect()
-    }
-
-    /// Changes the allocation-driven GC interval.
-    pub fn set_gc_interval_bytes(&self, interval: Option<u64>) {
-        self.lock("set_gc_interval_bytes").gc_interval_bytes = interval;
     }
 
     /// Number of distinct allocation contexts interned.
@@ -913,11 +851,6 @@ impl Heap {
     /// All per-cycle statistics recorded so far (Table 3 rows).
     pub fn cycles(&self) -> Vec<CycleStats> {
         self.lock("cycles").cycles.clone()
-    }
-
-    /// Clears recorded cycle statistics (between runs).
-    pub fn clear_cycles(&self) {
-        self.lock("clear_cycles").cycles.clear();
     }
 
     /// Bytes currently occupied in the heap (live + not-yet-collected
@@ -1641,11 +1574,8 @@ mod tests {
     }
 
     #[test]
-    fn reentry_panics_naming_partition_and_op() {
-        let heap = Heap::with_config(HeapConfig {
-            shard_index: Some(7),
-            ..HeapConfig::default()
-        });
+    fn reentry_panics_naming_the_op() {
+        let heap = Heap::new();
         let guard = heap.lock("outer");
         // Context interning enters the cell like every other operation.
         let probes: [(&str, &dyn Fn()); 2] = [
@@ -1660,7 +1590,7 @@ mod tests {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(probe))
                 .expect_err("re-entry must panic");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("partition 7") && msg.contains(op), "{msg}");
+            assert!(msg.contains("re-entered") && msg.contains(op), "{msg}");
         }
         // The refused entry must not release the outer operation's borrow.
         assert_eq!(format!("{heap:?}"), "Heap(<locked>)");

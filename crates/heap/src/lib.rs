@@ -65,7 +65,7 @@ mod telemetry;
 
 pub use clock::SimClock;
 pub use context::{CallStackSim, ContextExport, ContextId, ContextTable, FrameId};
-pub use heap::{BatchAlloc, BatchRef, GcConfig, Heap, HeapConfig, OutOfMemory};
+pub use heap::{BatchAlloc, BatchRef, Heap, HeapConfig, OutOfMemory};
 pub use layout::MemoryModel;
 pub use object::{ClassId, ElemKind, ObjId, ObjectView};
 pub use semantic::{AdtDescriptor, CollectionKind, SemanticMap};

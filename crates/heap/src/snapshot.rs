@@ -1,7 +1,7 @@
 //! Per-cycle heap snapshots with retained-size attribution.
 //!
 //! When heap profiling is enabled ([`crate::Heap::set_heap_profiling`]) the
-//! collector's fused scan additionally fills a [`SnapAcc`]: self
+//! collector's fused scan additionally fills a `SnapAcc`: self
 //! bytes, object counts and incoming reference-edge counts per allocation
 //! context, plus the set of *cross-context* reference edges. Capture rides
 //! the existing epoch-stamped mark pass — no second heap traversal.

@@ -56,8 +56,9 @@ pub struct CycleStats {
     /// Objects reclaimed by the sweep.
     pub swept_objects: u64,
     /// Simulated cost units the cycle's stop-the-world pause charged — a
-    /// pure function of `GcConfig` and live bytes, recorded even when no
-    /// clock is attached.
+    /// pure function of live bytes ([`crate::heap::GC_COST_PER_CYCLE`] plus
+    /// [`crate::heap::GC_COST_PER_LIVE_KIB`] per KiB), recorded even when
+    /// no clock is attached.
     pub pause_cost_units: u64,
     /// Collection totals over the whole heap.
     pub collection: AdtTotals,

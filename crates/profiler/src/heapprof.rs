@@ -31,7 +31,7 @@ fn series_key(ctx: Option<ContextId>) -> u64 {
 pub struct HeapProfile {
     /// The captured snapshots, in cycle order.
     pub snapshots: Vec<HeapSnapshot>,
-    /// Per-context live-bytes series (keyed by [`series_key`] semantics:
+    /// Per-context live-bytes series (keyed by `series_key` semantics:
     /// `ContextId.0`, or [`NO_CTX_KEY`] for the no-context bucket).
     pub store: SeriesStore,
 }

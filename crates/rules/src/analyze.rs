@@ -537,16 +537,6 @@ impl LintReport {
         self.diagnostics.is_empty()
     }
 
-    /// The first finding at or above `level`, converted to a fatal
-    /// [`RuleError`] (used by the engine's deny mode).
-    pub fn deny_error(&self, level: Severity, src: &str) -> Option<RuleError> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity >= level)
-            .max_by_key(|d| d.severity)
-            .map(|d| RuleError::new(format!("[{}] {}", d.code, d.message), d.span, src))
-    }
-
     /// Renders every finding with carets plus a one-line summary.
     pub fn render(&self, src: &str) -> String {
         if self.is_clean() {
@@ -1357,21 +1347,5 @@ mod tests {
         let clean = lint("HashMap : maxSize < 4 -> ArrayMap", &[]);
         assert_eq!(clean.render(""), "ruleset OK: no findings");
         assert!(clean.to_json("").starts_with("{\"findings\":[]"));
-    }
-
-    #[test]
-    fn deny_error_picks_most_severe() {
-        let src = "HashMap : maxSize < 0 -> ArrayMap;\nHashMap : instances > 0 -> ArrayMap";
-        let report = lint(src, &[]);
-        assert!(report.worst() == Some(Severity::Error));
-        let err = report.deny_error(Severity::Warn, src).expect("denied");
-        assert!(
-            err.message.contains("unsatisfiable-condition"),
-            "{}",
-            err.message
-        );
-        assert!(report.deny_error(Severity::Error, src).is_some());
-        let clean = lint("HashMap : maxSize < 4 -> ArrayMap", &[]);
-        assert!(clean.deny_error(Severity::Info, src).is_none());
     }
 }

@@ -2,22 +2,22 @@
 //! evaluates every rule against every profiled context, and emits
 //! suggestions (first matching rule per context wins).
 //!
-//! Two gates from the paper are enforced here:
+//! The paper's **stability** gate (Definition 3.1) is enforced here: rules
+//! whose condition reads a size metric only fire when the context's
+//! maximal-size deviation is within the stability threshold ("size values
+//! are required to be tight, while operation counts are not restricted").
 //!
-//! * **Stability (Definition 3.1)** — rules whose condition reads a size
-//!   metric only fire when the context's maximal-size deviation is within
-//!   the stability threshold ("size values are required to be tight, while
-//!   operation counts are not restricted").
-//! * **Potential** — space-motivated rules only fire when the context's
-//!   potential saving exceeds a configurable floor ("we can avoid any
-//!   space-optimizing replacement when the potential space savings seems
-//!   negligible", §3.3.1).
+//! Its **potential** gate ("we can avoid any space-optimizing replacement
+//! when the potential space savings seems negligible", §3.3.1) is the
+//! online and serve modes' confidence floor, `--min-potential`
+//! (`OnlineConfig::min_potential_bytes` in `chameleon-core`): a suggestion
+//! below it never becomes an installation candidate.
 
 use crate::analyze::{analyze, LintReport};
-use crate::ast::{Category, Expr, Metric, Rule, TraceMetric};
+use crate::ast::{Expr, Metric, Rule, TraceMetric};
 use crate::builtin::{BUILTIN_RULES, DEFAULT_PARAMS};
 use crate::check::validate;
-use crate::diag::{line_col, RuleError, Severity};
+use crate::diag::{line_col, RuleError};
 use crate::eval::{eval, MetricEnv, Value};
 use crate::parser::parse_rules;
 use crate::suggest::Suggestion;
@@ -25,22 +25,6 @@ use chameleon_profiler::{ProfileReport, StabilityConfig};
 use chameleon_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How the engine reacts to static-analysis findings on added rulesets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintMode {
-    /// Skip the analyzer entirely.
-    Off,
-    /// Analyze every added batch; keep the findings (see
-    /// [`RuleEngine::lint_reports`]) and surface them as `lint_finding`
-    /// telemetry events, but never reject rules.
-    #[default]
-    Warn,
-    /// Like `Warn`, but [`RuleEngine::add_rules`] fails when the batch has
-    /// any `Error`-severity finding (unsatisfiable condition,
-    /// kind-mismatched target, …) and adds none of its rules.
-    Deny,
-}
 
 /// The Chameleon rule engine.
 ///
@@ -61,8 +45,6 @@ pub struct RuleEngine {
     rules: Vec<(Rule, String)>,
     params: HashMap<String, f64>,
     stability: StabilityConfig,
-    min_potential_bytes: u64,
-    lint_mode: LintMode,
     /// One analyzer report per successfully added batch (paired with the
     /// batch source). Analysis is per batch: cross-batch shadowing is not
     /// checked.
@@ -88,8 +70,6 @@ impl RuleEngine {
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
             stability: StabilityConfig::default(),
-            min_potential_bytes: 0,
-            lint_mode: LintMode::default(),
             lint_reports: Vec::new(),
             lint_emitted: AtomicUsize::new(0),
         }
@@ -102,45 +82,30 @@ impl RuleEngine {
         e
     }
 
-    /// Parses, validates, statically analyzes (per [`LintMode`]) and
-    /// appends rules from `src`. Returns how many rules were added.
+    /// Parses, validates and appends rules from `src`, then statically
+    /// analyzes the batch and keeps its report (see
+    /// [`RuleEngine::lint_reports`]); findings surface as `lint_finding`
+    /// telemetry events but never reject rules. Returns how many rules
+    /// were added.
     ///
     /// # Errors
     ///
-    /// Returns the first parse or validation error (with span into `src`),
-    /// or — in [`LintMode::Deny`] — the most severe analyzer `Error`
-    /// finding; on error no rules from `src` are added.
+    /// Returns the first parse or validation error (with span into `src`);
+    /// on error no rules from `src` are added.
     pub fn add_rules(&mut self, src: &str) -> Result<usize, RuleError> {
         let parsed = parse_rules(src)?;
         for rule in &parsed {
             validate(rule, &self.params, src)?;
         }
-        if self.lint_mode != LintMode::Off {
-            let mut report = analyze(&parsed, &self.params, src);
-            // The parameter table is engine-global and shared across
-            // batches; "unused in this one batch" is not a finding here.
-            report.diagnostics.retain(|d| d.code != "unused-param");
-            if self.lint_mode == LintMode::Deny {
-                if let Some(err) = report.deny_error(Severity::Error, src) {
-                    return Err(err);
-                }
-            }
-            self.lint_reports.push((report, src.to_owned()));
-        }
+        let mut report = analyze(&parsed, &self.params, src);
+        // The parameter table is engine-global and shared across batches;
+        // "unused in this one batch" is not a finding here.
+        report.diagnostics.retain(|d| d.code != "unused-param");
+        self.lint_reports.push((report, src.to_owned()));
         let n = parsed.len();
         self.rules
             .extend(parsed.into_iter().map(|r| (r, src.to_owned())));
         Ok(n)
-    }
-
-    /// Sets how analyzer findings are handled for subsequently added rules.
-    pub fn set_lint_mode(&mut self, mode: LintMode) {
-        self.lint_mode = mode;
-    }
-
-    /// The current lint mode.
-    pub fn lint_mode(&self) -> LintMode {
-        self.lint_mode
     }
 
     /// Analyzer reports for every added batch (with the batch source the
@@ -162,11 +127,6 @@ impl RuleEngine {
     /// Replaces the stability gate configuration.
     pub fn set_stability(&mut self, cfg: StabilityConfig) {
         self.stability = cfg;
-    }
-
-    /// Sets the minimum potential (bytes) for space-motivated rules.
-    pub fn set_min_potential(&mut self, bytes: u64) {
-        self.min_potential_bytes = bytes;
     }
 
     /// The installed rules, in priority order.
@@ -213,12 +173,6 @@ impl RuleEngine {
                 if mentions_size_metric(&rule.cond) && !size_stable {
                     continue;
                 }
-                let category = rule.category();
-                if matches!(category, Category::Space | Category::SpaceTime)
-                    && profile.potential_bytes < self.min_potential_bytes
-                {
-                    continue;
-                }
                 let fired = matches!(eval(&rule.cond, &env), Value::Bool(true));
                 if !fired {
                     continue;
@@ -251,7 +205,7 @@ impl RuleEngine {
                     action: rule.action.clone(),
                     resolved_capacity,
                     message: rule.message.clone(),
-                    category,
+                    category: rule.category(),
                     potential_bytes: profile.potential_bytes,
                     rule_text: rule.to_string(),
                 });
@@ -409,20 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn min_potential_gates_space_rules() {
-        let (report, _heap) = profile_small_program();
-        let mut engine = RuleEngine::builtin();
-        engine.set_min_potential(u64::MAX);
-        let suggestions = engine.evaluate(&report);
-        assert!(
-            suggestions
-                .iter()
-                .all(|s| matches!(s.category, Category::Time | Category::Other)),
-            "space rules must be gated: {suggestions:?}"
-        );
-    }
-
-    #[test]
     fn stability_gates_size_rules() {
         // A context with wildly bimodal sizes must not get a size-based
         // replacement.
@@ -525,36 +465,18 @@ mod tests {
     }
 
     #[test]
-    fn lint_modes_gate_defective_rulesets() {
+    fn defective_rulesets_are_added_with_their_lint_report() {
         // An unsatisfiable condition: Error-severity finding.
         let bad = r#"HashMap : maxSize > 16 && maxSize < 4 -> ArrayMap "Space: never""#;
 
-        // Warn (default): accepted, finding recorded.
-        let mut warn = RuleEngine::new();
-        assert_eq!(warn.add_rules(bad).expect("warn mode accepts"), 1);
-        let (report, _) = &warn.lint_reports()[0];
+        // Accepted, finding recorded.
+        let mut engine = RuleEngine::new();
+        assert_eq!(engine.add_rules(bad).expect("findings never reject"), 1);
+        assert_eq!(engine.rules().len(), 1);
+        let (report, src) = &engine.lint_reports()[0];
+        assert_eq!(src, bad);
         assert_eq!(report.errors(), 1);
         assert_eq!(report.diagnostics[0].code, "unsatisfiable-condition");
-
-        // Deny: rejected atomically, nothing added.
-        let mut deny = RuleEngine::new();
-        deny.set_lint_mode(LintMode::Deny);
-        let err = deny.add_rules(bad).expect_err("deny mode rejects");
-        assert!(
-            err.message.contains("unsatisfiable-condition"),
-            "{}",
-            err.message
-        );
-        assert!(deny.rules().is_empty());
-        assert!(deny.lint_reports().is_empty());
-        // Clean rules still install in deny mode.
-        assert_eq!(deny.add_rules(BUILTIN_RULES).expect("builtins clean"), 14);
-
-        // Off: accepted with no analysis at all.
-        let mut off = RuleEngine::new();
-        off.set_lint_mode(LintMode::Off);
-        assert_eq!(off.add_rules(bad).expect("off mode accepts"), 1);
-        assert!(off.lint_reports().is_empty());
     }
 
     #[test]

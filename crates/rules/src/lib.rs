@@ -12,14 +12,14 @@
 //! * a lexer, recursive-descent [`parser`], and spanned [`diag`]nostics;
 //! * a [`check`] pass (boolean conditions, bound parameters, known
 //!   targets);
-//! * a whole-ruleset static [`analyze`]r (shadowed rules, unsatisfiable
-//!   conditions, kind-mismatched targets) over an [`interval`] abstract
-//!   domain, surfaced as `chameleon lint` and [`engine::LintMode`];
+//! * a whole-ruleset static [analyzer](mod@analyze) (shadowed rules,
+//!   unsatisfiable conditions, kind-mismatched targets) over an
+//!   [`interval`] abstract domain, surfaced as `chameleon lint` and in
+//!   every [`RuleEngine`]'s lint reports;
 //! * an [`eval`]uator over per-context metric environments;
 //! * the [`builtin`] Table 2 rule set with named tuning parameters;
 //! * the [`RuleEngine`], which applies the Definition 3.1 stability gate
-//!   and the minimum-potential gate, and emits [`Suggestion`]s convertible
-//!   into factory policy updates.
+//!   and emits [`Suggestion`]s convertible into factory policy updates.
 //!
 //! # Examples
 //!
@@ -56,7 +56,7 @@ pub use analyze::{analyze, analyze_source, LintReport};
 pub use ast::{Action, Category, Rule, TypePat};
 pub use builtin::{BUILTIN_RULES, DEFAULT_PARAMS};
 pub use diag::{Diagnostic, Note, RuleError, Severity, Span};
-pub use engine::{LintMode, RuleEngine};
+pub use engine::RuleEngine;
 pub use kinds::Kind;
 pub use parser::{parse_rule, parse_rules};
 pub use suggest::{PolicyUpdate, Suggestion};

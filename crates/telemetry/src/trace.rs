@@ -246,7 +246,8 @@ impl Tracer {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Allocates a fresh span id (for low-level [`TraceLane::record`] use).
+    /// Allocates a fresh span id (as [`TraceLane::scope`] and
+    /// [`TraceLane::instant`] do for each record).
     pub fn alloc_id(&self) -> u64 {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
     }
